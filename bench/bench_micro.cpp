@@ -12,24 +12,12 @@
 #include "match/match.hpp"
 #include "runtime/mpsc_queue.hpp"
 #include "runtime/packet.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace {
 
 using namespace lwmpi;
 
 // --- queues --------------------------------------------------------------------
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  rt::SpscRing<std::uint64_t> ring(1024);
-  std::uint64_t v = 0;
-  for (auto _ : state) {
-    ring.try_push(v++);
-    benchmark::DoNotOptimize(ring.try_pop());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 struct BenchNode : rt::MpscNode {
   std::uint64_t value = 0;

@@ -91,11 +91,16 @@ SweepResult pingpong(const net::Profile& profile, const std::string& netmod,
         e.send(&ack, 1, kChar, 0, 8, kCommWorld);
       }
     }
+  });
+  // Read the pvars once the rank threads have joined: summing into `res`
+  // from inside the rank lambdas would race.
+  for (int r = 0; r < w.nranks(); ++r) {
+    Engine& e = w.engine(r);
     res.reg_hits += read_pvar(e, "rdma_reg_cache_hits");
     res.reg_misses += read_pvar(e, "rdma_reg_cache_misses");
     res.reg_evictions += read_pvar(e, "rdma_reg_cache_evictions");
     res.zcopy_writes += read_pvar(e, "rdma_zero_copy_writes");
-  });
+  }
   res.ns_per_iter = best;
   return res;
 }

@@ -45,19 +45,19 @@
 // The telemetry pass emits its own BENCH_telemetry.json plus a Prometheus
 // text-exposition artifact that scripts/run_tier1.sh lints with
 // `bench_check --promlint`.
-// Since the aggregate profiler (obs/profiler.hpp), every top-level MPI entry
-// point opens a ProfScope: a thread-local depth check, a TSC stamp pair, and
-// three relaxed counter updates per user call when a profiler is attached --
-// one null test when not. The profiler pass pairs counters-on worlds with and
-// without an attached profiler and gates the tax at <2% (between the counter
-// tier's 3% and the passive sampler's 1%: ProfScope does strictly more work
-// per call than a counter hook but runs only at the user-call boundary, not
-// per packet). It emits BENCH_prof.json plus a profile.json artifact that
-// run_tier1.sh / the regression sentinel validate with
-// `bench_check --profcheck`.
-// Since the flight recorder (obs/recorder.hpp), every top-level entry point
-// additionally opens a RecScope when recording is on: a thread-local depth
-// check plus a 16-byte ring store, and -- at the default 1-in-2^8 sampling --
+// Every top-level MPI entry point opens one obs::SurfaceScope (obs/recorder.hpp),
+// which feeds both the aggregate profiler and the flight recorder -- one
+// branch when neither is attached. With a profiler attached the scope pays a
+// thread-local depth check and a cell bump (two relaxed counter updates) per
+// user call, plus a TSC stamp pair on 1 in 2^10 calls per cell. The profiler
+// pass pairs counters-on worlds with and without an attached profiler and
+// gates the tax at <2% (between the counter tier's 3% and the passive
+// sampler's 1%: the scope does strictly more work per call than a counter
+// hook but runs only at the user-call boundary, not per packet). It emits
+// BENCH_prof.json plus a profile.json artifact that run_tier1.sh validates
+// with `bench_check --profcheck`.
+// With the flight recorder attached the same scope pays the depth check plus
+// a 16-byte ring store and -- at the default 1-in-2^8 sampling --
 // occasionally a TSC stamp pair. The record pass gates that tax at <2% (same
 // reasoning as the profiler: per user call, not per packet) and emits
 // BENCH_record.json.
@@ -88,7 +88,8 @@ constexpr int kRounds = 7;   // independently-constructed instance pairs
 // A 1-rank world whose engine the bench drives directly (self ping-pong:
 // isend -> recv -> wait, no thread handoff). `sampled` additionally attaches
 // a telemetry sampler at the default cadence for the instance's lifetime;
-// `prof` attaches the aggregate profiler (ProfScope live on every call).
+// `prof` attaches the aggregate profiler (the surface hook profiles every
+// call).
 class SelfWorld {
  public:
   explicit SelfWorld(bool counters, bool sampled = false, bool prof = false,

@@ -11,7 +11,7 @@ BUILD_DIR="${1:-build}"
 SOURCE_DIR="${2:-.}"
 
 for bin in bench/bench_table1 bench/bench_fig2 bench/bench_fig3 bench/bench_fig4 \
-           bench/bench_obs_overhead bench/bench_replay tools/bench_check; do
+           bench/bench_replay tools/bench_check; do
   if [[ ! -x "${BUILD_DIR}/${bin}" ]]; then
     echo "run_bench_regression: ${BUILD_DIR}/${bin} not built" >&2
     exit 2
@@ -30,18 +30,9 @@ LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_fig2" > /dev/null
 LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_fig3" > /dev/null
 LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_fig4" > /dev/null
 
-# The observability overhead gates are timing benches, so they are judged by
-# their own acceptance exit codes (<3% counters, <1% telemetry sampler, <2%
-# aggregate profiler), not by a baseline comparison in bench_check.
-LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_obs_overhead" > /dev/null
-
-# The telemetry pass also emits a Prometheus text exposition; lint it like
-# promtool would (name/label charsets, HELP/TYPE metadata, duplicate series).
-"${BUILD_DIR}/tools/bench_check" --promlint "${scratch}/telemetry.prom"
-
-# The profiler pass emits a profile.json artifact; validate its schema (the
-# lwmpi_prof input format) the same way.
-"${BUILD_DIR}/tools/bench_check" --profcheck "${scratch}/profile.json"
+# The observability overhead gates (bench_obs_overhead and the artifacts it
+# lints) are timing gates: they run only in scripts/run_tier1.sh, after ctest,
+# so a sanitizer build of this sentinel never times anything.
 
 # Trace replay of the committed bundles: the bench's exit code enforces
 # engine-exact fidelity on every bundle x netmod cell, and the artifact it

@@ -69,8 +69,8 @@ Err Engine::coll_recv(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm
 // ---------------------------------------------------------------------------
 
 Err Engine::barrier(Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Barrier, prof_vci(comm), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::Barrier, 0, 0, rec_vci(comm), 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Barrier,
+                       [&] { return obs::Surface{surface_vci(comm)}; });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -97,12 +97,12 @@ Err Engine::barrier(Comm comm) {
 // ---------------------------------------------------------------------------
 
 Err Engine::bcast(void* buf, int count, Datatype dt, Rank root, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Bcast, prof_vci(comm), prof_bytes(count, dt));
   // Collectives record the root in the peer field and the builtin element
   // size in the tag field so replay can rebuild (count, datatype) and hit the
   // same internal algorithm splits (see RecOp).
-  obs::RecScope rsc(rec_, obs::Callsite::Bcast, root, rec_esize(dt), rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Bcast, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), root, rec_esize(dt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -144,9 +144,9 @@ Err Engine::bcast(void* buf, int count, Datatype dt, Rank root, Comm comm) {
 
 Err Engine::reduce(const void* sbuf, void* rbuf, int count, Datatype dt, ReduceOp op,
                    Rank root, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Reduce, prof_vci(comm), prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Reduce, root, rec_esize(dt), rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Reduce, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), root, rec_esize(dt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -199,10 +199,9 @@ Err Engine::reduce(const void* sbuf, void* rbuf, int count, Datatype dt, ReduceO
 
 Err Engine::allreduce(const void* sbuf, void* rbuf, int count, Datatype dt, ReduceOp op,
                       Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Allreduce, prof_vci(comm),
-                     prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Allreduce, 0, rec_esize(dt), rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Allreduce, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), 0, rec_esize(dt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   if (!is_builtin(dt)) return Err::Datatype;  // predefined ops need basic types
@@ -293,10 +292,9 @@ Err Engine::allreduce(const void* sbuf, void* rbuf, int count, Datatype dt, Redu
 
 Err Engine::gather(const void* sbuf, int scount, Datatype sdt, void* rbuf, int rcount,
                    Datatype rdt, Rank root, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Gather, prof_vci(comm),
-                     prof_bytes(scount, sdt));
-  obs::RecScope rsc(rec_, obs::Callsite::Gather, root, rec_esize(sdt), rec_vci(comm),
-                    rec_bytes(scount, sdt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Gather, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(scount, sdt), root, rec_esize(sdt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -329,10 +327,9 @@ Err Engine::gather(const void* sbuf, int scount, Datatype sdt, void* rbuf, int r
 
 Err Engine::allgather(const void* sbuf, int scount, Datatype sdt, void* rbuf, int rcount,
                       Datatype rdt, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Allgather, prof_vci(comm),
-                     prof_bytes(scount, sdt));
-  obs::RecScope rsc(rec_, obs::Callsite::Allgather, 0, rec_esize(sdt), rec_vci(comm),
-                    rec_bytes(scount, sdt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Allgather, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(scount, sdt), 0, rec_esize(sdt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -376,10 +373,9 @@ Err Engine::allgather(const void* sbuf, int scount, Datatype sdt, void* rbuf, in
 
 Err Engine::scatter(const void* sbuf, int scount, Datatype sdt, void* rbuf, int rcount,
                     Datatype rdt, Rank root, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Scatter, prof_vci(comm),
-                     prof_bytes(rcount, rdt));
-  obs::RecScope rsc(rec_, obs::Callsite::Scatter, root, rec_esize(rdt), rec_vci(comm),
-                    rec_bytes(rcount, rdt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Scatter, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(rcount, rdt), root, rec_esize(rdt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -414,10 +410,9 @@ Err Engine::scatter(const void* sbuf, int scount, Datatype sdt, void* rbuf, int 
 
 Err Engine::alltoall(const void* sbuf, int scount, Datatype sdt, void* rbuf, int rcount,
                      Datatype rdt, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Alltoall, prof_vci(comm),
-                     prof_bytes(scount, sdt));
-  obs::RecScope rsc(rec_, obs::Callsite::Alltoall, 0, rec_esize(sdt), rec_vci(comm),
-                    rec_bytes(scount, sdt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Alltoall, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(scount, sdt), 0, rec_esize(sdt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -461,9 +456,9 @@ Err Engine::alltoall(const void* sbuf, int scount, Datatype sdt, void* rbuf, int
 
 Err Engine::scan(const void* sbuf, void* rbuf, int count, Datatype dt, ReduceOp op,
                  Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Scan, prof_vci(comm), prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Scan, 0, rec_esize(dt), rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Scan, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), 0, rec_esize(dt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   if (!is_builtin(dt)) return Err::Datatype;

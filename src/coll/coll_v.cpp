@@ -22,12 +22,11 @@ constexpr Tag kTagReduceScatter = 12;
 Err Engine::gatherv(const void* sbuf, int scount, Datatype sdt, void* rbuf,
                     std::span<const int> rcounts, std::span<const int> displs, Datatype rdt,
                     Rank root, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Gatherv, prof_vci(comm),
-                     prof_bytes(scount, sdt));
   // The per-rank count vectors are not captured, so replay skip-counts the
   // v-collectives; the record still documents the call in the timeline.
-  obs::RecScope rsc(rec_, obs::Callsite::Gatherv, root, rec_esize(sdt), rec_vci(comm),
-                    rec_bytes(scount, sdt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Gatherv, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(scount, sdt), root, rec_esize(sdt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -67,10 +66,9 @@ Err Engine::gatherv(const void* sbuf, int scount, Datatype sdt, void* rbuf,
 Err Engine::allgatherv(const void* sbuf, int scount, Datatype sdt, void* rbuf,
                        std::span<const int> rcounts, std::span<const int> displs,
                        Datatype rdt, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Allgatherv, prof_vci(comm),
-                     prof_bytes(scount, sdt));
-  obs::RecScope rsc(rec_, obs::Callsite::Allgatherv, 0, rec_esize(sdt), rec_vci(comm),
-                    rec_bytes(scount, sdt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Allgatherv, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(scount, sdt), 0, rec_esize(sdt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -99,10 +97,9 @@ Err Engine::allgatherv(const void* sbuf, int scount, Datatype sdt, void* rbuf,
 Err Engine::scatterv(const void* sbuf, std::span<const int> scounts,
                      std::span<const int> displs, Datatype sdt, void* rbuf, int rcount,
                      Datatype rdt, Rank root, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Scatterv, prof_vci(comm),
-                     prof_bytes(rcount, rdt));
-  obs::RecScope rsc(rec_, obs::Callsite::Scatterv, root, rec_esize(rdt), rec_vci(comm),
-                    rec_bytes(rcount, rdt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Scatterv, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(rcount, rdt), root, rec_esize(rdt)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const int p = c->map.size();
@@ -141,10 +138,9 @@ Err Engine::scatterv(const void* sbuf, std::span<const int> scounts,
 
 Err Engine::reduce_scatter_block(const void* sbuf, void* rbuf, int count, Datatype dt_,
                                  ReduceOp op, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::ReduceScatterBlock, prof_vci(comm),
-                     prof_bytes(count, dt_));
-  obs::RecScope rsc(rec_, obs::Callsite::ReduceScatterBlock, 0, rec_esize(dt_),
-                    rec_vci(comm), rec_bytes(count, dt_));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::ReduceScatterBlock, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt_), 0, rec_esize(dt_)};
+  });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   if (!is_builtin(dt_)) return Err::Datatype;

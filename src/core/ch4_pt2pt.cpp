@@ -25,11 +25,11 @@ namespace lwmpi {
 
 Err Engine::isend(const void* buf, int count, Datatype dt, Rank dest, Tag tag, Comm comm,
                   Request* req) {
-  obs::ProfScope psc(prof_, obs::Callsite::Isend, prof_vci(comm), prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Isend, dest, tag, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Isend, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest, tag};
+  });
   const Err e = isend_impl(buf, count, dt, dest, tag, comm, req);
-  if (ok(e)) rsc.bind_req(req);
+  if (ok(e)) sc.bind_req(req);
   return e;
 }
 
@@ -54,11 +54,11 @@ Err Engine::isend_impl(const void* buf, int count, Datatype dt, Rank dest, Tag t
 
 Err Engine::irecv(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm comm,
                   Request* req) {
-  obs::ProfScope psc(prof_, obs::Callsite::Irecv, prof_vci(comm), prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Irecv, src, tag, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Irecv, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), src, tag};
+  });
   const Err e = irecv_impl(buf, count, dt, src, tag, comm, req);
-  if (ok(e)) rsc.bind_req(req);
+  if (ok(e)) sc.bind_req(req);
   return e;
 }
 
@@ -86,10 +86,9 @@ Err Engine::irecv_impl(void* buf, int count, Datatype dt, Rank src, Tag tag, Com
 
 Err Engine::isend_global(const void* buf, int count, Datatype dt, Rank world_dest, Tag tag,
                          Comm comm, Request* req) {
-  obs::ProfScope psc(prof_, obs::Callsite::IsendGlobal, prof_vci(comm),
-                     prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::IsendGlobal, world_dest, tag, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendGlobal, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), world_dest, tag};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
   }
@@ -113,15 +112,15 @@ Err Engine::isend_global(const void* buf, int count, Datatype dt, Rank world_des
                .comm = comm,
                .dest_is_world = true};
   const Err e = device_isend(p, req);
-  if (ok(e)) rsc.bind_req(req);
+  if (ok(e)) sc.bind_req(req);
   return e;
 }
 
 Err Engine::isend_npn(const void* buf, int count, Datatype dt, Rank dest, Tag tag, Comm comm,
                       Request* req) {
-  obs::ProfScope psc(prof_, obs::Callsite::IsendNpn, prof_vci(comm), prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::IsendNpn, dest, tag, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendNpn, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest, tag};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
   }
@@ -144,16 +143,15 @@ Err Engine::isend_npn(const void* buf, int count, Datatype dt, Rank dest, Tag ta
                .comm = comm,
                .skip_proc_null_check = true};
   const Err e = device_isend(p, req);
-  if (ok(e)) rsc.bind_req(req);
+  if (ok(e)) sc.bind_req(req);
   return e;
 }
 
 Err Engine::isend_noreq(const void* buf, int count, Datatype dt, Rank dest, Tag tag,
                         Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::IsendNoreq, prof_vci(comm),
-                     prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::IsendNoreq, dest, tag, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendNoreq, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest, tag};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
   }
@@ -178,8 +176,8 @@ Err Engine::isend_noreq(const void* buf, int count, Datatype dt, Rank dest, Tag 
 }
 
 Err Engine::comm_waitall(Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::CommWaitall, prof_vci(comm), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::CommWaitall, 0, 0, rec_vci(comm), 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::CommWaitall,
+                       [&] { return obs::Surface{surface_vci(comm)}; });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   progress();  // flush the device send queue even if nothing is outstanding
@@ -196,10 +194,9 @@ Err Engine::comm_waitall(Comm comm) {
 
 Err Engine::isend_nomatch(const void* buf, int count, Datatype dt, Rank dest, Comm comm,
                           Request* req) {
-  obs::ProfScope psc(prof_, obs::Callsite::IsendNomatch, prof_vci(comm),
-                     prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::IsendNomatch, dest, 0, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendNomatch, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
   }
@@ -220,15 +217,14 @@ Err Engine::isend_nomatch(const void* buf, int count, Datatype dt, Rank dest, Co
                .comm = comm,
                .match_mode = rt::MatchMode::ArrivalOrder};
   const Err e = device_isend(p, req);
-  if (ok(e)) rsc.bind_req(req);
+  if (ok(e)) sc.bind_req(req);
   return e;
 }
 
 Err Engine::irecv_nomatch(void* buf, int count, Datatype dt, Comm comm, Request* req) {
-  obs::ProfScope psc(prof_, obs::Callsite::IrecvNomatch, prof_vci(comm),
-                     prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::IrecvNomatch, kAnySource, 0, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IrecvNomatch, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), kAnySource};
+  });
   if (cfg_.error_checking) {
     if (Err e = check_comm(comm); !ok(e)) return e;
     if (Err e = check_count(count); !ok(e)) return e;
@@ -237,7 +233,7 @@ Err Engine::irecv_nomatch(void* buf, int count, Datatype dt, Comm comm, Request*
   }
   const Err e = post_recv_common(buf, count, dt, kAnySource, kAnyTag, comm,
                                  rt::MatchMode::ArrivalOrder, false, req);
-  if (ok(e)) rsc.bind_req(req);
+  if (ok(e)) sc.bind_req(req);
   return e;
 }
 
@@ -250,10 +246,9 @@ Err Engine::irecv_nomatch(void* buf, int count, Datatype dt, Comm comm, Request*
 // path touches no state that needs the VCI lock.
 Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_dest,
                            Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::IsendAllOpts, prof_vci(comm),
-                     prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::IsendAllOpts, world_dest, 0, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendAllOpts, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), world_dest};
+  });
   CommObject& c = *comms_.at(handle_payload(comm));  // global-array slot load
   cost::charge(cost::Category::MandObject, cost::kAllOptsCtxLoad);
   cost::charge(cost::Category::MandRankmap, cost::kAllOptsAddrLoad);

@@ -309,16 +309,11 @@ void Engine::release_request(Request r) noexcept {
 // ---------------------------------------------------------------------------
 
 Err Engine::wait(Request* req, Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Wait,
-                     (prof_ != nullptr && req != nullptr && *req != kRequestNull)
-                         ? static_cast<int>(request_vci(*req))
-                         : 0,
-                     0);
   // Link resolved at entry: wait_impl nulls the handle on completion.
-  const Request h = rec_link(req);
-  obs::RecScope rsc(rec_, obs::Callsite::Wait, 0, 0,
-                    h != kRequestNull ? static_cast<std::uint8_t>(request_vci(h)) : 0, 0,
-                    h);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Wait, [&] {
+    const Request h = req != nullptr ? *req : kRequestNull;
+    return obs::Surface{static_cast<int>(request_vci(h)), 0, 0, 0, h};
+  });
   return wait_impl(req, st);
 }
 
@@ -366,21 +361,16 @@ Err Engine::wait_impl(Request* req, Status* st) {
 }
 
 Err Engine::test(Request* req, bool* flag, Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Test,
-                     (prof_ != nullptr && req != nullptr && *req != kRequestNull)
-                         ? static_cast<int>(request_vci(*req))
-                         : 0,
-                     0);
   // Success-gated: only a test that actually completed a request is a
   // replayable op, so the record is emitted at exit. The handle must be
   // captured first (completion nulls it), and the body lives in test_impl
   // because the persistent path recurses.
-  const Request h = rec_link(req);
-  obs::RecScope rsc(rec_);
+  const Request h = req != nullptr ? *req : kRequestNull;
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Test,
+                       [&] { return obs::Surface{static_cast<int>(request_vci(h))}; });
   const Err e = test_impl(req, flag, st);
-  if (ok(e) && flag != nullptr && *flag && h != kRequestNull) {
-    rsc.record_exit(static_cast<std::uint8_t>(obs::Callsite::Test), 0, 0,
-                    static_cast<std::uint8_t>(request_vci(h)), 0, h);
+  if (sc.recording() && ok(e) && flag != nullptr && *flag && h != kRequestNull) {
+    sc.record(obs::Callsite::Test, {static_cast<int>(request_vci(h)), 0, 0, 0, h});
   }
   return e;
 }
@@ -417,16 +407,9 @@ Err Engine::test_impl(Request* req, bool* flag, Status* st) {
 }
 
 Err Engine::waitall(std::span<Request> reqs, std::span<Status> sts) {
-  obs::ProfScope psc(prof_, obs::Callsite::Waitall, 0, 0);
-  // Header record (bytes = array length) plus one WaitItem follower per live
-  // request, pushed at entry while the handles still resolve to their issuers.
-  obs::RecScope rsc(rec_, obs::Callsite::Waitall, 0, 0, 0,
-                    static_cast<std::uint32_t>(reqs.size()));
-  if (rsc.armed()) {
-    for (const Request& r : reqs) {
-      if (r != kRequestNull) rsc.aux(obs::kRecKindWaitItem, 0, 0, 0, 0, r);
-    }
-  }
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Waitall,
+                       [] { return obs::Surface{}; });
+  sc.record_list(obs::Callsite::Waitall, reqs);  // at entry, before completion
   Err first = Err::Success;
   for (std::size_t i = 0; i < reqs.size(); ++i) {
     Status st;
@@ -438,8 +421,9 @@ Err Engine::waitall(std::span<Request> reqs, std::span<Status> sts) {
 }
 
 Err Engine::waitany(std::span<Request> reqs, int* index, Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Waitany, 0, 0);
-  obs::RecScope rsc(rec_);  // success-gated: recorded when a request completes
+  // Success-gated: recorded when a request completes.
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Waitany,
+                       [] { return obs::Surface{}; });
   if (index == nullptr) return Err::Arg;
   bool any_active = false;
   for (const Request& r : reqs) {
@@ -460,8 +444,7 @@ Err Engine::waitany(std::span<Request> reqs, int* index, Status* st) {
       if (s == nullptr) return Err::Request;
       if (slot_ready(*s)) {
         *index = static_cast<int>(i);
-        rsc.record_exit(static_cast<std::uint8_t>(obs::Callsite::Waitany), 0, 0, 0, 0,
-                        reqs[i]);
+        sc.record(obs::Callsite::Waitany, {0, 0, 0, 0, reqs[i]});
         return wait(&reqs[i], st);
       }
     }
@@ -470,8 +453,9 @@ Err Engine::waitany(std::span<Request> reqs, int* index, Status* st) {
 }
 
 Err Engine::testany(std::span<Request> reqs, int* index, bool* flag, Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Testany, 0, 0);
-  obs::RecScope rsc(rec_);  // success-gated, like test()
+  // Success-gated, like test().
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Testany,
+                       [] { return obs::Surface{}; });
   if (index == nullptr || flag == nullptr) return Err::Arg;
   progress();
   bool any_active = false;
@@ -483,8 +467,7 @@ Err Engine::testany(std::span<Request> reqs, int* index, bool* flag, Status* st)
     if (slot_ready(*s)) {
       *index = static_cast<int>(i);
       *flag = true;
-      rsc.record_exit(static_cast<std::uint8_t>(obs::Callsite::Testany), 0, 0, 0, 0,
-                      reqs[i]);
+      sc.record(obs::Callsite::Testany, {0, 0, 0, 0, reqs[i]});
       return wait(&reqs[i], st);
     }
   }
@@ -495,8 +478,9 @@ Err Engine::testany(std::span<Request> reqs, int* index, bool* flag, Status* st)
 }
 
 Err Engine::testall(std::span<Request> reqs, bool* flag, std::span<Status> sts) {
-  obs::ProfScope psc(prof_, obs::Callsite::Testall, 0, 0);
-  obs::RecScope rsc(rec_);  // success-gated: recorded only when all complete
+  // Success-gated: recorded only when all complete.
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Testall,
+                       [] { return obs::Surface{}; });
   if (flag == nullptr) return Err::Arg;
   progress();
   for (const Request& r : reqs) {
@@ -509,26 +493,15 @@ Err Engine::testall(std::span<Request> reqs, bool* flag, std::span<Status> sts) 
     }
   }
   *flag = true;
-  if (rsc.armed()) {
-    rsc.record_exit(static_cast<std::uint8_t>(obs::Callsite::Testall), 0, 0, 0,
-                    static_cast<std::uint32_t>(reqs.size()));
-    for (const Request& r : reqs) {
-      if (r != kRequestNull) rsc.aux(obs::kRecKindWaitItem, 0, 0, 0, 0, r);
-    }
-  }
+  sc.record_list(obs::Callsite::Testall, reqs);
   return waitall(reqs, sts);  // everything is complete: reap without blocking
 }
 
 Err Engine::cancel(Request* req) {
-  obs::ProfScope psc(prof_, obs::Callsite::Cancel,
-                     (prof_ != nullptr && req != nullptr && *req != kRequestNull)
-                         ? static_cast<int>(request_vci(*req))
-                         : 0,
-                     0);
-  const Request h = rec_link(req);
-  obs::RecScope rsc(rec_, obs::Callsite::Cancel, 0, 0,
-                    h != kRequestNull ? static_cast<std::uint8_t>(request_vci(h)) : 0, 0,
-                    h);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Cancel, [&] {
+    const Request h = req != nullptr ? *req : kRequestNull;
+    return obs::Surface{static_cast<int>(request_vci(h)), 0, 0, 0, h};
+  });
   if (req == nullptr || *req == kRequestNull) return Err::Request;
   RequestSlot* s = req_slot(*req);
   if (s == nullptr) return Err::Request;
@@ -553,8 +526,9 @@ Err Engine::cancel(Request* req) {
 // ---------------------------------------------------------------------------
 
 Err Engine::iprobe(Rank src, Tag tag, Comm comm, bool* flag, Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Iprobe, prof_vci(comm), 0);
-  obs::RecScope rsc(rec_);  // success-gated: only a hit is a replayable op
+  // Success-gated: only a hit is a replayable op.
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Iprobe,
+                       [&] { return obs::Surface{surface_vci(comm)}; });
   if (flag == nullptr) return Err::Arg;
   if (cfg_.error_checking) {
     if (Err e = check_comm(comm); !ok(e)) return e;
@@ -576,16 +550,13 @@ Err Engine::iprobe(Rank src, Tag tag, Comm comm, bool* flag, Status* st) {
     st->byte_count = h->total_bytes;
     st->error = Err::Success;
   }
-  if (h != nullptr) {
-    rsc.record_exit(static_cast<std::uint8_t>(obs::Callsite::Iprobe), src, tag,
-                    rec_vci(comm), 0);
-  }
+  if (h != nullptr) sc.record(obs::Callsite::Iprobe, {static_cast<int>(c->vci), 0, src, tag});
   return Err::Success;
 }
 
 Err Engine::probe(Rank src, Tag tag, Comm comm, Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Probe, prof_vci(comm), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::Probe, src, tag, rec_vci(comm), 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Probe,
+                       [&] { return obs::Surface{surface_vci(comm), 0, src, tag}; });
   bool flag = false;
   obs::BlockScope block(*this, "Probe");
   rt::Backoff backoff;
@@ -673,22 +644,22 @@ Err Engine::type_get_extent(Datatype dt, std::int64_t* lb, std::int64_t* extent)
 
 // The blocking wrappers call the _impl primitives directly: the outermost-wins
 // depth guard would suppress the nested scopes anyway, but skipping them also
-// skips their per-call ProfScope argument computation and TLS traffic (the
-// pingpong overhead gate measures exactly this path).
+// skips their per-call depth-guard TLS traffic (the pingpong overhead gate
+// measures exactly this path).
 
 Err Engine::send(const void* buf, int count, Datatype dt, Rank dest, Tag tag, Comm comm) {
-  obs::ProfScope psc(prof_, obs::Callsite::Send, prof_vci(comm), prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Send, dest, tag, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Send, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest, tag};
+  });
   Request r = kRequestNull;
   if (Err e = isend_impl(buf, count, dt, dest, tag, comm, &r); !ok(e)) return e;
   return wait_impl(&r, nullptr);
 }
 
 Err Engine::recv(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm comm, Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Recv, prof_vci(comm), prof_bytes(count, dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Recv, src, tag, rec_vci(comm),
-                    rec_bytes(count, dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Recv, [&] {
+    return obs::Surface{surface_vci(comm), surface_bytes(count, dt), src, tag};
+  });
   Request r = kRequestNull;
   if (Err e = irecv_impl(buf, count, dt, src, tag, comm, &r); !ok(e)) return e;
   return wait_impl(&r, st);
@@ -697,14 +668,18 @@ Err Engine::recv(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm comm
 Err Engine::sendrecv(const void* sbuf, int scount, Datatype sdt, Rank dest, Tag stag,
                      void* rbuf, int rcount, Datatype rdt, Rank src, Tag rtag, Comm comm,
                      Status* st) {
-  obs::ProfScope psc(prof_, obs::Callsite::Sendrecv, prof_vci(comm),
-                     prof_bytes(scount, sdt) + prof_bytes(rcount, rdt));
-  // Two records: the send half under the Sendrecv kind, then the recv half as
-  // a follower -- replay re-issues recv-first exactly like the body below.
-  obs::RecScope rsc(rec_, obs::Callsite::Sendrecv, dest, stag, rec_vci(comm),
-                    rec_bytes(scount, sdt));
-  if (rsc.armed()) {
-    rsc.aux(obs::kRecKindSendrecvRecv, src, rtag, rec_vci(comm), rec_bytes(rcount, rdt));
+  // The profile counts both halves' bytes under the one call. The recorder
+  // writes two records: the send half under the Sendrecv kind, then the recv
+  // half as a follower -- replay re-issues recv-first exactly like the body
+  // below.
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Sendrecv, [&] {
+    return obs::Surface{surface_vci(comm),
+                        surface_bytes(scount, sdt) + surface_bytes(rcount, rdt)};
+  });
+  if (sc.recording()) {
+    const int vci = surface_vci(comm);
+    sc.record(obs::Callsite::Sendrecv, {vci, surface_bytes(scount, sdt), dest, stag});
+    sc.aux(obs::kRecKindSendrecvRecv, {vci, surface_bytes(rcount, rdt), src, rtag});
   }
   Request rr = kRequestNull;
   Request sr = kRequestNull;

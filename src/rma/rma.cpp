@@ -72,12 +72,6 @@ const Engine::WindowLocal* Engine::win_obj(Win win) const noexcept {
   return const_cast<Engine*>(this)->win_obj(win);
 }
 
-int Engine::prof_win_vci(Win win) noexcept {
-  if (prof_ == nullptr) return 0;
-  const WindowLocal* w = win_obj(win);
-  return w == nullptr ? 0 : static_cast<int>(w->vci);
-}
-
 Err Engine::win_create(void* base, std::size_t bytes, int disp_unit, Comm comm, Win* win) {
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
@@ -203,12 +197,11 @@ Err Engine::rma_check_epoch(const WindowLocal& w, Rank target) const noexcept {
 
 Err Engine::put(const void* origin, int origin_count, Datatype origin_dt, Rank target,
                 std::uint64_t target_disp, int target_count, Datatype target_dt, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::Put, prof_win_vci(win),
-                     prof_bytes(origin_count, origin_dt));
   // RMA ops are recorded for the timeline but skip-counted by replay (window
   // geometry is not captured in the trace).
-  obs::RecScope rsc(rec_, obs::Callsite::Put, target, 0, 0,
-                    rec_bytes(origin_count, origin_dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Put, [&] {
+    return obs::Surface{surface_vci(win), surface_bytes(origin_count, origin_dt), target};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
   }
@@ -332,10 +325,9 @@ Err Engine::rma_am_put(WindowLocal& w, Win /*win*/, const void* origin, int ocou
 
 Err Engine::put_va(const void* origin, int origin_count, Datatype origin_dt, Rank target,
                    void* target_va, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::PutVa, prof_win_vci(win),
-                     prof_bytes(origin_count, origin_dt));
-  obs::RecScope rsc(rec_, obs::Callsite::PutVa, target, 0, 0,
-                    rec_bytes(origin_count, origin_dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::PutVa, [&] {
+    return obs::Surface{surface_vci(win), surface_bytes(origin_count, origin_dt), target};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
   }
@@ -376,10 +368,9 @@ Err Engine::put_va(const void* origin, int origin_count, Datatype origin_dt, Ran
 
 Err Engine::get(void* origin, int origin_count, Datatype origin_dt, Rank target,
                 std::uint64_t target_disp, int target_count, Datatype target_dt, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::Get, prof_win_vci(win),
-                     prof_bytes(origin_count, origin_dt));
-  obs::RecScope rsc(rec_, obs::Callsite::Get, target, 0, 0,
-                    rec_bytes(origin_count, origin_dt));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Get, [&] {
+    return obs::Surface{surface_vci(win), surface_bytes(origin_count, origin_dt), target};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
   }
@@ -466,10 +457,9 @@ Err Engine::get(void* origin, int origin_count, Datatype origin_dt, Rank target,
 
 Err Engine::accumulate(const void* origin, int count, Datatype dt_, Rank target,
                        std::uint64_t target_disp, ReduceOp op, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::Accumulate, prof_win_vci(win),
-                     prof_bytes(count, dt_));
-  obs::RecScope rsc(rec_, obs::Callsite::Accumulate, target, 0, 0,
-                    rec_bytes(count, dt_));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Accumulate, [&] {
+    return obs::Surface{surface_vci(win), surface_bytes(count, dt_), target};
+  });
   if (!cfg_.ipo) {
     cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
   }
@@ -524,10 +514,9 @@ Err Engine::accumulate(const void* origin, int count, Datatype dt_, Rank target,
 
 Err Engine::get_accumulate(const void* origin, int count, Datatype dt_, void* result,
                            Rank target, std::uint64_t target_disp, ReduceOp op, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::GetAccumulate, prof_win_vci(win),
-                     prof_bytes(count, dt_));
-  obs::RecScope rsc(rec_, obs::Callsite::GetAccumulate, target, 0, 0,
-                    rec_bytes(count, dt_));
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::GetAccumulate, [&] {
+    return obs::Surface{surface_vci(win), surface_bytes(count, dt_), target};
+  });
   WindowLocal* w = win_obj(win);
   VciGate gate(w == nullptr ? nullptr : vcis_[w->vci].get(), cfg_.thread_safety,
                cost::kThreadGateRma);
@@ -678,8 +667,8 @@ Err Engine::orig_flush_pending(WindowLocal& w, Win win, Rank target) {
 }
 
 Err Engine::win_fence(Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinFence, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinFence, 0, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinFence,
+                       [&] { return obs::Surface{surface_vci(win)}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   obs::BlockScope block(*this, "Win_fence");
@@ -692,8 +681,8 @@ Err Engine::win_fence(Win win) {
 }
 
 Err Engine::win_flush(Rank target, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinFlush, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinFlush, target, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinFlush,
+                       [&] { return obs::Surface{surface_vci(win), 0, target}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   vcis_[w->vci]->counters.inc(obs::VciCtr::RmaFlush);
@@ -704,8 +693,8 @@ Err Engine::win_flush(Rank target, Win win) {
 }
 
 Err Engine::win_flush_all(Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinFlush, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinFlush, -1, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinFlush,
+                       [&] { return obs::Surface{surface_vci(win), 0, -1}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   vcis_[w->vci]->counters.inc(obs::VciCtr::RmaFlush);
@@ -714,8 +703,9 @@ Err Engine::win_flush_all(Win win) {
 }
 
 Err Engine::win_lock(LockType type, Rank target, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinLock, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinLock, target, static_cast<int>(type), 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinLock, [&] {
+    return obs::Surface{surface_vci(win), 0, target, static_cast<int>(type)};
+  });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   if (target < 0 || target >= w->global->nranks) return Err::Rank;
@@ -765,8 +755,8 @@ Err Engine::win_lock(LockType type, Rank target, Win win) {
 }
 
 Err Engine::win_unlock(Rank target, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinUnlock, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinUnlock, target, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinUnlock,
+                       [&] { return obs::Surface{surface_vci(win), 0, target}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   if (target < 0 || target >= w->global->nranks) return Err::Rank;
@@ -857,8 +847,8 @@ std::vector<Rank> group_world_ranks(Engine& eng, Group g) {
 }  // namespace
 
 Err Engine::win_post(Group group, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinPost, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinPost, 0, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinPost,
+                       [&] { return obs::Surface{surface_vci(win)}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   const std::vector<Rank> origins = group_world_ranks(*this, group);
@@ -880,8 +870,8 @@ Err Engine::win_post(Group group, Win win) {
 }
 
 Err Engine::win_start(Group group, Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinStart, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinStart, 0, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinStart,
+                       [&] { return obs::Surface{surface_vci(win)}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   const std::vector<Rank> targets = group_world_ranks(*this, group);
@@ -900,8 +890,8 @@ Err Engine::win_start(Group group, Win win) {
 }
 
 Err Engine::win_complete(Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinComplete, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinComplete, 0, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinComplete,
+                       [&] { return obs::Surface{surface_vci(win)}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   if (w->epoch.load(std::memory_order_relaxed) != WindowLocal::Epoch::Pscw) {
@@ -923,8 +913,8 @@ Err Engine::win_complete(Win win) {
 }
 
 Err Engine::win_wait(Win win) {
-  obs::ProfScope psc(prof_, obs::Callsite::WinWait, prof_win_vci(win), 0);
-  obs::RecScope rsc(rec_, obs::Callsite::WinWait, 0, 0, 0, 0);
+  obs::SurfaceScope sc(prof_, rec_, obs::Callsite::WinWait,
+                       [&] { return obs::Surface{surface_vci(win)}; });
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   const auto expected = static_cast<std::uint32_t>(w->pscw_exposure_group.size());

@@ -113,6 +113,7 @@ TEST(Match, OldestUnexpectedWins) {
   auto hit2 = m.post(posted(1, 2, 5));
   ASSERT_TRUE(hit2.has_value());
   EXPECT_EQ((*hit2)->hdr.total_bytes, 222u);
+  rt::PacketPool::free(*hit2);
 }
 
 TEST(Match, ArrivalOrderIgnoresSrcAndTag) {

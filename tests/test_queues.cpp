@@ -2,94 +2,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "runtime/mpsc_queue.hpp"
 #include "runtime/packet.hpp"
-#include "runtime/spsc_ring.hpp"
 
 namespace lwmpi::rt {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SpscRing
-// ---------------------------------------------------------------------------
-
-TEST(SpscRing, StartsEmpty) {
-  SpscRing<int> ring(8);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_EQ(ring.size_approx(), 0u);
-  EXPECT_FALSE(ring.try_pop().has_value());
-}
-
-TEST(SpscRing, PushPopSingle) {
-  SpscRing<int> ring(8);
-  EXPECT_TRUE(ring.try_push(42));
-  EXPECT_FALSE(ring.empty());
-  auto v = ring.try_pop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 42);
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(SpscRing, FifoOrder) {
-  SpscRing<int> ring(16);
-  for (int i = 0; i < 10; ++i) EXPECT_TRUE(ring.try_push(i));
-  for (int i = 0; i < 10; ++i) {
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-}
-
-TEST(SpscRing, CapacityRoundedToPowerOfTwo) {
-  SpscRing<int> ring(5);
-  EXPECT_EQ(ring.capacity(), 7u);  // bit_ceil(5)=8, minus the sentinel slot
-}
-
-TEST(SpscRing, RejectsWhenFull) {
-  SpscRing<int> ring(4);  // capacity 3
-  int pushed = 0;
-  while (ring.try_push(pushed)) ++pushed;
-  EXPECT_EQ(pushed, 3);
-  ASSERT_TRUE(ring.try_pop().has_value());
-  EXPECT_TRUE(ring.try_push(99));  // slot freed
-}
-
-TEST(SpscRing, WrapsAround) {
-  SpscRing<int> ring(4);
-  for (int round = 0; round < 20; ++round) {
-    EXPECT_TRUE(ring.try_push(round));
-    auto v = ring.try_pop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, round);
-  }
-}
-
-TEST(SpscRing, ConcurrentProducerConsumer) {
-  constexpr int kCount = 20000;
-  SpscRing<int> ring(64);
-  std::atomic<long long> sum{0};
-  std::thread consumer([&] {
-    int got = 0;
-    while (got < kCount) {
-      if (auto v = ring.try_pop()) {
-        sum += *v;
-        ++got;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (int i = 0; i < kCount; ++i) {
-    while (!ring.try_push(i)) std::this_thread::yield();
-  }
-  consumer.join();
-  EXPECT_EQ(sum.load(), static_cast<long long>(kCount) * (kCount - 1) / 2);
-}
 
 // ---------------------------------------------------------------------------
 // MpscQueue

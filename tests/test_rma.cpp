@@ -306,7 +306,10 @@ TEST(Rma, EpochViolationDetected) {
     const int v = 1;
     EXPECT_EQ(e.put(&v, 1, kInt, 1, 0, 1, kInt, win), Err::RmaSync);
     ASSERT_EQ(e.win_fence(win), Err::Success);
-    EXPECT_EQ(e.put(&v, 1, kInt, 1, 0, 1, kInt, win), Err::Success);
+    // Each origin its own location: two puts to one location in an epoch
+    // are erroneous.
+    const auto disp = static_cast<std::uint64_t>(e.world_rank());
+    EXPECT_EQ(e.put(&v, 1, kInt, 1, disp, 1, kInt, win), Err::Success);
     ASSERT_EQ(e.win_fence(win), Err::Success);
     ASSERT_EQ(e.win_free(&win), Err::Success);
   });
@@ -320,11 +323,18 @@ TEST(Rma, DispBoundsChecked) {
                            &win),
               Err::Success);
     ASSERT_EQ(e.win_fence(win), Err::Success);
-    const int v = 1;
+    const int me = e.world_rank();
+    const int v = 10 + me;
     EXPECT_EQ(e.put(&v, 1, kInt, 1, 4, 1, kInt, win), Err::Disp);   // one past end
     EXPECT_EQ(e.put(&v, 1, kInt, 9, 0, 1, kInt, win), Err::Rank);   // bad target
-    EXPECT_EQ(e.put(&v, 1, kInt, 1, 3, 1, kInt, win), Err::Success);
+    // One origin per target location: two puts to one location in an epoch
+    // are erroneous. Rank 1's put covers the last valid disp.
+    EXPECT_EQ(e.put(&v, 1, kInt, 1, me == 0 ? 2u : 3u, 1, kInt, win), Err::Success);
     ASSERT_EQ(e.win_fence(win), Err::Success);
+    if (me == 1) {
+      EXPECT_EQ(mem[2], 10);
+      EXPECT_EQ(mem[3], 11);
+    }
     ASSERT_EQ(e.win_free(&win), Err::Success);
   });
 }
