@@ -2,6 +2,7 @@
 // protocols, wildcards, ordering, truncation, and probe.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -15,10 +16,17 @@ using test::fast_opts;
 using test::spmd;
 
 // Parameter: (device, message bytes). Sizes straddle the eager threshold.
+// gtest prints a parameter that has no printer as a dump of its bytes, and
+// gtest_discover_tests puts that dump into the ctest name. The four bytes
+// between the fields are therefore an explicit zero member: as padding they
+// held stack garbage, and the names changed with the length of the build path.
 struct PtParam {
+  PtParam(DeviceKind d, std::size_t n) : device(d), bytes(n) {}
   DeviceKind device;
+  std::uint32_t zero = 0;
   std::size_t bytes;
 };
+static_assert(sizeof(DeviceKind) == 4 && sizeof(PtParam) == 16);
 
 class Pt2PtSweep : public ::testing::TestWithParam<PtParam> {};
 

@@ -439,23 +439,34 @@ TEST(Sampler, WatchdogEmbedsTimeline) {
 
 // Hot 4-VCI traffic loop: both ranks dup the predefined comms and ping on
 // every lane, the workload the sampler races against in the tests below.
-void hot_vci_loop(Engine& e, int iters) {
+// After each batch of `iters` rounds rank 0 asks `more()` and broadcasts the
+// answer, so both ranks keep the lanes hot for the same number of batches.
+template <class More>
+void hot_vci_loop(Engine& e, int iters, More more) {
   const Comm comms[4] = {kComm1, kComm2, kComm3, kComm4};
   for (Comm c : comms) {
     ASSERT_EQ(e.comm_dup_predefined(kCommWorld, c), Err::Success);
   }
   std::uint64_t v = 0;
-  for (int i = 0; i < iters; ++i) {
-    for (Comm c : comms) {
-      if (e.world_rank() == 0) {
-        ASSERT_EQ(e.send(&v, 1, kUint64, 1, 3, c), Err::Success);
-        ASSERT_EQ(e.recv(&v, 1, kUint64, 1, 4, c, nullptr), Err::Success);
-      } else {
-        ASSERT_EQ(e.recv(&v, 1, kUint64, 0, 3, c, nullptr), Err::Success);
-        ASSERT_EQ(e.send(&v, 1, kUint64, 0, 4, c), Err::Success);
+  for (int go = 1; go != 0;) {
+    for (int i = 0; i < iters; ++i) {
+      for (Comm c : comms) {
+        if (e.world_rank() == 0) {
+          ASSERT_EQ(e.send(&v, 1, kUint64, 1, 3, c), Err::Success);
+          ASSERT_EQ(e.recv(&v, 1, kUint64, 1, 4, c, nullptr), Err::Success);
+        } else {
+          ASSERT_EQ(e.recv(&v, 1, kUint64, 0, 3, c, nullptr), Err::Success);
+          ASSERT_EQ(e.send(&v, 1, kUint64, 0, 4, c), Err::Success);
+        }
       }
     }
+    if (e.world_rank() == 0) go = more() ? 1 : 0;
+    ASSERT_EQ(e.bcast(&go, 1, kInt, 0, kCommWorld), Err::Success);
   }
+}
+
+void hot_vci_loop(Engine& e, int iters) {
+  hot_vci_loop(e, iters, [] { return false; });
 }
 
 TEST(SamplerRace, StartStopUnderLoad) {
@@ -490,7 +501,9 @@ TEST(SamplerRace, RingOverwriteUnderHotVciLoad) {
   obs::Sampler sampler(w);
   EXPECT_EQ(sampler.ring_depth(), 4u);
 
-  w.run([&](Engine& e) { hot_vci_loop(e, 400); });
+  // 400 rounds can finish inside 4ms on a fast host, so the lanes stay hot
+  // in further batches until the sampler has ticked past the ring depth.
+  w.run([&](Engine& e) { hot_vci_loop(e, 400, [&] { return sampler.ticks() <= 4; }); });
 
   // The 1ms cadence must have lapped the 4-deep ring: retention is bounded,
   // overwrite-oldest, and the survivors are the newest contiguous ticks.
