@@ -85,6 +85,30 @@ void RankRec::stamp(std::uint64_t op_index, std::uint64_t t0) noexcept {
   anchor_head_.store(ai + 1, std::memory_order_release);
 }
 
+// --- SurfaceScope sampled path -------------------------------------------------
+
+namespace {
+// This thread's armed record (only the outermost scope arms, so one slot).
+struct RecSample {
+  RankRec* rec = nullptr;
+  std::uint64_t op_index = 0;
+  std::uint64_t t0 = 0;
+};
+thread_local RecSample tl_rec_sample;
+}  // namespace
+
+void SurfaceScope::rec_arm(RankRec* r, std::uint64_t op_index) noexcept {
+  tl_rec_sample = {r, op_index, lat_now_ns()};
+}
+
+void SurfaceScope::finish_sampled(std::uint8_t state) noexcept {
+  if ((state & kProfArmed) != 0) prof_finish();
+  if ((state & kRecArmed) != 0) {
+    const RecSample& s = tl_rec_sample;
+    s.rec->stamp(s.op_index, s.t0);
+  }
+}
+
 std::vector<std::pair<std::uint64_t, RecOp>> RankRec::last_ops(std::size_t n) const {
   const std::uint64_t head = head_.load(std::memory_order_acquire);
   const std::uint64_t avail = std::min<std::uint64_t>(head, ring_.size());
