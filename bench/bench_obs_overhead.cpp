@@ -138,8 +138,9 @@ class SelfWorld {
 // A short counters-on run whose stats_report lands in the JSON artifact, so
 // the emitted file doubles as an example of the report format. The receive
 // side's latency percentiles are also exported as top-level bench fields,
-// read back through the pvar registry like any external tool would.
-std::string sample_stats_json(bench::JsonResult& jr) {
+// read back through the pvar registry like any external tool would. Writes
+// no file, so it returns no line to print.
+std::string add_stats_report(bench::JsonResult& jr) {
   WorldOptions o;
   o.profile = net::loopback();
   o.device = DeviceKind::Ch4;
@@ -163,19 +164,26 @@ std::string sample_stats_json(bench::JsonResult& jr) {
     jr.add(name, static_cast<double>(v), "ns");
   }
   obs::LWMPI_T_pvar_session_free(&s);
-  return w.stats_report(true);
+  jr.add_raw("stats", w.stats_report(true));
+  return "";
 }
 
-// The three instrumentation pairings this bench gates. Counters compares
-// stripped vs counter-instrumented builds; Sampler and Prof both run counters
-// on both sides and attach the named subsystem to the "on" side only.
+// The instrumentation pairings this bench gates. Counters compares stripped
+// vs counter-instrumented builds; the others run counters on both sides and
+// attach the named subsystem to the "on" side only.
 enum class Pair { Counters, Sampler, Prof, Record };
 
-// One full measurement pass: kRounds instance pairs. Returns the lower-tercile
-// overhead ratio across pairs (the gate statistic -- a structural tax shows
-// up in all of them) and the median through `median_pct` (the typical value).
-double measure_pct(double& best_off, double& best_on, double& median_pct,
-                   Pair pair = Pair::Counters) {
+struct Measured {
+  double best_off = std::numeric_limits<double>::infinity();  // ns/iter
+  double best_on = std::numeric_limits<double>::infinity();
+  double pct = 0.0;         // lower-tercile overhead ratio: the gate statistic
+  double median_pct = 0.0;  // the typical value
+};
+
+// One full measurement pass: kRounds instance pairs. The lower tercile is the
+// gate statistic because a structural tax shows up in all of them.
+Measured measure(Pair pair) {
+  Measured m;
   std::vector<double> ratios;
   ratios.reserve(kRounds);
   for (int round = 0; round < kRounds; ++round) {
@@ -189,18 +197,19 @@ double measure_pct(double& best_off, double& best_on, double& median_pct,
       round_on = std::min(round_on, on_world.slice_ns());
     }
     ratios.push_back(round_on / round_off);
-    best_off = std::min(best_off, round_off);
-    best_on = std::min(best_on, round_on);
+    m.best_off = std::min(m.best_off, round_off);
+    m.best_on = std::min(m.best_on, round_on);
   }
   std::sort(ratios.begin(), ratios.end());
-  median_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
-  return (ratios[ratios.size() / 3] - 1.0) * 100.0;
+  m.median_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
+  m.pct = (ratios[ratios.size() / 3] - 1.0) * 100.0;
+  return m;
 }
 
 // Telemetry-plane example artifact: a short 2-rank sampled run whose
 // Prometheus exposition is written next to the bench JSON (tier-1 lints it
-// with `bench_check --promlint`). Returns the exposition path, and reports
-// the run's tick/alert counts through the JSON result.
+// with `bench_check --promlint`). Reports the run's tick count through the
+// JSON result and returns a line naming the exposition path.
 std::string write_prom_artifact(bench::JsonResult& jr) {
   const std::int64_t saved_interval = obs::cvar(obs::Cv::SamplerIntervalMs);
   obs::cvar_set(obs::Cv::SamplerIntervalMs, 5);
@@ -231,14 +240,14 @@ std::string write_prom_artifact(bench::JsonResult& jr) {
     if (f) f << sampler.prometheus();
     jr.add("prom_sample_ticks", static_cast<double>(ticks), "count");
     obs::cvar_set(obs::Cv::SamplerIntervalMs, saved_interval);
-    return path;
+    return "prometheus exposition: " + path;
   }
 }
 
 // Profiler-tier example artifact: a short phased 2-rank profiled run whose
 // profile.json lands next to the bench JSON (tier-1 validates it with
 // `bench_check --profcheck`). Reports the run's aggregate counts through the
-// JSON result and returns the artifact path.
+// JSON result and returns a line naming the artifact path.
 std::string write_profile_artifact(bench::JsonResult& jr) {
   std::string path = "profile.json";
   if (const char* dir = std::getenv("LWMPI_BENCH_DIR"); dir != nullptr && *dir != '\0') {
@@ -271,138 +280,79 @@ std::string write_profile_artifact(bench::JsonResult& jr) {
            "count");
     // ~World writes the artifact at teardown.
   }
-  return path;
+  return "profile artifact: " + path;
 }
+
+// One gated pass: the pairing it measures, its gate and retry budget, and
+// the BENCH_<bench>.json it writes. Entry labels are
+// pingpong_<key>_{off,on}_ns and <prefix>overhead{,_median}_pct; `extra`
+// adds the pass's own entries or example artifact and returns a line to
+// print ("" for none).
+struct Pass {
+  Pair pair;
+  const char* header;
+  const char* off_row;
+  const char* on_row;
+  double gate_pct;
+  int retries;
+  const char* bench;
+  const char* key;
+  const char* prefix;
+  std::string (*extra)(bench::JsonResult&);
+};
+
+constexpr Pass kPasses[] = {
+    {Pair::Counters, "observability counter + histogram overhead (1-byte ch4 self ping-pong)",
+     "counters off", "counters on", 3.0, 2, "obs", "counters", "", add_stats_report},
+    {Pair::Sampler, "telemetry sampler overhead (counters on, sampler attached vs not)",
+     "sampler detached", "sampler attached", 1.0, 2, "telemetry", "sampler", "sampler_",
+     write_prom_artifact},
+    {Pair::Prof, "aggregate profiler overhead (counters on, profiler attached vs not)",
+     "profiler detached", "profiler attached", 2.0, 2, "prof", "prof", "prof_",
+     write_profile_artifact},
+    // One more retry than the earlier gates: this one runs last, when a
+    // single-core host has accumulated the most scheduler/thermal drift.
+    {Pair::Record, "flight recorder overhead (counters on, recording vs not)", "recorder off",
+     "recorder on", 2.0, 3, "record", "record", "record_", nullptr},
+};
 
 }  // namespace
 
 int main() {
-  bench::print_header(
-      "observability counter + histogram overhead (1-byte ch4 self ping-pong)");
-
-  double best_off = std::numeric_limits<double>::infinity();
-  double best_on = std::numeric_limits<double>::infinity();
-  double median_pct = 0.0;
-  double pct = measure_pct(best_off, best_on, median_pct);
-  // An over-threshold pass on a shared container is more often a sustained
-  // interference window than a regression; a real regression reproduces, so
-  // re-measure up to twice and keep the best pass before judging.
-  for (int retry = 0; retry < 2 && pct >= 3.0; ++retry) {
-    double retry_median = 0.0;
-    const double retry_pct = measure_pct(best_off, best_on, retry_median);
-    if (retry_pct < pct) {
-      pct = retry_pct;
-      median_pct = retry_median;
+  bool pass = true;
+  for (const Pass& p : kPasses) {
+    bench::print_header(p.header);
+    Measured m = measure(p.pair);
+    // An over-threshold pass on a shared container is more often a sustained
+    // interference window than a regression; a real regression reproduces, so
+    // re-measure and keep the best pass before judging.
+    for (int retry = 0; retry < p.retries && m.pct >= p.gate_pct; ++retry) {
+      const Measured again = measure(p.pair);
+      m.best_off = std::min(m.best_off, again.best_off);
+      m.best_on = std::min(m.best_on, again.best_on);
+      if (again.pct < m.pct) {
+        m.pct = again.pct;
+        m.median_pct = again.median_pct;
+      }
     }
+    pass = pass && m.pct < p.gate_pct;
+
+    std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", p.off_row, m.best_off,
+                kRounds, kSlices);
+    std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", p.on_row, m.best_on,
+                kRounds, kSlices);
+    std::printf("%-28s %+9.2f %%  (median %+.2f %%)  [acceptance: < %g%%]\n", "overhead",
+                m.pct, m.median_pct, p.gate_pct);
+
+    bench::JsonResult jr(p.bench);
+    const std::string key = std::string("pingpong_") + p.key;
+    jr.add(key + "_off_ns", m.best_off, "ns/iter");
+    jr.add(key + "_on_ns", m.best_on, "ns/iter");
+    jr.add(std::string(p.prefix) + "overhead_pct", m.pct, "%");
+    jr.add(std::string(p.prefix) + "overhead_median_pct", m.median_pct, "%");
+    const std::string note = p.extra != nullptr ? p.extra(jr) : "";
+    jr.write();
+    if (!note.empty()) std::printf("%s\n", note.c_str());
   }
-
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "counters off", best_off,
-              kRounds, kSlices);
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "counters on", best_on,
-              kRounds, kSlices);
-  std::printf("%-28s %+9.2f %%  (median %+.2f %%)  [acceptance: < 3%%]\n", "overhead",
-              pct, median_pct);
-
-  bench::JsonResult jr("obs");
-  jr.add("pingpong_counters_off_ns", best_off, "ns/iter");
-  jr.add("pingpong_counters_on_ns", best_on, "ns/iter");
-  jr.add("overhead_pct", pct, "%");
-  jr.add("overhead_median_pct", median_pct, "%");
-  jr.add_raw("stats", sample_stats_json(jr));
-  jr.write();
-
-  // --- Telemetry-sampler gate: attached sampler at default cadence < 1% ----
-  bench::print_header("telemetry sampler overhead (counters on, sampler attached vs not)");
-  double tel_off = std::numeric_limits<double>::infinity();
-  double tel_on = std::numeric_limits<double>::infinity();
-  double tel_median = 0.0;
-  double tel_pct = measure_pct(tel_off, tel_on, tel_median, Pair::Sampler);
-  for (int retry = 0; retry < 2 && tel_pct >= 1.0; ++retry) {
-    double retry_median = 0.0;
-    const double retry_pct = measure_pct(tel_off, tel_on, retry_median, Pair::Sampler);
-    if (retry_pct < tel_pct) {
-      tel_pct = retry_pct;
-      tel_median = retry_median;
-    }
-  }
-
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "sampler detached", tel_off,
-              kRounds, kSlices);
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "sampler attached", tel_on,
-              kRounds, kSlices);
-  std::printf("%-28s %+9.2f %%  (median %+.2f %%)  [acceptance: < 1%%]\n", "overhead",
-              tel_pct, tel_median);
-
-  bench::JsonResult tel("telemetry");
-  tel.add("pingpong_sampler_off_ns", tel_off, "ns/iter");
-  tel.add("pingpong_sampler_on_ns", tel_on, "ns/iter");
-  tel.add("sampler_overhead_pct", tel_pct, "%");
-  tel.add("sampler_overhead_median_pct", tel_median, "%");
-  const std::string prom_path = write_prom_artifact(tel);
-  tel.write();
-  std::printf("prometheus exposition: %s\n", prom_path.c_str());
-
-  // --- Profiler gate: attached aggregate profiler < 2% ----------------------
-  bench::print_header("aggregate profiler overhead (counters on, profiler attached vs not)");
-  double prof_off = std::numeric_limits<double>::infinity();
-  double prof_on = std::numeric_limits<double>::infinity();
-  double prof_median = 0.0;
-  double prof_pct = measure_pct(prof_off, prof_on, prof_median, Pair::Prof);
-  for (int retry = 0; retry < 2 && prof_pct >= 2.0; ++retry) {
-    double retry_median = 0.0;
-    const double retry_pct = measure_pct(prof_off, prof_on, retry_median, Pair::Prof);
-    if (retry_pct < prof_pct) {
-      prof_pct = retry_pct;
-      prof_median = retry_median;
-    }
-  }
-
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "profiler detached",
-              prof_off, kRounds, kSlices);
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "profiler attached",
-              prof_on, kRounds, kSlices);
-  std::printf("%-28s %+9.2f %%  (median %+.2f %%)  [acceptance: < 2%%]\n", "overhead",
-              prof_pct, prof_median);
-
-  bench::JsonResult prof("prof");
-  prof.add("pingpong_prof_off_ns", prof_off, "ns/iter");
-  prof.add("pingpong_prof_on_ns", prof_on, "ns/iter");
-  prof.add("prof_overhead_pct", prof_pct, "%");
-  prof.add("prof_overhead_median_pct", prof_median, "%");
-  const std::string profile_path = write_profile_artifact(prof);
-  prof.write();
-  std::printf("profile artifact: %s\n", profile_path.c_str());
-
-  // --- Recorder gate: live flight-recorder rings < 2% -----------------------
-  bench::print_header("flight recorder overhead (counters on, recording vs not)");
-  double rec_off = std::numeric_limits<double>::infinity();
-  double rec_on = std::numeric_limits<double>::infinity();
-  double rec_median = 0.0;
-  double rec_pct = measure_pct(rec_off, rec_on, rec_median, Pair::Record);
-  // One more retry than the earlier gates: this one runs last, when a
-  // single-core host has accumulated the most scheduler/thermal drift.
-  for (int retry = 0; retry < 3 && rec_pct >= 2.0; ++retry) {
-    double retry_median = 0.0;
-    const double retry_pct = measure_pct(rec_off, rec_on, retry_median, Pair::Record);
-    if (retry_pct < rec_pct) {
-      rec_pct = retry_pct;
-      rec_median = retry_median;
-    }
-  }
-
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "recorder off", rec_off,
-              kRounds, kSlices);
-  std::printf("%-28s %10.1f ns/iter (best of %dx%d slices)\n", "recorder on", rec_on,
-              kRounds, kSlices);
-  std::printf("%-28s %+9.2f %%  (median %+.2f %%)  [acceptance: < 2%%]\n", "overhead",
-              rec_pct, rec_median);
-
-  bench::JsonResult rec("record");
-  rec.add("pingpong_record_off_ns", rec_off, "ns/iter");
-  rec.add("pingpong_record_on_ns", rec_on, "ns/iter");
-  rec.add("record_overhead_pct", rec_pct, "%");
-  rec.add("record_overhead_median_pct", rec_median, "%");
-  rec.write();
-
-  return pct < 3.0 && tel_pct < 1.0 && prof_pct < 2.0 && rec_pct < 2.0 ? 0 : 1;
+  return pass ? 0 : 1;
 }

@@ -19,6 +19,7 @@
 #include "core/engine.hpp"
 #include "cost/meter.hpp"
 #include "net/profile.hpp"
+#include "obs/json.hpp"
 #include "obs/table.hpp"
 #include "runtime/backoff.hpp"
 #include "runtime/world.hpp"
@@ -169,16 +170,16 @@ class JsonResult {
   void add(const std::string& label, double value, const std::string& unit) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", value);
-    entries_.push_back("{\"label\":\"" + escape(label) + "\",\"value\":" + buf +
-                       ",\"unit\":\"" + escape(unit) + "\"}");
+    entries_.push_back("{\"label\":" + obs::json::quote(label) + ",\"value\":" + buf +
+                       ",\"unit\":" + obs::json::quote(unit) + "}");
   }
   // Attach an already-serialized JSON value (e.g. World::stats_report(true)).
   void add_raw(const std::string& key, const std::string& json) {
-    raw_.push_back("\"" + escape(key) + "\":" + json);
+    raw_.push_back(obs::json::quote(key) + ":" + json);
   }
 
   std::string str() const {
-    std::string out = "{\"bench\":\"" + escape(name_) + "\",\"results\":[";
+    std::string out = "{\"bench\":" + obs::json::quote(name_) + ",\"results\":[";
     for (std::size_t i = 0; i < entries_.size(); ++i) {
       out += (i == 0 ? "" : ",");
       out += entries_[i];
@@ -207,27 +208,6 @@ class JsonResult {
     std::fclose(f);
     std::printf("wrote %s\n", path.c_str());
     return true;
-  }
-
-  // JSON string escaping per RFC 8259: quote and backslash are
-  // backslash-escaped, control characters (including newlines and tabs)
-  // become \uXXXX so labels containing them still produce valid JSON.
-  static std::string escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') {
-        out += '\\';
-        out += c;
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        char buf[8];
-        std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-        out += buf;
-      } else {
-        out += c;
-      }
-    }
-    return out;
   }
 
  private:

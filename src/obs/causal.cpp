@@ -1,14 +1,15 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <unordered_map>
+
+#include "obs/json.hpp"
 
 namespace lwmpi::obs {
 
@@ -24,12 +25,12 @@ const char* to_string(Wait w) noexcept {
   return "?";
 }
 
-Wait wait_from_string(std::string_view s) noexcept {
+std::optional<Wait> wait_from_string(std::string_view s) noexcept {
   for (Wait w : {Wait::None, Wait::LateSender, Wait::LateReceiver, Wait::ProgressStarved,
                  Wait::CreditStalled, Wait::RegCacheMiss}) {
     if (s == to_string(w)) return w;
   }
-  return Wait::None;
+  return std::nullopt;
 }
 
 Wait classify_wait(std::uint64_t posted_ns, std::uint64_t send_ns, std::uint64_t stall_ns,
@@ -150,13 +151,6 @@ const char* categorize(const Event& from, const Event& to, Wait post_wait,
   if (to.kind == Ev::SendPost && wait_of(to.seq) == Wait::LateSender) return "late_sender";
   if (to.kind == Ev::RecvPost && post_wait == Wait::LateReceiver) return "late_receiver";
   return "app";
-}
-
-void json_escape(std::ostream& os, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
 }
 
 }  // namespace
@@ -349,9 +343,8 @@ std::string render_json(const Analysis& a, std::size_t top_k) {
   for (std::size_t i = 0; i < a.by_category.size(); ++i) {
     const CategoryCost& c = a.by_category[i];
     if (i) os << ",";
-    os << "{\"category\":\"";
-    json_escape(os, c.category);
-    os << "\",\"total_ns\":" << c.total_ns << ",\"edges\":" << c.edges << "}";
+    os << "{\"category\":" << json::quote(c.category) << ",\"total_ns\":" << c.total_ns
+       << ",\"edges\":" << c.edges << "}";
   }
   os << "],\"top_edges\":[";
   std::vector<PathEdge> top(a.path.begin(), a.path.end());
@@ -361,10 +354,9 @@ std::string render_json(const Analysis& a, std::size_t top_k) {
   for (std::size_t i = 0; i < top.size(); ++i) {
     const PathEdge& e = top[i];
     if (i) os << ",";
-    os << "{\"category\":\"";
-    json_escape(os, e.category);
-    os << "\",\"dur_ns\":" << e.dur_ns << ",\"seq\":" << e.seq << ",\"rank\":" << e.rank
-       << ",\"from_ts\":" << e.from_ts << ",\"to_ts\":" << e.to_ts << "}";
+    os << "{\"category\":" << json::quote(e.category) << ",\"dur_ns\":" << e.dur_ns
+       << ",\"seq\":" << e.seq << ",\"rank\":" << e.rank << ",\"from_ts\":" << e.from_ts
+       << ",\"to_ts\":" << e.to_ts << "}";
   }
   os << "],\"ranks\":[";
   for (std::size_t i = 0; i < a.ranks.size(); ++i) {
@@ -392,58 +384,51 @@ void export_jsonl(std::ostream& os, std::span<const Event> events) {
 
 namespace {
 
-// Minimal per-line field extraction for the JSONL traces we ourselves write:
-// flat objects, numeric fields or simple quoted strings, no nesting.
-bool find_field(const std::string& line, std::string_view key, std::string& out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t pos = line.find(needle);
-  if (pos == std::string::npos) return false;
-  std::size_t i = pos + needle.size();
-  while (i < line.size() && std::isspace(static_cast<unsigned char>(line[i]))) ++i;
-  if (i >= line.size()) return false;
-  if (line[i] == '"') {
-    const std::size_t end = line.find('"', i + 1);
-    if (end == std::string::npos) return false;
-    out = line.substr(i + 1, end - i - 1);
-  } else {
-    std::size_t end = i;
-    while (end < line.size() && line[end] != ',' && line[end] != '}') ++end;
-    out = line.substr(i, end - i);
-  }
+bool event_from_json(const json::Value& v, Event* e, std::string* err) {
+  json::Fields f(v, err);
+  const auto i32 = [&f](std::string_view key) {
+    const std::int64_t x = f.i64(key);
+    if (x < INT32_MIN || x > INT32_MAX) f.bad(key, "a 32-bit integer");
+    return static_cast<std::int32_t>(x);
+  };
+  const std::optional<Ev> kind = trace::ev_from_string(f.str("kind"));
+  const std::optional<Wait> wait = wait_from_string(f.str("wait"));
+  e->ts_ns = f.u64("ts");
+  e->seq = f.u64("seq");
+  e->bytes = f.u64("bytes");
+  e->lclock = f.u64("lclock");
+  e->wait_ns = f.u64("wait_ns");
+  e->rank = i32("rank");
+  e->peer = i32("peer");
+  e->tag = i32("tag");
+  const std::uint64_t vci = f.u64("vci");
+  if (vci > UINT8_MAX) f.bad("vci", "below 256");
+  if (f.ok() && !kind) f.bad("kind", "an event kind");
+  if (f.ok() && !wait) f.bad("wait", "a wait state");
+  if (!f.ok()) return false;
+  e->vci = static_cast<std::uint8_t>(vci);
+  e->kind = *kind;
+  e->wait = static_cast<std::uint8_t>(*wait);
   return true;
-}
-
-std::uint64_t to_u64(const std::string& s) {
-  return s.empty() ? 0 : std::strtoull(s.c_str(), nullptr, 10);
-}
-std::int64_t to_i64(const std::string& s) {
-  return s.empty() ? 0 : std::strtoll(s.c_str(), nullptr, 10);
 }
 
 }  // namespace
 
-std::vector<Event> parse_jsonl(std::istream& is) {
-  std::vector<Event> out;
-  std::string line;
-  while (std::getline(is, line)) {
-    if (line.find('{') == std::string::npos) continue;
-    Event e;
-    std::string v;
-    if (find_field(line, "kind", v)) e.kind = trace::ev_from_string(v);
-    if (find_field(line, "ts", v)) e.ts_ns = to_u64(v);
-    if (find_field(line, "seq", v)) e.seq = to_u64(v);
-    if (find_field(line, "bytes", v)) e.bytes = to_u64(v);
-    if (find_field(line, "lclock", v)) e.lclock = to_u64(v);
-    if (find_field(line, "rank", v)) e.rank = static_cast<std::int32_t>(to_i64(v));
-    if (find_field(line, "peer", v)) e.peer = static_cast<std::int32_t>(to_i64(v));
-    if (find_field(line, "tag", v)) e.tag = static_cast<std::int32_t>(to_i64(v));
-    if (find_field(line, "vci", v)) e.vci = static_cast<std::uint8_t>(to_u64(v));
-    if (find_field(line, "wait", v))
-      e.wait = static_cast<std::uint8_t>(wait_from_string(v));
-    if (find_field(line, "wait_ns", v)) e.wait_ns = to_u64(v);
-    out.push_back(e);
+bool parse_jsonl(std::istream& is, std::vector<Event>* out, std::string* err) {
+  out->clear();
+  std::ostringstream text;
+  text << is.rdbuf();
+  const json::Lines file = json::split_lines(text.str());
+  out->resize(file.lines.size());
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    json::Value v;
+    if (!json::parse(file.lines[i], &v, err) || !event_from_json(v, &(*out)[i], err)) {
+      *err = "record " + std::to_string(i + 1) + ": " + *err;
+      out->clear();
+      return false;
+    }
   }
-  return out;
+  return true;
 }
 
 }  // namespace causal

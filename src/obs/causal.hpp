@@ -40,6 +40,7 @@
 #include <array>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -63,7 +64,7 @@ enum class Wait : std::uint8_t {
 inline constexpr std::size_t kNumWaitStates = 5;  // excluding None
 
 const char* to_string(Wait w) noexcept;
-Wait wait_from_string(std::string_view s) noexcept;
+std::optional<Wait> wait_from_string(std::string_view s) noexcept;  // nullopt: unknown
 
 // Decomposition of one matched message's wait interval. All inputs come from
 // the same obs::lat_now_ns() clock: `posted_ns` from the posted receive,
@@ -136,7 +137,11 @@ std::string render_json(const Analysis& a, std::size_t top_k = 10);
 // (lclock, ts). This is the format World teardown / the watchdog write and
 // tools/critpath reads back.
 void export_jsonl(std::ostream& os, std::span<const trace::Event> events);
-std::vector<trace::Event> parse_jsonl(std::istream& is);
+// Strict reader of that format (obs/json.hpp). A complete line that does not
+// parse, lacks a field, or names an unknown kind or wait state fails the
+// whole read, with the record number in *err. Only an unterminated final
+// line -- a writer killed mid-append -- is dropped.
+bool parse_jsonl(std::istream& is, std::vector<trace::Event>* out, std::string* err);
 
 }  // namespace causal
 }  // namespace lwmpi::obs

@@ -12,6 +12,7 @@
 
 #include "core/engine.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 
 namespace lwmpi {
 
@@ -235,8 +236,9 @@ void entry_text(std::ostringstream& o, const char* label, const QueueEntrySnap& 
 }
 
 void entry_json(std::ostringstream& o, const QueueEntrySnap& e) {
-  o << "{\"ctx\":" << e.ctx << ",\"comm\":\"" << comm_name(e.comm) << "\",\"src\":" << e.src
-    << ",\"tag\":" << e.tag << ",\"bytes\":" << e.bytes << ",\"age_ns\":" << e.age_ns
+  o << "{\"ctx\":" << e.ctx << ",\"comm\":" << json::quote(comm_name(e.comm))
+    << ",\"src\":" << e.src << ",\"tag\":" << e.tag << ",\"bytes\":" << e.bytes
+    << ",\"age_ns\":" << e.age_ns
     << ",\"arrival_order\":" << (e.arrival_order ? "true" : "false") << '}';
 }
 
@@ -292,22 +294,15 @@ std::string render_text(const RankSnapshot& s) {
 std::string render_json(const RankSnapshot& s) {
   std::ostringstream o;
   o << "{\"rank\":" << s.rank << ",\"live_requests\":" << s.live_requests
-    << ",\"blocking_call\":";
-  if (s.blocking_call != nullptr) {
-    o << '"' << s.blocking_call << '"';
-  } else {
-    o << "null";
-  }
-  o << ",\"blocked_ns\":" << s.blocked_ns << ",\"phase\":";
-  if (!s.phase.empty()) {
-    o << '"' << s.phase << '"';
-  } else {
-    o << "null";
-  }
+    << ",\"blocking_call\":"
+    << (s.blocking_call != nullptr ? json::quote(s.blocking_call) : "null")
+    << ",\"blocked_ns\":" << s.blocked_ns
+    << ",\"phase\":" << (!s.phase.empty() ? json::quote(s.phase) : "null");
   o << ",\"oldest\":";
   if (s.oldest.valid) {
-    o << "{\"kind\":\"" << s.oldest.kind << "\",\"comm\":\"" << comm_name(s.oldest.comm)
-      << "\",\"peer\":" << s.oldest.peer << ",\"tag\":" << s.oldest.tag
+    o << "{\"kind\":" << json::quote(s.oldest.kind)
+      << ",\"comm\":" << json::quote(comm_name(s.oldest.comm))
+      << ",\"peer\":" << s.oldest.peer << ",\"tag\":" << s.oldest.tag
       << ",\"bytes\":" << s.oldest.bytes << ",\"age_ns\":" << s.oldest.age_ns << '}';
   } else {
     o << "null";
@@ -336,8 +331,8 @@ std::string render_json(const RankSnapshot& s) {
   o << "],\"windows\":[";
   for (std::size_t i = 0; i < s.windows.size(); ++i) {
     const WinSnapshot& w = s.windows[i];
-    o << (i == 0 ? "" : ",") << "{\"win_id\":" << w.win_id << ",\"epoch\":\"" << w.epoch
-      << "\",\"outstanding_acks\":" << w.outstanding_acks
+    o << (i == 0 ? "" : ",") << "{\"win_id\":" << w.win_id
+      << ",\"epoch\":" << json::quote(w.epoch) << ",\"outstanding_acks\":" << w.outstanding_acks
       << ",\"deferred_ops\":" << w.pending_lock_ops << '}';
   }
   o << "],\"rdma\":";

@@ -9,6 +9,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "obs/json.hpp"
+
 namespace lwmpi::obs {
 
 std::string_view to_string(Callsite s) noexcept {
@@ -81,28 +83,6 @@ std::string_view to_string(MsgClass c) noexcept {
 }
 
 namespace {
-
-// JSON string escape for user-supplied phase names (same repertoire as
-// bench::JsonResult: quotes, backslash, and control chars -> \uXXXX).
-std::string jesc(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    const auto u = static_cast<unsigned char>(ch);
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (u < 0x20) {
-      static const char* hex = "0123456789abcdef";
-      out += "\\u00";
-      out += hex[u >> 4];
-      out += hex[u & 0xF];
-    } else {
-      out += ch;
-    }
-  }
-  return out;
-}
 
 std::string human_bytes(std::uint64_t b) {
   std::ostringstream o;
@@ -392,7 +372,7 @@ std::string Profiler::report(std::string_view netmod, bool as_json) const {
   const int np = num_phases();
   std::ostringstream o;
   if (as_json) {
-    o << "{\"nranks\":" << nranks_ << ",\"netmod\":\"" << netmod << "\",\"phases\":[";
+    o << "{\"nranks\":" << nranks_ << ",\"netmod\":" << json::quote(netmod) << ",\"phases\":[";
   } else {
     o << "=== lwmpi profile: " << nranks_ << " rank(s), netmod " << netmod << " ===\n";
   }
@@ -441,8 +421,8 @@ std::string Profiler::report(std::string_view netmod, bool as_json) const {
     if (sites.size() > kTopK) sites.resize(kTopK);
 
     if (as_json) {
-      o << (ph == 0 ? "" : ",") << "{\"phase\":\"" << jesc(phase_name(ph))
-        << "\",\"max_ns\":" << max_ns << ",\"mean_ns\":" << static_cast<std::uint64_t>(mean_ns)
+      o << (ph == 0 ? "" : ",") << "{\"phase\":" << json::quote(phase_name(ph))
+        << ",\"max_ns\":" << max_ns << ",\"mean_ns\":" << static_cast<std::uint64_t>(mean_ns)
         << ",\"imbalance\":" << std::fixed << std::setprecision(3) << imbalance
         << ",\"max_rank\":" << max_rank << ",\"top_callsites\":[";
       for (std::size_t i = 0; i < sites.size(); ++i) {
@@ -509,9 +489,9 @@ std::string Profiler::artifact_json(std::string_view netmod) const {
   const int np = num_phases();
   std::ostringstream o;
   o << "{\"lwmpi_profile\":1,\"nranks\":" << nranks_ << ",\"nvcis\":" << nvcis_
-    << ",\"netmod\":\"" << netmod << "\",\"phases\":[";
+    << ",\"netmod\":" << json::quote(netmod) << ",\"phases\":[";
   for (int ph = 0; ph < np; ++ph) {
-    o << (ph == 0 ? "" : ",") << '"' << jesc(phase_name(ph)) << '"';
+    o << (ph == 0 ? "" : ",") << json::quote(phase_name(ph));
   }
   o << "],\"phase_overflows\":" << phase_overflows() << ",\"ranks\":[";
   for (int r = 0; r < nranks_; ++r) {
@@ -526,8 +506,8 @@ std::string Profiler::artifact_json(std::string_view netmod) const {
         any = rp.site_count(ph, static_cast<Callsite>(s)) != 0;
       }
       if (!any) continue;
-      o << (first_ph ? "" : ",") << "{\"phase\":\"" << jesc(phase_name(ph))
-        << "\",\"time_ns\":" << rp.phase_time_ns(ph) << ",\"callsites\":[";
+      o << (first_ph ? "" : ",") << "{\"phase\":" << json::quote(phase_name(ph))
+        << ",\"time_ns\":" << rp.phase_time_ns(ph) << ",\"callsites\":[";
       first_ph = false;
       bool first_cs = true;
       for (std::size_t s = 0; s < kNumCallsites; ++s) {

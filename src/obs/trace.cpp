@@ -21,12 +21,12 @@ const char* to_string(Ev e) noexcept {
   return "?";
 }
 
-Ev ev_from_string(std::string_view s) noexcept {
+std::optional<Ev> ev_from_string(std::string_view s) noexcept {
   for (Ev e : {Ev::SendPost, Ev::RecvPost, Ev::Match, Ev::Inject, Ev::Deliver,
                Ev::Complete, Ev::ZcopyWrite, Ev::Alert}) {
     if (s == to_string(e)) return e;
   }
-  return Ev::SendPost;
+  return std::nullopt;
 }
 
 Ring::Ring(std::size_t min_capacity)

@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string_view>
@@ -40,7 +41,7 @@ enum class Ev : std::uint8_t {
 };
 
 const char* to_string(Ev e) noexcept;
-Ev ev_from_string(std::string_view s) noexcept;
+std::optional<Ev> ev_from_string(std::string_view s) noexcept;  // nullopt: unknown
 
 struct Event {
   std::uint64_t ts_ns = 0;   // rt::now_ns() at record time

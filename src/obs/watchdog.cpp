@@ -16,6 +16,7 @@
 
 #include "obs/causal.hpp"
 #include "obs/cvar.hpp"
+#include "obs/json.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "runtime/world.hpp"
@@ -71,17 +72,17 @@ std::string render_json(const HangReport& r) {
   o << "{\"nranks\":" << r.nranks << ",\"stuck\":[";
   for (std::size_t i = 0; i < r.stuck.size(); ++i) {
     const StuckRank& s = r.stuck[i];
-    o << (i == 0 ? "" : ",") << "{\"rank\":" << s.rank << ",\"call\":\"" << s.call
-      << "\",\"blocked_ns\":" << s.blocked_ns << ",\"stalled_ns\":" << s.stalled_ns
+    o << (i == 0 ? "" : ",") << "{\"rank\":" << s.rank << ",\"call\":" << json::quote(s.call)
+      << ",\"blocked_ns\":" << s.blocked_ns << ",\"stalled_ns\":" << s.stalled_ns
       << ",\"snapshot\":" << render_json(s.snap);
     if (!s.last_moves.empty()) {
       o << ",\"last_moves\":[";
       for (std::size_t j = 0; j < s.last_moves.size(); ++j) {
         const auto& [idx, op] = s.last_moves[j];
-        o << (j == 0 ? "" : ",") << "{\"op\":" << idx << ",\"kind\":\""
-          << rec_kind_name(op.kind) << "\",\"peer\":" << op.peer << ",\"tag\":" << op.tag
-          << ",\"vci\":" << static_cast<int>(op.vci) << ",\"bytes\":" << op.bytes
-          << ",\"link\":" << op.link << '}';
+        o << (j == 0 ? "" : ",") << "{\"op\":" << idx << ",\"kind\":"
+          << json::quote(rec_kind_name(op.kind)) << ",\"peer\":" << op.peer
+          << ",\"tag\":" << op.tag << ",\"vci\":" << static_cast<int>(op.vci)
+          << ",\"bytes\":" << op.bytes << ",\"link\":" << op.link << '}';
       }
       o << ']';
     }

@@ -9,6 +9,7 @@
 #include "obs/causal.hpp"
 #include "obs/cvar.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 #include "obs/pvar.hpp"
 #include "obs/recorder.hpp"
 #include "obs/table.hpp"
@@ -121,7 +122,7 @@ bool World::flush_recording(const std::string& prefix) {
        << ",\"ring_depth\":" << opts_.record_ring_depth
        << ",\"sample_shift\":" << opts_.record_sample_shift
        << ",\"counters\":" << (opts_.build.counters ? "true" : "false")
-       << ",\"profile\":\"" << opts_.profile.name << '"';
+       << ",\"profile\":" << obs::json::quote(opts_.profile.name);
   return recorder_->flush(out, totals, prov.str());
 }
 

@@ -162,16 +162,7 @@ TEST(BenchCheckBaselines, Table1BaselineMatchesLivePaths) {
   }
 }
 
-// --- JsonResult emission satellites ------------------------------------------
-
-TEST(JsonResultEscape, ControlCharactersBecomeUnicodeEscapes) {
-  EXPECT_EQ(bench::JsonResult::escape("a\nb"), "a\\u000ab");
-  EXPECT_EQ(bench::JsonResult::escape("tab\there"), "tab\\u0009here");
-  EXPECT_EQ(bench::JsonResult::escape("q\"q"), "q\\\"q");
-  EXPECT_EQ(bench::JsonResult::escape("b\\s"), "b\\\\s");
-  EXPECT_EQ(bench::JsonResult::escape(std::string(1, '\x01')), "\\u0001");
-  EXPECT_EQ(bench::JsonResult::escape("plain"), "plain");
-}
+// --- JsonResult emission ----------------------------------------------------
 
 TEST(JsonResult, WriteHonorsBenchDirEnvVar) {
   char tmpl[] = "/tmp/lwmpi_bench_XXXXXX";

@@ -124,7 +124,7 @@ TEST(WaitStrings, RoundTrip) {
                  Wait::CreditStalled, Wait::RegCacheMiss}) {
     EXPECT_EQ(obs::wait_from_string(obs::to_string(w)), w);
   }
-  EXPECT_EQ(obs::wait_from_string("no-such-state"), Wait::None);
+  EXPECT_FALSE(obs::wait_from_string("no-such-state").has_value());
 }
 
 TEST(EvStrings, RoundTrip) {
@@ -133,6 +133,7 @@ TEST(EvStrings, RoundTrip) {
                       trace::Ev::ZcopyWrite}) {
     EXPECT_EQ(trace::ev_from_string(trace::to_string(e)), e);
   }
+  EXPECT_FALSE(trace::ev_from_string("no-such-kind").has_value());
 }
 
 // --- injected-delay classification + critical path ---------------------------
@@ -437,7 +438,9 @@ TEST(CausalJsonl, RoundTripsEveryField) {
 
   std::stringstream ss;
   causal::export_jsonl(ss, in);
-  const std::vector<trace::Event> out = causal::parse_jsonl(ss);
+  std::vector<trace::Event> out;
+  std::string err;
+  ASSERT_TRUE(causal::parse_jsonl(ss, &out, &err)) << err;
   ASSERT_EQ(out.size(), 2u);
   // Sorted by merged order: b (ts 99) first.
   EXPECT_EQ(out[0].ts_ns, 99u);
@@ -474,7 +477,9 @@ TEST(CausalJsonl, WorldTeardownWritesAnalyzableTrace) {
   }  // ~World writes the trace
   std::ifstream f(path);
   ASSERT_TRUE(f.is_open()) << path;
-  const std::vector<trace::Event> events = causal::parse_jsonl(f);
+  std::vector<trace::Event> events;
+  std::string err;
+  ASSERT_TRUE(causal::parse_jsonl(f, &events, &err)) << err;
   ASSERT_GE(events.size(), 6u);  // post/inject/complete + post/deliver/match/complete
   const causal::Analysis a = causal::analyze(events);
   EXPECT_EQ(a.messages, 1u);

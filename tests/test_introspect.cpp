@@ -4,102 +4,18 @@
 // engines single-threaded so the queues hold exactly what the test staged.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <string>
 #include <vector>
 
 #include "obs/introspect.hpp"
+#include "obs/json.hpp"
+#include "obs/watchdog.hpp"
 #include "util.hpp"
 
 namespace lwmpi {
 namespace {
 
-// Same minimal validator as test_obs.cpp: enough JSON to assert render_json
-// emits a parseable document.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& s) : p_(s.data()), end_(s.data() + s.size()) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return p_ == end_;
-  }
-
- private:
-  void skip_ws() {
-    while (p_ < end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p_ < end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-  bool string() {
-    if (!consume('"')) return false;
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ == '\\') ++p_;
-      ++p_;
-    }
-    return consume('"');
-  }
-  bool number() {
-    const char* start = p_;
-    if (p_ < end_ && (*p_ == '-' || *p_ == '+')) ++p_;
-    while (p_ < end_ && (std::isdigit(static_cast<unsigned char>(*p_)) || *p_ == '.' ||
-                         *p_ == 'e' || *p_ == 'E' || *p_ == '-' || *p_ == '+')) {
-      ++p_;
-    }
-    return p_ != start;
-  }
-  bool literal(const char* word) {
-    for (const char* w = word; *w != '\0'; ++w, ++p_) {
-      if (p_ >= end_ || *p_ != *w) return false;
-    }
-    return true;
-  }
-  bool value() {
-    skip_ws();
-    if (p_ >= end_) return false;
-    switch (*p_) {
-      case '{': {
-        ++p_;
-        if (consume('}')) return true;
-        do {
-          if (!string()) return false;
-          if (!consume(':')) return false;
-          if (!value()) return false;
-        } while (consume(','));
-        return consume('}');
-      }
-      case '[': {
-        ++p_;
-        if (consume(']')) return true;
-        do {
-          if (!value()) return false;
-        } while (consume(','));
-        return consume(']');
-      }
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
+using test::parses;
 
 TEST(Introspect, IdleRankSnapshotIsEmpty) {
   WorldOptions o = test::fast_opts();
@@ -287,7 +203,7 @@ TEST(Introspect, RenderTextAndJsonForms) {
   EXPECT_NE(text.find("WORLD"), std::string::npos);
 
   const std::string json = obs::render_json(s);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_TRUE(parses(json)) << json.substr(0, 400);
   EXPECT_NE(json.find("\"rank\":1"), std::string::npos);
   EXPECT_NE(json.find("\"blocking_call\":null"), std::string::npos);
   EXPECT_NE(json.find("\"posted\":["), std::string::npos);
@@ -302,6 +218,33 @@ TEST(Introspect, RenderTextAndJsonForms) {
   ASSERT_EQ(e1.wait(&rr, nullptr), Err::Success);
   ASSERT_EQ(e1.recv(&in, 1, kChar, 0, 77, kCommWorld, nullptr), Err::Success);
   EXPECT_EQ(in, 'r');
+}
+
+TEST(Introspect, PhaseNameIsEscapedInSnapshotAndHangReport) {
+  // A user-chosen phase name with a quote must not break either document a
+  // hang diagnosis is built from.
+  WorldOptions o = test::fast_opts();
+  o.prof = true;
+  World w(1, o);
+  Engine& e = w.engine(0);
+  e.phase_push("halo \"x\"");
+  const obs::RankSnapshot s = e.snapshot();
+  e.phase_pop();
+
+  obs::json::Value snap;
+  std::string err;
+  ASSERT_TRUE(obs::json::parse(obs::render_json(s), &snap, &err)) << err;
+  EXPECT_EQ(snap.get("phase")->str, "halo \"x\"");
+
+  obs::HangReport r;
+  r.nranks = 1;
+  obs::StuckRank stuck;
+  stuck.call = "Wait";
+  stuck.snap = s;
+  r.stuck.push_back(stuck);
+  obs::json::Value report;
+  ASSERT_TRUE(obs::json::parse(obs::render_json(r), &report, &err)) << err;
+  EXPECT_EQ(report.get("stuck")->arr.at(0).get("snapshot")->get("phase")->str, "halo \"x\"");
 }
 
 TEST(Introspect, RdmaSnapshotCarriesCreditAndRegCacheState) {
@@ -335,7 +278,7 @@ TEST(Introspect, RdmaSnapshotCarriesCreditAndRegCacheState) {
   EXPECT_NE(text.find("credits=0/4"), std::string::npos);
   EXPECT_NE(text.find("[EXHAUSTED]"), std::string::npos);
   const std::string json = obs::render_json(s);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_TRUE(parses(json)) << json.substr(0, 400);
   EXPECT_NE(json.find("\"rdma\":{"), std::string::npos);
   EXPECT_NE(json.find("\"credits_free\":0"), std::string::npos);
 

@@ -3,7 +3,6 @@
 // Chrome-trace exporter.
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -22,93 +21,7 @@
 namespace lwmpi {
 namespace {
 
-// --- minimal JSON well-formedness checker -----------------------------------
-// Recursive-descent validator: enough JSON to assert the exporter and
-// stats_report emit parseable documents without pulling in a library.
-class JsonChecker {
- public:
-  explicit JsonChecker(const std::string& s) : p_(s.data()), end_(s.data() + s.size()) {}
-
-  bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return p_ == end_;
-  }
-
- private:
-  void skip_ws() {
-    while (p_ < end_ && std::isspace(static_cast<unsigned char>(*p_))) ++p_;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (p_ < end_ && *p_ == c) {
-      ++p_;
-      return true;
-    }
-    return false;
-  }
-  bool string() {
-    if (!consume('"')) return false;
-    while (p_ < end_ && *p_ != '"') {
-      if (*p_ == '\\') ++p_;
-      ++p_;
-    }
-    return consume('"');
-  }
-  bool number() {
-    const char* start = p_;
-    if (p_ < end_ && (*p_ == '-' || *p_ == '+')) ++p_;
-    while (p_ < end_ && (std::isdigit(static_cast<unsigned char>(*p_)) || *p_ == '.' ||
-                         *p_ == 'e' || *p_ == 'E' || *p_ == '-' || *p_ == '+')) {
-      ++p_;
-    }
-    return p_ != start;
-  }
-  bool literal(const char* word) {
-    for (const char* w = word; *w != '\0'; ++w, ++p_) {
-      if (p_ >= end_ || *p_ != *w) return false;
-    }
-    return true;
-  }
-  bool value() {
-    skip_ws();
-    if (p_ >= end_) return false;
-    switch (*p_) {
-      case '{': {
-        ++p_;
-        if (consume('}')) return true;
-        do {
-          if (!string()) return false;
-          if (!consume(':')) return false;
-          if (!value()) return false;
-        } while (consume(','));
-        return consume('}');
-      }
-      case '[': {
-        ++p_;
-        if (consume(']')) return true;
-        do {
-          if (!value()) return false;
-        } while (consume(','));
-        return consume(']');
-      }
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  const char* p_;
-  const char* end_;
-};
+using test::parses;
 
 std::uint64_t read_pvar(Engine& e, const char* name) {
   obs::PvarSession s;
@@ -623,7 +536,7 @@ TEST(Trace, FourRankRingExchangeExportsWellFormedChains) {
   std::ostringstream os;
   obs::trace::export_chrome_json(os, events);
   const std::string json = os.str();
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_TRUE(parses(json)) << json.substr(0, 400);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
 
   // The instant-event stream is sorted: ts values are non-decreasing.
@@ -741,7 +654,7 @@ TEST(StatsReport, TextAndJsonForms) {
   EXPECT_NE(text.find("lat[send_eager]"), std::string::npos);
 
   const std::string json = w.stats_report(true);
-  EXPECT_TRUE(JsonChecker(json).valid()) << json.substr(0, 400);
+  EXPECT_TRUE(parses(json)) << json.substr(0, 400);
   EXPECT_NE(json.find("\"vci_sends_eager\""), std::string::npos);
   EXPECT_NE(json.find("\"nranks\":2"), std::string::npos);
   EXPECT_NE(json.find("\"device\":\"mpich/ch4\""), std::string::npos);

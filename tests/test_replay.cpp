@@ -1,7 +1,6 @@
 // Flight recorder + trace-driven replay (obs/recorder.hpp, apps/replay.hpp):
 // record -> flush -> load -> re-execute round trips, fidelity diffing against
-// the recorded pvar totals, graceful degradation on truncated traces, and the
-// shared tolerant JSONL reader (obs/jsonl.hpp).
+// the recorded pvar totals, and graceful degradation on truncated traces.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -12,7 +11,6 @@
 #include "apps/replay.hpp"
 #include "apps/stencil.hpp"
 #include "core/engine.hpp"
-#include "obs/jsonl.hpp"
 #include "obs/pvar.hpp"
 #include "obs/recorder.hpp"
 #include "runtime/world.hpp"
@@ -215,47 +213,6 @@ TEST(Replay, RecorderPvarsReadBack) {
       Err::Success);
   EXPECT_EQ(dropped, 0u);  // nothing wrapped in this tiny run
   obs::LWMPI_T_pvar_session_free(&s);
-}
-
-// --- obs/jsonl.hpp: the shared tolerant JSONL reader -------------------------
-
-TEST(Jsonl, SplitsCompleteLinesAndFlagsTruncatedTail) {
-  obs::JsonlFile f = obs::split_jsonl("{\"a\":1}\n{\"b\":2}\n{\"partial\":");
-  ASSERT_EQ(f.lines.size(), 2u);
-  EXPECT_EQ(f.lines[0], "{\"a\":1}");
-  EXPECT_EQ(f.lines[1], "{\"b\":2}");
-  EXPECT_TRUE(f.truncated_tail);
-
-  f = obs::split_jsonl("{\"a\":1}\n{\"b\":2}\n");
-  EXPECT_EQ(f.lines.size(), 2u);
-  EXPECT_FALSE(f.truncated_tail);
-}
-
-TEST(Jsonl, SkipsBlankLinesAndHandlesNoNewline) {
-  obs::JsonlFile f = obs::split_jsonl("\n\n{\"a\":1}\n\n{\"b\":2}\n");
-  ASSERT_EQ(f.lines.size(), 2u);
-
-  // A file with no newline at all is one truncated tail, zero usable lines.
-  f = obs::split_jsonl("{\"never_finished\":");
-  EXPECT_TRUE(f.lines.empty());
-  EXPECT_TRUE(f.truncated_tail);
-
-  EXPECT_TRUE(obs::split_jsonl("").lines.empty());
-}
-
-TEST(Jsonl, ReadJsonlFailsOnlyOnMissingFile) {
-  obs::JsonlFile f;
-  EXPECT_FALSE(obs::read_jsonl("/nonexistent/lwmpi.jsonl", &f));
-
-  const std::string path = ::testing::TempDir() + "lwmpi_jsonl_test.jsonl";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "{\"x\":1}\n{\"cut\":";
-  }
-  ASSERT_TRUE(obs::read_jsonl(path, &f));
-  ASSERT_EQ(f.lines.size(), 1u);
-  EXPECT_TRUE(f.truncated_tail);
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 #pragma once
 
 #include <functional>
+#include <string>
 
 #include "core/engine.hpp"
+#include "obs/json.hpp"
 #include "runtime/world.hpp"
 
 namespace lwmpi::test {
@@ -23,6 +25,13 @@ inline void spmd(int n, const std::function<void(Engine&)>& fn,
                  WorldOptions opts = fast_opts()) {
   World w(n, std::move(opts));
   w.run(fn);
+}
+
+// Whether `s` is one well-formed JSON document, by the reader every
+// artifact loader uses.
+inline bool parses(const std::string& s) {
+  obs::json::Value v;
+  return obs::json::parse(s, &v);
 }
 
 }  // namespace lwmpi::test

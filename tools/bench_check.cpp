@@ -12,12 +12,13 @@
 // --update copies the current artifacts over the baselines instead of
 // comparing (the acknowledged-change workflow; see README).
 //
-// --profcheck validates an aggregate-profiler artifact (the JSON the World
-// writes at teardown when LWMPI_CVAR_PROF_PATH is set, and the input of
-// tools/lwmpi_prof): version key, rank/phase/callsite structure, and matrix
-// cells with in-range endpoints and known message classes. Pure jsonmini
-// string processing -- no lwmpi dependency -- so CI can gate the artifact
-// format even while the library is mid-refactor.
+// --profcheck loads an aggregate-profiler artifact (the JSON the World
+// writes at teardown when LWMPI_CVAR_PROF_PATH is set) with the same strict
+// loader tools/lwmpi_prof uses (tools/profile_load.hpp): version key,
+// rank/phase/callsite structure, and matrix cells with in-range endpoints and
+// known message classes. Header-only on obs/json.hpp -- no lwmpi dependency
+// -- so CI can gate the artifact format even while the library is
+// mid-refactor.
 //
 // --replaycheck validates a BENCH_replay.json artifact (bench/bench_replay):
 // every bundle x netmod cell must be present with its throughput, op counts,
@@ -45,18 +46,11 @@
 #include <vector>
 
 #include "tools/check_core.hpp"
-#include "tools/json_mini.hpp"
+#include "tools/profile_load.hpp"
 
 namespace {
 
-bool read_file(const std::string& path, std::string& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  out = ss.str();
-  return true;
-}
+using lwmpi::obs::json::read_file;
 
 // ---------------------------------------------------------------------------
 // --promlint: Prometheus text-exposition linter
@@ -203,7 +197,7 @@ struct PromLinter {
 
 int run_promlint(const char* path) {
   std::string body;
-  if (!read_file(path, body)) {
+  if (!read_file(path, &body)) {
     std::fprintf(stderr, "bench_check: cannot read %s\n", path);
     return 2;
   }
@@ -240,142 +234,16 @@ int run_promlint(const char* path) {
 // --profcheck: aggregate-profiler artifact schema validator
 // ---------------------------------------------------------------------------
 
-struct ProfChecker {
-  int errors = 0;
-  void fail(const char* what, const std::string& detail) {
-    std::fprintf(stderr, "profcheck: %s: %s\n", what, detail.c_str());
-    ++errors;
-  }
-  bool require_num(const jsonmini::JValue& o, const char* key, const char* where) {
-    const jsonmini::JValue* v = o.get(key);
-    if (v == nullptr || v->kind != jsonmini::JValue::Kind::Num) {
-      fail("missing numeric field", std::string(where) + "." + key);
-      return false;
-    }
-    return true;
-  }
-  bool require_str(const jsonmini::JValue& o, const char* key, const char* where) {
-    const jsonmini::JValue* v = o.get(key);
-    if (v == nullptr || v->kind != jsonmini::JValue::Kind::Str) {
-      fail("missing string field", std::string(where) + "." + key);
-      return false;
-    }
-    return true;
-  }
-};
-
 int run_profcheck(const char* path) {
-  std::string body;
-  if (!read_file(path, body)) {
-    std::fprintf(stderr, "bench_check: cannot read %s\n", path);
-    return 2;
-  }
-  bool parsed = false;
-  const jsonmini::JValue root = jsonmini::parse(body, &parsed);
-  if (!parsed || root.kind != jsonmini::JValue::Kind::Obj) {
-    std::fprintf(stderr, "profcheck: %s is not well-formed JSON\n", path);
+  lwmpi::tools::Profile p;
+  std::string err;
+  if (!lwmpi::tools::load_profile(path, &p, &err)) {
+    std::fprintf(stderr, "profcheck: %s\n", err.c_str());
     return 1;
   }
-  ProfChecker c;
-
-  const jsonmini::JValue* ver = root.get("lwmpi_profile");
-  if (ver == nullptr || ver->kind != jsonmini::JValue::Kind::Num || ver->u64() != 1) {
-    c.fail("bad version key", "lwmpi_profile must be 1");
-  }
-  long nranks = 0;
-  if (c.require_num(root, "nranks", "root")) nranks = root.get("nranks")->i64();
-  if (nranks < 1) c.fail("bad rank count", std::to_string(nranks));
-  if (c.require_num(root, "nvcis", "root") && root.get("nvcis")->i64() < 1) {
-    c.fail("bad vci count", std::to_string(root.get("nvcis")->i64()));
-  }
-  c.require_str(root, "netmod", "root");
-  c.require_num(root, "phase_overflows", "root");
-
-  std::size_t nphases = 0;
-  const jsonmini::JValue* phases = root.get("phases");
-  if (phases == nullptr || phases->kind != jsonmini::JValue::Kind::Arr ||
-      phases->arr.empty()) {
-    c.fail("missing array", "root.phases (needs at least the default phase)");
-  } else {
-    nphases = phases->arr.size();
-    for (const jsonmini::JValue& p : phases->arr) {
-      if (p.kind != jsonmini::JValue::Kind::Str) c.fail("non-string phase name", path);
-    }
-  }
-
-  std::size_t ncallsites = 0;
-  const jsonmini::JValue* ranks = root.get("ranks");
-  if (ranks == nullptr || ranks->kind != jsonmini::JValue::Kind::Arr ||
-      ranks->arr.size() != static_cast<std::size_t>(nranks)) {
-    c.fail("ranks array size mismatch",
-           "expected " + std::to_string(nranks) + " entries");
-  } else {
-    for (const jsonmini::JValue& r : ranks->arr) {
-      c.require_num(r, "rank", "ranks[]");
-      c.require_num(r, "pop_warnings", "ranks[]");
-      const jsonmini::JValue* rp = r.get("phases");
-      if (rp == nullptr || rp->kind != jsonmini::JValue::Kind::Arr) {
-        c.fail("missing array", "ranks[].phases");
-        continue;
-      }
-      for (const jsonmini::JValue& ph : rp->arr) {
-        c.require_str(ph, "phase", "ranks[].phases[]");
-        c.require_num(ph, "time_ns", "ranks[].phases[]");
-        const jsonmini::JValue* css = ph.get("callsites");
-        if (css == nullptr || css->kind != jsonmini::JValue::Kind::Arr) {
-          c.fail("missing array", "ranks[].phases[].callsites");
-          continue;
-        }
-        for (const jsonmini::JValue& cs : css->arr) {
-          ++ncallsites;
-          c.require_str(cs, "site", "callsites[]");
-          c.require_num(cs, "vci", "callsites[]");
-          c.require_num(cs, "count", "callsites[]");
-          c.require_num(cs, "bytes", "callsites[]");
-          c.require_num(cs, "time_ns", "callsites[]");
-          const jsonmini::JValue* cost = cs.get("cost");
-          if (cost == nullptr || cost->kind != jsonmini::JValue::Kind::Obj ||
-              cost->obj.empty()) {
-            c.fail("missing cost-group object", "callsites[].cost");
-          }
-        }
-      }
-    }
-  }
-
-  std::size_t ncells = 0;
-  const jsonmini::JValue* matrix = root.get("matrix");
-  if (matrix == nullptr || matrix->kind != jsonmini::JValue::Kind::Arr) {
-    c.fail("missing array", "root.matrix");
-  } else {
-    for (const jsonmini::JValue& cell : matrix->arr) {
-      ++ncells;
-      if (c.require_num(cell, "src", "matrix[]") &&
-          (cell.get("src")->i64() < 0 || cell.get("src")->i64() >= nranks)) {
-        c.fail("matrix src out of range", std::to_string(cell.get("src")->i64()));
-      }
-      if (c.require_num(cell, "dst", "matrix[]") &&
-          (cell.get("dst")->i64() < 0 || cell.get("dst")->i64() >= nranks)) {
-        c.fail("matrix dst out of range", std::to_string(cell.get("dst")->i64()));
-      }
-      if (c.require_str(cell, "class", "matrix[]")) {
-        const std::string& cls = cell.get("class")->str;
-        if (cls != "eager" && cls != "rdv" && cls != "ctrl" && cls != "zcopy") {
-          c.fail("unknown message class", cls);
-        }
-      }
-      c.require_num(cell, "count", "matrix[]");
-      c.require_num(cell, "bytes", "matrix[]");
-    }
-  }
-
-  if (c.errors != 0) {
-    std::fprintf(stderr, "profcheck: %d error(s) in %s\n", c.errors, path);
-    return 1;
-  }
-  std::printf("profcheck: %s OK (%ld ranks, %zu phases, %zu callsite rows, "
+  std::printf("profcheck: %s OK (%d ranks, %zu phases, %zu callsite rows, "
               "%zu matrix cells)\n",
-              path, nranks, nphases, ncallsites, ncells);
+              path, p.nranks, p.phases.size(), p.callsite_rows, p.matrix_cells);
   return 0;
 }
 
@@ -385,7 +253,7 @@ int run_profcheck(const char* path) {
 
 int run_replaycheck(const char* path) {
   std::string body;
-  if (!read_file(path, body)) {
+  if (!read_file(path, &body)) {
     std::fprintf(stderr, "bench_check: cannot read %s\n", path);
     return 2;
   }
@@ -471,7 +339,7 @@ int run_replaycheck(const char* path) {
 
 bool copy_file(const std::string& from, const std::string& to) {
   std::string body;
-  if (!read_file(from, body)) return false;
+  if (!read_file(from, &body)) return false;
   std::ofstream out(to, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   out << body;
@@ -547,18 +415,19 @@ int main(int argc, char** argv) {
 
     std::string base_body;
     std::string cur_body;
-    if (!read_file(base_path, base_body)) {
+    if (!read_file(base_path, &base_body)) {
       std::fprintf(stderr, "bench_check: cannot read baseline %s\n", base_path.c_str());
       return 2;
     }
-    if (!read_file(cur_path, cur_body)) {
+    if (!read_file(cur_path, &cur_body)) {
       std::fprintf(stderr, "bench_check: cannot read current %s\n", cur_path.c_str());
       return 2;
     }
     const lwmpi::tools::BenchFile base = lwmpi::tools::parse_bench_json(base_body);
     const lwmpi::tools::BenchFile cur = lwmpi::tools::parse_bench_json(cur_body);
     if (!base.ok || !cur.ok) {
-      std::fprintf(stderr, "bench_check: malformed json for bench '%s'\n", name.c_str());
+      std::fprintf(stderr, "bench_check: malformed json for bench '%s': %s\n", name.c_str(),
+                   (base.ok ? cur.error : base.error).c_str());
       return 2;
     }
 

@@ -15,9 +15,10 @@
 #pragma once
 
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <vector>
+
+#include "obs/json.hpp"
 
 namespace lwmpi::tools {
 
@@ -28,7 +29,8 @@ struct Entry {
 };
 
 struct BenchFile {
-  bool ok = false;  // parse succeeded
+  bool ok = false;    // parse succeeded
+  std::string error;  // why it did not
   std::string bench;
   std::vector<Entry> entries;
 };
@@ -37,83 +39,27 @@ inline bool exact_unit(const std::string& unit) {
   return unit == "instr" || unit == "count";
 }
 
-namespace detail {
-
-// Parse the JSON string whose opening quote is at s[i]; leaves i past the
-// closing quote. Decodes \", \\, \/ and \uXXXX (ASCII range) -- the escapes
-// bench::JsonResult::escape produces.
-inline bool parse_string_at(const std::string& s, std::size_t& i, std::string& out) {
-  if (i >= s.size() || s[i] != '"') return false;
-  ++i;
-  out.clear();
-  while (i < s.size()) {
-    const char c = s[i];
-    if (c == '"') {
-      ++i;
-      return true;
-    }
-    if (c == '\\') {
-      if (i + 1 >= s.size()) return false;
-      const char e = s[i + 1];
-      if (e == 'u') {
-        if (i + 5 >= s.size()) return false;
-        unsigned code = 0;
-        if (std::sscanf(s.c_str() + i + 2, "%4x", &code) != 1) return false;
-        // Only the ASCII range is round-tripped; higher code points would
-        // need UTF-8 encoding which our emitter never produces.
-        out += static_cast<char>(code & 0x7f);
-        i += 6;
-      } else {
-        out += e;
-        i += 2;
-      }
-    } else {
-      out += c;
-      ++i;
-    }
-  }
-  return false;  // unterminated
-}
-
-// Find `"key":` at or after `from`; returns position just past the colon or
-// npos. Good enough for the fixed shape JsonResult emits (keys never appear
-// inside values in the flat results array).
-inline std::size_t find_key(const std::string& s, const std::string& key, std::size_t from) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t p = s.find(needle, from);
-  return p == std::string::npos ? p : p + needle.size();
-}
-
-}  // namespace detail
-
 // Parse one BENCH_<name>.json body. Only the "results" array is compared;
-// raw attachments (stats reports, attribution blobs) are free-form and
-// intentionally ignored here.
+// raw attachments (stats reports, attribution blobs) are free-form, but the
+// document as a whole must be valid JSON, and an entry missing its label,
+// value or unit rejects the file.
 inline BenchFile parse_bench_json(const std::string& text) {
   BenchFile out;
-  std::size_t p = detail::find_key(text, "bench", 0);
-  if (p == std::string::npos || !detail::parse_string_at(text, p, out.bench)) return out;
-  std::size_t arr = detail::find_key(text, "results", 0);
-  if (arr == std::string::npos || arr >= text.size() || text[arr] != '[') return out;
-  std::size_t i = arr + 1;
-  while (i < text.size() && text[i] != ']') {
-    Entry e;
-    std::size_t lp = detail::find_key(text, "label", i);
-    if (lp == std::string::npos || !detail::parse_string_at(text, lp, e.label)) return out;
-    std::size_t vp = detail::find_key(text, "value", lp);
-    if (vp == std::string::npos) return out;
-    char* end = nullptr;
-    e.value = std::strtod(text.c_str() + vp, &end);
-    if (end == text.c_str() + vp) return out;
-    std::size_t up = detail::find_key(text, "unit", vp);
-    if (up == std::string::npos || !detail::parse_string_at(text, up, e.unit)) return out;
-    out.entries.push_back(std::move(e));
-    const std::size_t close = text.find('}', up);
-    if (close == std::string::npos) return out;
-    i = close + 1;
-    while (i < text.size() && (text[i] == ',' || text[i] == ' ' || text[i] == '\n')) ++i;
+  obs::json::Value root;
+  if (!obs::json::parse(text, &root, &out.error)) return out;
+  obs::json::Fields top(root, &out.error);
+  out.bench = top.str("bench");
+  const std::vector<obs::json::Value>& results = top.arr("results");
+  for (std::size_t i = 0; i < results.size() && out.error.empty(); ++i) {
+    obs::json::Fields f(results[i], &out.error);
+    Entry e{f.str("label"), f.str("unit"), f.num("value")};
+    if (!f.ok()) {
+      out.error = "results[" + std::to_string(i) + "]: " + out.error;
+    } else {
+      out.entries.push_back(std::move(e));
+    }
   }
-  out.ok = i < text.size();
+  out.ok = out.error.empty();
   return out;
 }
 

@@ -202,6 +202,11 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "critpath: cannot open %s\n", trace_file.c_str());
     return 1;
   }
-  const std::vector<lwmpi::obs::trace::Event> events = lwmpi::obs::causal::parse_jsonl(f);
+  std::vector<obs::trace::Event> events;
+  std::string err;
+  if (!obs::causal::parse_jsonl(f, &events, &err)) {
+    std::fprintf(stderr, "critpath: %s: %s\n", trace_file.c_str(), err.c_str());
+    return 1;
+  }
   return analyze_and_print(events, json, top_k);
 }

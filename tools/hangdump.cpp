@@ -14,15 +14,12 @@
 //                                     sampler attached) and print its
 //                                     diagnosis plus timeline
 //
-// The parser (tools/json_mini.hpp) is a minimal recursive-descent JSON
-// reader: it handles exactly the value shapes obs::render_json produces, and
-// rejects anything malformed rather than guessing.
+// The report is read with the strict obs/json.hpp parser: a file that is not
+// exactly one complete, well-formed JSON line is rejected, not guessed at.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -30,49 +27,42 @@
 
 #include "core/engine.hpp"
 #include "obs/cvar.hpp"
-#include "obs/jsonl.hpp"
+#include "obs/json.hpp"
 #include "obs/sampler.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/world.hpp"
-#include "tools/json_mini.hpp"
 
 namespace {
 
-using jsonmini::JValue;
+using lwmpi::obs::json::Value;
 
 // ---------------------------------------------------------------------------
 // Report rendering
 // ---------------------------------------------------------------------------
 
-std::string fmt_ms(std::uint64_t ns) {
+// Members are read with Value::operator[], so a field missing from a
+// hand-edited report prints as 0, or as "?" where text is expected.
+const char* text(const Value& v) { return v.kind == Value::Kind::Str ? v.str.c_str() : "?"; }
+
+std::string fmt_ms(const Value& ns) {
+  if (ns.kind != Value::Kind::Num) return "?";
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns) / 1e6);
+  std::snprintf(buf, sizeof(buf), "%.1fms", static_cast<double>(ns.u64()) / 1e6);
   return buf;
 }
 
-void print_entry(const char* label, const JValue& e) {
-  const JValue* comm = e.get("comm");
-  std::printf("      %s comm=%s src=%ld tag=%ld bytes=%llu age=%s%s\n", label,
-              comm != nullptr ? comm->str.c_str() : "?",
-              e.get("src") != nullptr ? e.get("src")->i64() : 0,
-              e.get("tag") != nullptr ? e.get("tag")->i64() : 0,
-              static_cast<unsigned long long>(
-                  e.get("bytes") != nullptr ? e.get("bytes")->u64() : 0),
-              e.get("age_ns") != nullptr ? fmt_ms(e.get("age_ns")->u64()).c_str() : "?",
-              e.get("arrival_order") != nullptr && e.get("arrival_order")->b
-                  ? " [arrival-order]"
-                  : "");
-}
+unsigned long long ull(const Value& v) { return v.u64(); }
 
-double num_of(const JValue& o, const char* key) {
-  const JValue* v = o.get(key);
-  return v != nullptr ? v->num : 0.0;
+void print_entry(const char* label, const Value& e) {
+  std::printf("      %s comm=%s src=%ld tag=%ld bytes=%llu age=%s%s\n", label, text(e["comm"]),
+              e["src"].i64(), e["tag"].i64(), ull(e["bytes"]), fmt_ms(e["age_ns"]).c_str(),
+              e["arrival_order"].b ? " [arrival-order]" : "");
 }
 
 // Pretty-print the sampler timeline block: one line per (interval, rank),
 // newest last, so the rate history reads top-to-bottom into the hang.
-void print_timeline(const JValue& timeline) {
-  if (timeline.kind != JValue::Kind::Arr || timeline.arr.empty()) {
+void print_timeline(const Value& timeline) {
+  if (timeline.kind != Value::Kind::Arr || timeline.arr.empty()) {
     std::printf("\n(no sampler timeline in this report)\n");
     return;
   }
@@ -80,141 +70,78 @@ void print_timeline(const JValue& timeline) {
               timeline.arr.size());
   std::printf("%5s %4s %9s %10s %10s %6s %6s %7s %6s  %s\n", "seq", "rank", "dt",
               "sends/s", "recvs/s", "uexq", "+uexq", "stall%", "idle%", "alerts");
-  for (const JValue& s : timeline.arr) {
-    const JValue* alerts = s.get("alerts");
+  for (const Value& s : timeline.arr) {
     std::string fired;
-    if (alerts != nullptr) {
-      for (const JValue& a : alerts->arr) {
-        const JValue* rule = a.get("rule");
-        if (rule == nullptr) continue;
-        if (!fired.empty()) fired += ' ';
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "%s(%.3g>%.3g)", rule->str.c_str(),
-                      num_of(a, "value"), num_of(a, "threshold"));
-        fired += buf;
-      }
+    for (const Value& a : s["alerts"].arr) {
+      if (a["rule"].kind != Value::Kind::Str) continue;
+      if (!fired.empty()) fired += ' ';
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "%s(%.3g>%.3g)", a["rule"].str.c_str(), a["value"].num,
+                    a["threshold"].num);
+      fired += buf;
     }
     std::printf("%5llu %4ld %9s %10.0f %10.0f %6llu %+6lld %6.1f%% %5.1f%%  %s\n",
-                static_cast<unsigned long long>(
-                    s.get("seq") != nullptr ? s.get("seq")->u64() : 0),
-                s.get("rank") != nullptr ? s.get("rank")->i64() : -1,
-                fmt_ms(s.get("dt_ns") != nullptr ? s.get("dt_ns")->u64() : 0).c_str(),
-                num_of(s, "sends_per_s"), num_of(s, "recvs_per_s"),
-                static_cast<unsigned long long>(
-                    s.get("unexpected_depth") != nullptr ? s.get("unexpected_depth")->u64()
-                                                         : 0),
-                static_cast<long long>(s.get("unexpected_growth") != nullptr
-                                           ? s.get("unexpected_growth")->i64()
-                                           : 0),
-                num_of(s, "credit_stall_pct"), num_of(s, "idle_pct"),
+                ull(s["seq"]), s["rank"].i64(), fmt_ms(s["dt_ns"]).c_str(),
+                s["sends_per_s"].num, s["recvs_per_s"].num, ull(s["unexpected_depth"]),
+                static_cast<long long>(s["unexpected_growth"].i64()),
+                s["credit_stall_pct"].num, s["idle_pct"].num,
                 fired.empty() ? "-" : fired.c_str());
   }
 }
 
-int print_report(const JValue& root, bool with_timeline) {
-  const JValue* stuck = root.get("stuck");
-  const JValue* nranks = root.get("nranks");
-  if (stuck == nullptr || stuck->kind != JValue::Kind::Arr || nranks == nullptr) {
+int print_report(const Value& root, bool with_timeline) {
+  const Value& stuck = root["stuck"];
+  if (stuck.kind != Value::Kind::Arr || root["nranks"].kind != Value::Kind::Num) {
     std::fprintf(stderr, "hangdump: not a watchdog report (missing stuck/nranks)\n");
     return 1;
   }
-  std::printf("=== lwmpi hang diagnosis: %zu of %ld rank(s) stuck ===\n", stuck->arr.size(),
-              nranks->i64());
-  for (const JValue& s : stuck->arr) {
-    const JValue* call = s.get("call");
-    std::printf("rank %ld stuck in %s (blocked %s, no progress for %s)\n",
-                s.get("rank") != nullptr ? s.get("rank")->i64() : -1,
-                call != nullptr ? call->str.c_str() : "?",
-                s.get("blocked_ns") != nullptr ? fmt_ms(s.get("blocked_ns")->u64()).c_str()
-                                               : "?",
-                s.get("stalled_ns") != nullptr ? fmt_ms(s.get("stalled_ns")->u64()).c_str()
-                                               : "?");
-    const JValue* snap = s.get("snapshot");
-    if (snap == nullptr) continue;
-    if (const JValue* oldest = snap->get("oldest");
-        oldest != nullptr && oldest->kind == JValue::Kind::Obj) {
+  std::printf("=== lwmpi hang diagnosis: %zu of %ld rank(s) stuck ===\n", stuck.arr.size(),
+              root["nranks"].i64());
+  for (const Value& s : stuck.arr) {
+    std::printf("rank %ld stuck in %s (blocked %s, no progress for %s)\n", s["rank"].i64(),
+                text(s["call"]), fmt_ms(s["blocked_ns"]).c_str(),
+                fmt_ms(s["stalled_ns"]).c_str());
+    const Value& snap = s["snapshot"];
+    if (const Value& oldest = snap["oldest"]; oldest.kind == Value::Kind::Obj) {
       std::printf("  oldest request: %s comm=%s peer=%ld tag=%ld bytes=%llu age=%s\n",
-                  oldest->get("kind") != nullptr ? oldest->get("kind")->str.c_str() : "?",
-                  oldest->get("comm") != nullptr ? oldest->get("comm")->str.c_str() : "?",
-                  oldest->get("peer") != nullptr ? oldest->get("peer")->i64() : 0,
-                  oldest->get("tag") != nullptr ? oldest->get("tag")->i64() : 0,
-                  static_cast<unsigned long long>(
-                      oldest->get("bytes") != nullptr ? oldest->get("bytes")->u64() : 0),
-                  oldest->get("age_ns") != nullptr
-                      ? fmt_ms(oldest->get("age_ns")->u64()).c_str()
-                      : "?");
+                  text(oldest["kind"]), text(oldest["comm"]), oldest["peer"].i64(),
+                  oldest["tag"].i64(), ull(oldest["bytes"]), fmt_ms(oldest["age_ns"]).c_str());
     }
-    if (const JValue* vcis = snap->get("vcis"); vcis != nullptr) {
-      for (const JValue& v : vcis->arr) {
-        const JValue* posted = v.get("posted");
-        const JValue* unexpected = v.get("unexpected");
-        const JValue* sendq = v.get("send_queue");
-        const std::size_t np = posted != nullptr ? posted->arr.size() : 0;
-        const std::size_t nu = unexpected != nullptr ? unexpected->arr.size() : 0;
-        const std::size_t nq = sendq != nullptr ? sendq->arr.size() : 0;
-        if (np + nu + nq == 0) continue;
-        std::printf("  vci %ld: posted=%zu unexpected=%zu sendq=%zu\n",
-                    v.get("vci") != nullptr ? v.get("vci")->i64() : -1, np, nu, nq);
-        if (posted != nullptr) {
-          for (const JValue& e : posted->arr) print_entry("posted:    ", e);
-        }
-        if (unexpected != nullptr) {
-          for (const JValue& e : unexpected->arr) print_entry("unexpected:", e);
-        }
-        if (sendq != nullptr) {
-          for (const JValue& e : sendq->arr) {
-            std::printf("      sendq:      dst=%ld tag=%ld bytes=%llu\n",
-                        e.get("dst") != nullptr ? e.get("dst")->i64() : 0,
-                        e.get("tag") != nullptr ? e.get("tag")->i64() : 0,
-                        static_cast<unsigned long long>(
-                            e.get("bytes") != nullptr ? e.get("bytes")->u64() : 0));
-          }
-        }
+    for (const Value& v : snap["vcis"].arr) {
+      const std::vector<Value>& posted = v["posted"].arr;
+      const std::vector<Value>& unexpected = v["unexpected"].arr;
+      const std::vector<Value>& sendq = v["send_queue"].arr;
+      if (posted.size() + unexpected.size() + sendq.size() == 0) continue;
+      std::printf("  vci %ld: posted=%zu unexpected=%zu sendq=%zu\n", v["vci"].i64(),
+                  posted.size(), unexpected.size(), sendq.size());
+      for (const Value& e : posted) print_entry("posted:    ", e);
+      for (const Value& e : unexpected) print_entry("unexpected:", e);
+      for (const Value& e : sendq) {
+        std::printf("      sendq:      dst=%ld tag=%ld bytes=%llu\n", e["dst"].i64(),
+                    e["tag"].i64(), ull(e["bytes"]));
       }
     }
-    if (const JValue* moves = s.get("last_moves");
-        moves != nullptr && moves->kind == JValue::Kind::Arr && !moves->arr.empty()) {
+    if (const std::vector<Value>& moves = s["last_moves"].arr; !moves.empty()) {
       std::printf("  last moves (oldest first):\n");
-      for (const JValue& m : moves->arr) {
-        const JValue* kind = m.get("kind");
-        const long link = m.get("link") != nullptr ? m.get("link")->i64() : 0;
-        std::printf("    #%llu %-12s peer=%ld tag=%ld vci=%ld bytes=%llu",
-                    static_cast<unsigned long long>(
-                        m.get("op") != nullptr ? m.get("op")->u64() : 0),
-                    kind != nullptr ? kind->str.c_str() : "?",
-                    m.get("peer") != nullptr ? m.get("peer")->i64() : 0,
-                    m.get("tag") != nullptr ? m.get("tag")->i64() : 0,
-                    m.get("vci") != nullptr ? m.get("vci")->i64() : 0,
-                    static_cast<unsigned long long>(
-                        m.get("bytes") != nullptr ? m.get("bytes")->u64() : 0));
-        if (link != 0) std::printf(" link=-%ld", link);
+      for (const Value& m : moves) {
+        std::printf("    #%llu %-12s peer=%ld tag=%ld vci=%ld bytes=%llu", ull(m["op"]),
+                    text(m["kind"]), m["peer"].i64(), m["tag"].i64(), m["vci"].i64(),
+                    ull(m["bytes"]));
+        if (const long link = m["link"].i64(); link != 0) std::printf(" link=-%ld", link);
         std::printf("\n");
       }
     }
-    if (const JValue* wins = snap->get("windows"); wins != nullptr) {
-      for (const JValue& w : wins->arr) {
-        std::printf("  win %llu: epoch=%s acks=%llu deferred=%llu\n",
-                    static_cast<unsigned long long>(
-                        w.get("win_id") != nullptr ? w.get("win_id")->u64() : 0),
-                    w.get("epoch") != nullptr ? w.get("epoch")->str.c_str() : "?",
-                    static_cast<unsigned long long>(
-                        w.get("outstanding_acks") != nullptr
-                            ? w.get("outstanding_acks")->u64()
-                            : 0),
-                    static_cast<unsigned long long>(
-                        w.get("deferred_ops") != nullptr ? w.get("deferred_ops")->u64()
-                                                         : 0));
-      }
+    for (const Value& w : snap["windows"].arr) {
+      std::printf("  win %llu: epoch=%s acks=%llu deferred=%llu\n", ull(w["win_id"]),
+                  text(w["epoch"]), ull(w["outstanding_acks"]), ull(w["deferred_ops"]));
     }
   }
-  if (with_timeline) {
-    const JValue* timeline = root.get("timeline");
-    if (timeline != nullptr) {
-      print_timeline(*timeline);
-    } else {
-      std::printf("\n(no sampler timeline in this report -- attach a Sampler via"
-                  " WatchdogOptions::sampler)\n");
-    }
+  if (!with_timeline) return 0;
+  if (const Value& timeline = root["timeline"]; timeline.kind != Value::Kind::Null) {
+    print_timeline(timeline);
+  } else {
+    std::printf("\n(no sampler timeline in this report -- attach a Sampler via"
+                " WatchdogOptions::sampler)\n");
   }
   return 0;
 }
@@ -257,10 +184,8 @@ int run_demo() {
   });
   const obs::HangReport report = wd.last_report();
   std::fputs(obs::render_text(report).c_str(), stdout);
-  if (!report.timeline_json.empty()) {
-    bool ok = false;
-    const JValue timeline = jsonmini::parse(report.timeline_json, &ok);
-    if (ok) print_timeline(timeline);
+  if (Value timeline; lwmpi::obs::json::parse(report.timeline_json, &timeline)) {
+    print_timeline(timeline);
   }
   return 0;
 }
@@ -287,22 +212,18 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // One newline-terminated JSON line per report; the tolerant reader
-  // (obs/jsonl.hpp) drops a tail the watchdog was still appending when the
-  // hung job got killed.
-  lwmpi::obs::JsonlFile file;
-  if (!lwmpi::obs::read_jsonl(path, &file)) {
+  // One newline-terminated JSON line per report. A report the watchdog was
+  // still writing when the hung job got killed has no complete line and is
+  // rejected.
+  std::string text;
+  if (!lwmpi::obs::json::read_file(path, &text)) {
     std::fprintf(stderr, "hangdump: cannot open %s\n", path);
     return 1;
   }
-  if (file.lines.empty()) {
-    std::fprintf(stderr, "hangdump: no complete JSON line in %s\n", path);
-    return 1;
-  }
-  bool ok = false;
-  const JValue root = jsonmini::parse(file.lines.front(), &ok);
-  if (!ok || root.kind != JValue::Kind::Obj) {
-    std::fprintf(stderr, "hangdump: %s is not valid JSON\n", path);
+  Value root;
+  std::string err;
+  if (!lwmpi::obs::json::parse_one_line(text, &root, &err)) {
+    std::fprintf(stderr, "hangdump: %s: %s\n", path, err.c_str());
     return 1;
   }
   return print_report(root, with_timeline);

@@ -23,130 +23,18 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "obs/jsonl.hpp"
 #include "runtime/world.hpp"
-#include "tools/json_mini.hpp"
+#include "tools/profile_load.hpp"
 
 namespace {
 
-using jsonmini::JValue;
-
-// --- artifact model ---------------------------------------------------------
-
-struct SiteAgg {
-  std::uint64_t count = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t time_ns = 0;
-};
-
-struct Profile {
-  int nranks = 0;
-  std::string netmod;
-  std::vector<std::string> phases;
-  // phase name -> per-rank MPI time (ns), index = rank
-  std::map<std::string, std::vector<std::uint64_t>> phase_time;
-  // site name -> totals summed over ranks, phases, vcis
-  std::map<std::string, SiteAgg> sites;
-  // (src * nranks + dst) -> bytes, split by class name, plus all-class total
-  std::map<std::string, std::vector<std::uint64_t>> matrix_by_class;
-  std::vector<std::uint64_t> matrix_total;  // nranks * nranks
-  std::uint64_t pop_warnings = 0;
-  std::uint64_t phase_overflows = 0;
-};
-
-bool load_profile(const char* path, Profile* out, std::string* err) {
-  // The artifact is one newline-terminated JSON line; the tolerant reader
-  // (obs/jsonl.hpp) drops a half-appended tail -- e.g. a re-profiled run
-  // killed mid-write over an old artifact -- instead of failing the parse.
-  lwmpi::obs::JsonlFile file;
-  if (!lwmpi::obs::read_jsonl(path, &file)) {
-    *err = std::string("cannot open ") + path;
-    return false;
-  }
-  if (file.lines.empty()) {
-    *err = std::string("no complete JSON line in ") + path;
-    return false;
-  }
-  bool ok = false;
-  const JValue root = jsonmini::parse(file.lines.front(), &ok);
-  if (!ok || root.kind != JValue::Kind::Obj) {
-    *err = std::string("malformed JSON in ") + path;
-    return false;
-  }
-  const JValue* ver = root.get("lwmpi_profile");
-  if (ver == nullptr || ver->u64() != 1) {
-    *err = std::string(path) + " is not a lwmpi_profile v1 artifact";
-    return false;
-  }
-  out->nranks = root.get("nranks") != nullptr ? static_cast<int>(root.get("nranks")->u64()) : 0;
-  if (const JValue* nm = root.get("netmod"); nm != nullptr) out->netmod = nm->str;
-  if (const JValue* po = root.get("phase_overflows"); po != nullptr) {
-    out->phase_overflows = po->u64();
-  }
-  if (const JValue* ph = root.get("phases"); ph != nullptr) {
-    for (const JValue& p : ph->arr) out->phases.push_back(p.str);
-  }
-  const std::size_t n = static_cast<std::size_t>(out->nranks);
-  out->matrix_total.assign(n * n, 0);
-
-  if (const JValue* ranks = root.get("ranks"); ranks != nullptr) {
-    for (const JValue& r : ranks->arr) {
-      const int rank = r.get("rank") != nullptr ? static_cast<int>(r.get("rank")->u64()) : 0;
-      if (const JValue* pw = r.get("pop_warnings"); pw != nullptr) {
-        out->pop_warnings += pw->u64();
-      }
-      const JValue* phases = r.get("phases");
-      if (phases == nullptr) continue;
-      for (const JValue& p : phases->arr) {
-        const JValue* name = p.get("phase");
-        if (name == nullptr) continue;
-        auto& per_rank = out->phase_time[name->str];
-        if (per_rank.size() < n) per_rank.resize(n, 0);
-        if (rank >= 0 && static_cast<std::size_t>(rank) < n) {
-          per_rank[static_cast<std::size_t>(rank)] +=
-              p.get("time_ns") != nullptr ? p.get("time_ns")->u64() : 0;
-        }
-        const JValue* css = p.get("callsites");
-        if (css == nullptr) continue;
-        for (const JValue& cs : css->arr) {
-          const JValue* site = cs.get("site");
-          if (site == nullptr) continue;
-          SiteAgg& a = out->sites[site->str];
-          a.count += cs.get("count") != nullptr ? cs.get("count")->u64() : 0;
-          a.bytes += cs.get("bytes") != nullptr ? cs.get("bytes")->u64() : 0;
-          a.time_ns += cs.get("time_ns") != nullptr ? cs.get("time_ns")->u64() : 0;
-        }
-      }
-    }
-  }
-  if (const JValue* m = root.get("matrix"); m != nullptr) {
-    for (const JValue& cell : m->arr) {
-      const int src = cell.get("src") != nullptr ? static_cast<int>(cell.get("src")->u64()) : -1;
-      const int dst = cell.get("dst") != nullptr ? static_cast<int>(cell.get("dst")->u64()) : -1;
-      if (src < 0 || dst < 0 || static_cast<std::size_t>(src) >= n ||
-          static_cast<std::size_t>(dst) >= n) {
-        continue;
-      }
-      const std::uint64_t bytes =
-          cell.get("bytes") != nullptr ? cell.get("bytes")->u64() : 0;
-      const std::string cls =
-          cell.get("class") != nullptr ? cell.get("class")->str : "?";
-      auto& per_class = out->matrix_by_class[cls];
-      if (per_class.size() < n * n) per_class.resize(n * n, 0);
-      const std::size_t idx = static_cast<std::size_t>(src) * n + static_cast<std::size_t>(dst);
-      per_class[idx] += bytes;
-      out->matrix_total[idx] += bytes;
-    }
-  }
-  return true;
-}
+using lwmpi::tools::load_profile;
+using lwmpi::tools::Profile;
+using lwmpi::tools::SiteAgg;
 
 // --- rendering --------------------------------------------------------------
 

@@ -25,10 +25,8 @@
 #include "apps/replay.hpp"
 #include "apps/stencil.hpp"
 #include "core/engine.hpp"
-#include "obs/jsonl.hpp"
 #include "runtime/backoff.hpp"
 #include "runtime/world.hpp"
-#include "tools/json_mini.hpp"
 
 namespace {
 
@@ -136,21 +134,6 @@ int do_record(const std::string& workload, const std::string& prefix,
   return 0;
 }
 
-void print_sidecar(const std::string& prefix) {
-  lwmpi::obs::JsonlFile file;
-  if (!lwmpi::obs::read_jsonl(prefix + ".json", &file) || file.lines.empty()) return;
-  bool ok = false;
-  const jsonmini::JValue side = jsonmini::parse(file.lines.front(), &ok);
-  if (!ok) return;
-  const auto* netmod = side.get("netmod");
-  const auto* device = side.get("device");
-  const auto* eager = side.get("eager_threshold");
-  std::printf("recorded on: netmod=%s device=%s eager_threshold=%llu\n",
-              netmod != nullptr ? netmod->str.c_str() : "?",
-              device != nullptr ? device->str.c_str() : "?",
-              static_cast<unsigned long long>(eager != nullptr ? eager->u64() : 0));
-}
-
 int do_replay(const std::string& prefix, const apps::ReplayOptions& opts, bool check,
               bool quiet) {
   apps::TraceBundle bundle;
@@ -165,7 +148,10 @@ int do_replay(const std::string& prefix, const apps::ReplayOptions& opts, bool c
     std::printf("loaded %s: %d rank(s), %llu record(s)%s\n", prefix.c_str(),
                 bundle.nranks, static_cast<unsigned long long>(records),
                 bundle.complete() ? "" : " [incomplete: wrapped or truncated]");
-    print_sidecar(prefix);
+    std::printf("recorded on: netmod=%s device=%s eager_threshold=%llu\n",
+                bundle.netmod.empty() ? "?" : bundle.netmod.c_str(),
+                bundle.device.empty() ? "?" : bundle.device.c_str(),
+                static_cast<unsigned long long>(bundle.eager_threshold));
   }
 
   const apps::ReplayResult res = apps::run_replay(bundle, opts);

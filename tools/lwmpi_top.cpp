@@ -20,32 +20,26 @@
 // rendered live per-VCI rates AND at least one alert fired.
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/engine.hpp"
 #include "obs/cvar.hpp"
-#include "obs/jsonl.hpp"
+#include "obs/json.hpp"
 #include "obs/sampler.hpp"
 #include "runtime/world.hpp"
-#include "tools/json_mini.hpp"
 
 namespace {
 
-using jsonmini::JValue;
-
-double num_of(const JValue& o, const char* key) {
-  const JValue* v = o.get(key);
-  return v != nullptr ? v->num : 0.0;
-}
+using lwmpi::obs::json::Value;
 
 std::string fmt_rate(double per_s) {
   char buf[32];
@@ -87,14 +81,14 @@ std::string fmt_ns(double ns) {
 
 // Render one frame from the latest sample per rank. Returns the number of
 // nonzero per-VCI lane rates rendered (the demo's liveness check).
-int render_frame(const std::vector<JValue>& latest, std::uint64_t alerts_total,
+int render_frame(const std::vector<Value>& latest, std::uint64_t alerts_total,
                  bool clear_screen) {
   if (clear_screen) std::fputs("\x1b[H\x1b[2J", stdout);
   std::uint64_t seq = 0;
   double interval_ms = 0.0;
-  for (const JValue& s : latest) {
-    if (s.get("seq") != nullptr && s.get("seq")->u64() > seq) seq = s.get("seq")->u64();
-    interval_ms = num_of(s, "interval_ns") / 1e6;
+  for (const Value& s : latest) {
+    seq = std::max(seq, s["seq"].u64());
+    interval_ms = s["interval_ns"].num / 1e6;
   }
   std::printf("lwmpi-top  |  interval %.0fms  seq %llu  ranks %zu  |  alerts fired: %llu\n",
               interval_ms, static_cast<unsigned long long>(seq), latest.size(),
@@ -102,33 +96,22 @@ int render_frame(const std::vector<JValue>& latest, std::uint64_t alerts_total,
   std::printf("%4s %9s %9s %10s %10s %5s %6s %7s %6s  %s\n", "RANK", "SENDS/s",
               "RECVS/s", "P99send", "P99recv", "UEXQ", "+UEXQ", "STALL%", "IDLE%",
               "ALERTS");
-  for (const JValue& s : latest) {
-    const JValue* alerts = s.get("alerts");
+  for (const Value& s : latest) {
     std::string fired;
-    if (alerts != nullptr) {
-      for (const JValue& a : alerts->arr) {
-        const JValue* rule = a.get("rule");
-        if (rule == nullptr) continue;
-        if (!fired.empty()) fired += ' ';
-        char buf[96];
-        std::snprintf(buf, sizeof(buf), "%s(%.3g>%.3g)", rule->str.c_str(),
-                      num_of(a, "value"), num_of(a, "threshold"));
-        fired += buf;
-      }
+    for (const Value& a : s["alerts"].arr) {
+      if (a["rule"].kind != Value::Kind::Str) continue;
+      if (!fired.empty()) fired += ' ';
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "%s(%.3g>%.3g)", a["rule"].str.c_str(), a["value"].num,
+                    a["threshold"].num);
+      fired += buf;
     }
-    std::printf("%4ld %9s %9s %10s %10s %5llu %+6lld %6.1f%% %5.1f%%  %s\n",
-                s.get("rank") != nullptr ? s.get("rank")->i64() : -1,
-                fmt_rate(num_of(s, "sends_per_s")).c_str(),
-                fmt_rate(num_of(s, "recvs_per_s")).c_str(),
-                fmt_ns(num_of(s, "send_p99_ns")).c_str(),
-                fmt_ns(num_of(s, "recv_p99_ns")).c_str(),
-                static_cast<unsigned long long>(
-                    s.get("unexpected_depth") != nullptr ? s.get("unexpected_depth")->u64()
-                                                         : 0),
-                static_cast<long long>(s.get("unexpected_growth") != nullptr
-                                           ? s.get("unexpected_growth")->i64()
-                                           : 0),
-                num_of(s, "credit_stall_pct"), num_of(s, "idle_pct"),
+    std::printf("%4ld %9s %9s %10s %10s %5llu %+6lld %6.1f%% %5.1f%%  %s\n", s["rank"].i64(),
+                fmt_rate(s["sends_per_s"].num).c_str(), fmt_rate(s["recvs_per_s"].num).c_str(),
+                fmt_ns(s["send_p99_ns"].num).c_str(), fmt_ns(s["recv_p99_ns"].num).c_str(),
+                static_cast<unsigned long long>(s["unexpected_depth"].u64()),
+                static_cast<long long>(s["unexpected_growth"].i64()),
+                s["credit_stall_pct"].num, s["idle_pct"].num,
                 fired.empty() ? "-" : fired.c_str());
   }
   // Per-(rank, vci) lane breakdown: only lanes with any activity this
@@ -136,24 +119,18 @@ int render_frame(const std::vector<JValue>& latest, std::uint64_t alerts_total,
   int live_lanes = 0;
   std::printf("\n%4s %4s %9s %9s %12s %12s %6s %5s\n", "RANK", "VCI", "TX/s", "RX/s",
               "RX bytes", "TX bytes", "POSTED", "UEXQ");
-  for (const JValue& s : latest) {
-    const JValue* lanes = s.get("lanes");
-    if (lanes == nullptr) continue;
-    for (const JValue& l : lanes->arr) {
-      const double tx = num_of(l, "send_per_s");
-      const double rx = num_of(l, "deliver_per_s");
-      const double rxb = num_of(l, "deliver_bytes_per_s");
-      const double txb = num_of(l, "inject_bytes_per_s");
-      const std::uint64_t posted = l.get("posted") != nullptr ? l.get("posted")->u64() : 0;
-      const std::uint64_t uexq =
-          l.get("unexpected") != nullptr ? l.get("unexpected")->u64() : 0;
+  for (const Value& s : latest) {
+    for (const Value& l : s["lanes"].arr) {
+      const double tx = l["send_per_s"].num;
+      const double rx = l["deliver_per_s"].num;
+      const std::uint64_t posted = l["posted"].u64();
+      const std::uint64_t uexq = l["unexpected"].u64();
       if (tx == 0.0 && rx == 0.0 && posted == 0 && uexq == 0) continue;
       if (tx > 0.0 || rx > 0.0) ++live_lanes;
-      std::printf("%4ld %4ld %9s %9s %12s %12s %6llu %5llu\n",
-                  s.get("rank") != nullptr ? s.get("rank")->i64() : -1,
-                  l.get("vci") != nullptr ? l.get("vci")->i64() : -1,
-                  fmt_rate(tx).c_str(), fmt_rate(rx).c_str(),
-                  fmt_bytes_rate(rxb).c_str(), fmt_bytes_rate(txb).c_str(),
+      std::printf("%4ld %4ld %9s %9s %12s %12s %6llu %5llu\n", s["rank"].i64(),
+                  l["vci"].i64(), fmt_rate(tx).c_str(), fmt_rate(rx).c_str(),
+                  fmt_bytes_rate(l["deliver_bytes_per_s"].num).c_str(),
+                  fmt_bytes_rate(l["inject_bytes_per_s"].num).c_str(),
                   static_cast<unsigned long long>(posted),
                   static_cast<unsigned long long>(uexq));
     }
@@ -165,40 +142,40 @@ int render_frame(const std::vector<JValue>& latest, std::uint64_t alerts_total,
 // Parse a JSONL telemetry file and keep the newest sample per rank (by seq)
 // plus the total alert count across all retained records.
 //
-// The tolerant truncated-tail policy lives in obs/jsonl.hpp: the sampler
-// appends records while we read, so the final line may be cut mid-append;
-// only complete lines reach the parser and the finished line shows up on the
-// next tick's re-read.
-bool load_jsonl(const char* path, std::vector<JValue>* latest,
-                std::uint64_t* alerts_total) {
-  lwmpi::obs::JsonlFile file;
-  if (!lwmpi::obs::read_jsonl(path, &file)) return false;
-  latest->clear();
+// The sampler appends records while we read, so the final line may be cut
+// mid-append; obs/json.hpp hands over only complete lines, and the finished
+// line shows up on the next tick's re-read. A complete line that does not
+// parse, or lacks its rank, seq or alerts, is an error.
+bool load_jsonl(const char* path, std::vector<Value>* latest, std::uint64_t* alerts_total,
+                std::string* err) {
+  std::string text;
+  if (!lwmpi::obs::json::read_file(path, &text)) {
+    *err = "cannot open";
+    return false;
+  }
+  const lwmpi::obs::json::Lines file = lwmpi::obs::json::split_lines(text);
+  err->clear();
+  std::map<std::uint64_t, Value> by_rank;
   *alerts_total = 0;
-  for (const std::string& line : file.lines) {
-    bool ok = false;
-    JValue v = jsonmini::parse(line, &ok);
-    if (!ok || v.kind != JValue::Kind::Obj) continue;
-    if (const JValue* alerts = v.get("alerts"); alerts != nullptr) {
-      *alerts_total += alerts->arr.size();
+  for (std::size_t i = 0; i < file.lines.size(); ++i) {
+    Value v;
+    std::uint64_t rank = 0;
+    std::uint64_t seq = 0;
+    if (lwmpi::obs::json::parse(file.lines[i], &v, err)) {
+      lwmpi::obs::json::Fields f(v, err);
+      rank = f.u64("rank");
+      seq = f.u64("seq");
+      *alerts_total += f.arr("alerts").size();
     }
-    const long rank = v.get("rank") != nullptr ? v.get("rank")->i64() : -1;
-    if (rank < 0) continue;
-    if (latest->size() <= static_cast<std::size_t>(rank)) {
-      latest->resize(static_cast<std::size_t>(rank) + 1);
+    if (!err->empty()) {
+      *err = "record " + std::to_string(i + 1) + ": " + *err;
+      return false;
     }
-    JValue& slot = (*latest)[static_cast<std::size_t>(rank)];
-    const std::uint64_t seq = v.get("seq") != nullptr ? v.get("seq")->u64() : 0;
-    const std::uint64_t have =
-        slot.get("seq") != nullptr ? slot.get("seq")->u64() : 0;
-    if (slot.kind != JValue::Kind::Obj || seq >= have) slot = std::move(v);
+    Value& slot = by_rank[rank];
+    if (slot.kind != Value::Kind::Obj || seq >= slot["seq"].u64()) slot = std::move(v);
   }
-  // Drop unseen ranks (holes left by resize).
-  std::vector<JValue> packed;
-  for (JValue& v : *latest) {
-    if (v.kind == JValue::Kind::Obj) packed.push_back(std::move(v));
-  }
-  *latest = std::move(packed);
+  latest->clear();
+  for (auto& [rank, v] : by_rank) latest->push_back(std::move(v));
   return true;
 }
 
@@ -266,9 +243,9 @@ int run_demo(int seconds) {
     std::this_thread::sleep_for(std::chrono::milliseconds(tty ? 100 : 150));
     // Render from the sampler's own ring via the JSON round-trip, so the
     // dashboard exercises exactly what a --follow session would read.
-    bool ok = false;
-    const JValue frame = jsonmini::parse(sampler.timeline_json(1), &ok);
-    if (ok && frame.kind == JValue::Kind::Arr && !frame.arr.empty()) {
+    Value frame;
+    if (lwmpi::obs::json::parse(sampler.timeline_json(1), &frame) &&
+        frame.kind == Value::Kind::Arr && !frame.arr.empty()) {
       const int n = render_frame(frame.arr, sampler.alerts_fired(), tty);
       if (n > live_lanes) live_lanes = n;
     }
@@ -318,11 +295,11 @@ int main(int argc, char** argv) {
   }
 
   const bool tty = isatty(STDOUT_FILENO) != 0;
-  std::vector<JValue> latest;
+  std::vector<Value> latest;
   std::uint64_t alerts_total = 0;
   do {
-    if (!load_jsonl(path, &latest, &alerts_total)) {
-      std::fprintf(stderr, "lwmpi_top: cannot open %s\n", path);
+    if (std::string err; !load_jsonl(path, &latest, &alerts_total, &err)) {
+      std::fprintf(stderr, "lwmpi_top: %s: %s\n", path, err.c_str());
       return 1;
     }
     if (latest.empty() && !follow) {
