@@ -243,7 +243,8 @@ Err Engine::irecv_nomatch(void* buf, int count, Datatype dt, Comm comm, Request*
 // MPI_COMM_WORLD rank; there is no PROC_NULL handling, no per-op request, and
 // no source/tag match bits. There is no gate either: the predefined comm owns
 // its channel and the packet rides a wait-free fabric lane, so the minimal
-// path touches no state that needs the VCI lock.
+// path touches no state that needs the VCI lock, and its channel statistics
+// are single-writer because the owner is the only sender.
 Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_dest,
                            Comm comm) {
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendAllOpts, [&] {
@@ -287,9 +288,10 @@ Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_d
     dt::pack(types_, buf, count, dt, pkt->payload.data());
   }
   cost::charge(cost::Category::MandInject, cost::kAllOptsInject);
-  sends_issued_.fetch_add(1, std::memory_order_relaxed);
-  vcis_[c.vci]->counters.inc(obs::VciCtr::SendEager);
-  vcis_[c.vci]->counters.inc(obs::VciCtr::SendNoreq);
+  Vci& v = *vcis_[c.vci];
+  obs::add_single_writer(v.sends_issued, 1);
+  v.counters.inc(obs::VciCtr::SendEager);
+  v.counters.inc(obs::VciCtr::SendNoreq);
   if (cfg_.trace) {
     const std::uint64_t seq = obs::trace::next_seq();
     pkt->hdr.seq = seq;
@@ -300,10 +302,9 @@ Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_d
     // per-request completion site to record.
     trace_msg(obs::trace::Ev::Complete, seq, vci8, world_dest, 0, bytes);
   }
-  vcis_[c.vci]->busy_instr.fetch_add(
-      cost::kAllOptsLocality + cost::kAllOptsCtxLoad + cost::kAllOptsCounter +
-          cost::kAllOptsAddrLoad + cost::kAllOptsInject,
-      std::memory_order_relaxed);
+  obs::add_single_writer(v.busy_instr, cost::kAllOptsLocality + cost::kAllOptsCtxLoad +
+                                           cost::kAllOptsCounter + cost::kAllOptsAddrLoad +
+                                           cost::kAllOptsInject);
   fabric_.inject(self_, world_dest, pkt);
   return Err::Success;
 }
@@ -366,7 +367,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
   const std::uint64_t lat_t0 = v.lat.arm() ? obs::lat_now_ns() : 0;
   // Simulated-CPU mode: execute the modeled software path length as time.
   rt::spin_for_ns(sim_send_ns_);
-  v.busy_instr.fetch_add(send_instr_, std::memory_order_relaxed);
+  obs::add_single_writer(v.busy_instr, send_instr_);
   // Datatype resolution: real work either way; the modeled charge is the
   // "redundant runtime check" that link-time inlining folds away for
   // compile-time-constant datatypes.
@@ -481,7 +482,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
     inject_or_queue(v, dst_world, rts);
   }
 
-  sends_issued_.fetch_add(1, std::memory_order_relaxed);
+  obs::add_single_writer(v.sends_issued, 1);
   if (req != nullptr) *req = p.noreq ? kRequestNull : r;
   return Err::Success;
 }

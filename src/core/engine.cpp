@@ -176,6 +176,18 @@ std::uint64_t Engine::vci_contended(int vci) const noexcept {
   return vcis_[static_cast<std::size_t>(vci)]->contended.load(std::memory_order_relaxed);
 }
 
+std::size_t Engine::live_requests() const noexcept {
+  std::size_t n = 0;
+  for (const auto& v : vcis_) n += v->pool.live();
+  return n;
+}
+
+std::uint64_t Engine::sends_issued() const noexcept {
+  std::uint64_t n = 0;
+  for (const auto& v : vcis_) n += v->sends_issued.load(std::memory_order_relaxed);
+  return n;
+}
+
 std::size_t Engine::posted_depth(int vci) const noexcept {
   const Vci& v = *vcis_[static_cast<std::size_t>(vci)];
   std::lock_guard<std::recursive_mutex> lk(v.mu);
@@ -265,7 +277,6 @@ Request Engine::alloc_request(RequestSlot::Kind kind, std::uint32_t vci) {
   s.reset();
   s.kind = kind;
   s.active.store(true, std::memory_order_release);
-  live_requests_.fetch_add(1, std::memory_order_relaxed);
   return make_request_handle(vci, idx);
 }
 
@@ -301,7 +312,6 @@ void Engine::release_request(Request r) noexcept {
   pool.lock();
   pool.free_list.push_back(idx);
   pool.unlock();
-  live_requests_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 // ---------------------------------------------------------------------------
@@ -579,15 +589,15 @@ std::uint64_t Engine::activity_fingerprint() const noexcept {
   const auto mix = [&fp](std::uint64_t x) {
     fp = (fp ^ (x + 0x9E3779B97F4A7C15ull)) * 0xBF58476D1CE4E5B9ull;
   };
-  mix(live_requests_.load(std::memory_order_relaxed));
-  mix(sends_issued_.load(std::memory_order_relaxed));
+  mix(live_requests());
+  mix(sends_issued());
   mix(fabric_.injected(self_));
   mix(fabric_.delivered(self_));
   return fp;
 }
 
 bool Engine::has_outstanding_work() const noexcept {
-  if (live_requests_.load(std::memory_order_relaxed) != 0) return true;
+  if (live_requests() != 0) return true;
   if (fabric_.pending_any(self_) != 0) return true;
   for (const auto& v : vcis_) {
     if (v->send_q_depth.load(std::memory_order_relaxed) != 0) return true;

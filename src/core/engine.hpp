@@ -328,17 +328,14 @@ class Engine {
   // send queues, or undelivered inbound fabric traffic.
   bool has_outstanding_work() const noexcept;
 
-  // Diagnostics for tests/benches.
-  std::size_t live_requests() const noexcept {
-    return live_requests_.load(std::memory_order_relaxed);
-  }
+  // Diagnostics for tests/benches. The totals are summed over the channels
+  // on read; no per-message path writes rank-global state for them.
+  std::size_t live_requests() const noexcept;     // takes each pool's spinlock
   std::size_t posted_depth() const noexcept;      // summed over all VCIs
   std::size_t unexpected_depth() const noexcept;  // summed over all VCIs
   std::size_t posted_depth(int vci) const noexcept;
   std::size_t unexpected_depth(int vci) const noexcept;
-  std::uint64_t sends_issued() const noexcept {
-    return sends_issued_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t sends_issued() const noexcept;
 
   // --- VCI introspection ------------------------------------------------------
   int num_vcis() const noexcept { return static_cast<int>(vcis_.size()); }
@@ -612,10 +609,8 @@ class Engine {
   common::StableTable<CommObject> comms_;
   std::mutex comm_mu_;  // serializes comm-slot allocation / free
   std::vector<std::optional<std::vector<Rank>>> groups_;
-  std::atomic<std::size_t> live_requests_{0};
   common::StableTable<WindowLocal> windows_;  // indexed by local win slot
   std::mutex win_mu_;   // serializes window-slot allocation
-  std::atomic<std::uint64_t> sends_issued_{0};
   // Whole-rank observability counters (progress-path statistics).
   obs::EngineCounters eng_counters_;
   // Blocking-call annotation (see blocking_call()). Written by obs::BlockScope

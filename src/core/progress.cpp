@@ -72,7 +72,7 @@ void Engine::handle_packet(Vci& v, rt::Packet* pkt) {
     case rt::PacketKind::Rts:
       // Simulated-CPU mode: receive-side device path length as time.
       rt::spin_for_ns(sim_recv_ns_);
-      v.busy_instr.fetch_add(recv_instr_, std::memory_order_relaxed);
+      obs::add_single_writer(v.busy_instr, recv_instr_);
       // Receive-side attribution: comparing the arrived header against the
       // posted-receive queue re-pays the match-bit construction of 3.6.
       cost::charge(cost::Category::MandMatch, cost::kMandMatchBits);

@@ -20,6 +20,13 @@
 //     sweep non-blocking.
 //   * Request completion crosses threads without the lock: `complete` is an
 //     atomic released by the progress side and acquired by wait/test.
+//   * The per-message statistics (`sends_issued`, `busy_instr`, `contended`)
+//     have one writer at a time: the thread holding `mu`, or the owner of an
+//     all-opts channel, which takes no lock. They are bumped with a relaxed
+//     load+store (obs::add_single_writer) instead of a locked
+//     read-modify-write, and readers on other threads sum them across
+//     channels. An all-opts sender racing another thread on the same channel
+//     can lose a tick, as the counter blocks can; it never tears a value.
 #pragma once
 
 #include <atomic>
@@ -156,6 +163,15 @@ struct RequestPool {
     }
   }
   void unlock() noexcept { free_lock.clear(std::memory_order_release); }
+
+  // Slots allocated and not yet released. A slot joins the free list only
+  // after emplace() has counted it, so the difference never underflows.
+  std::size_t live() noexcept {
+    lock();
+    const std::size_t n = slots.size() - free_list.size();
+    unlock();
+    return n;
+  }
 };
 
 struct Vci {
@@ -174,6 +190,8 @@ struct Vci {
   // derives its aggregate message rate from the busiest lane's total, the
   // same way the paper converts Table-1 instruction counts into rates.
   std::atomic<std::uint64_t> busy_instr{0};
+  // Sends issued on this channel; Engine::sends_issued() sums the channels.
+  std::atomic<std::uint64_t> sends_issued{0};
   // Diagnostics: how often the gate missed its uncontended fast path.
   std::atomic<std::uint64_t> contended{0};
   // Always-on observability counters for this channel, exposed through the
@@ -200,7 +218,8 @@ struct Vci {
 // runtime thread-safety check and is paid whenever thread_safety is built in,
 // exactly as before; the *contended* surcharge is paid only when try_lock
 // misses, so the cost meter charges the slow acquisition only on contended
-// VCIs.
+// VCIs. The channel statistics record the surcharge once the lock is held,
+// which keeps them single-writer.
 class VciGate {
  public:
   VciGate(Vci* v, bool enabled, std::uint32_t charge) : v_(v), on_(enabled) {
@@ -209,10 +228,10 @@ class VciGate {
     if (v_ == nullptr) return;  // invalid handle: checks below will reject
     if (!v_->mu.try_lock()) {
       cost::charge(cost::Category::ThreadGate, cost::kThreadGateContended);
-      v_->contended.fetch_add(1, std::memory_order_relaxed);
-      v_->counters.inc(obs::VciCtr::GateContended);
-      v_->busy_instr.fetch_add(cost::kThreadGateContended, std::memory_order_relaxed);
       v_->mu.lock();
+      obs::add_single_writer(v_->contended, 1);
+      v_->counters.inc(obs::VciCtr::GateContended);
+      obs::add_single_writer(v_->busy_instr, cost::kThreadGateContended);
     }
   }
   ~VciGate() {

@@ -35,9 +35,4 @@ std::string_view to_string(Group g) noexcept {
   return "?";
 }
 
-Meter*& tl_meter() noexcept {
-  thread_local Meter* meter = nullptr;
-  return meter;
-}
-
 }  // namespace lwmpi::cost

@@ -139,8 +139,11 @@ class Meter {
   std::uint64_t total_ = 0;
 };
 
-// Thread-local armed meter (nullptr when metering is off).
-Meter*& tl_meter() noexcept;
+// Thread-local armed meter (nullptr when metering is off). The pointer is an
+// inline, constant-initialized thread_local, so charge() below compiles to one
+// TLS load and a branch: no out-of-line call and no init guard.
+inline constinit thread_local Meter* tl_meter_ptr = nullptr;
+inline Meter*& tl_meter() noexcept { return tl_meter_ptr; }
 
 // RAII: arms `meter` on this thread for its scope.
 class ScopedMeter {

@@ -37,9 +37,11 @@ namespace lwmpi::net {
 class Fabric {
  public:
   // `netmod` selects the backend ("mailbox" or "rdma"); unknown names throw
-  // std::invalid_argument (see make_netmod).
+  // std::invalid_argument (see make_netmod). `lamport` turns on the causal
+  // clock; World passes BuildConfig::trace, because trace events (and the
+  // sampler's trace alerts) are the clock's only readers.
   Fabric(int nranks, int ranks_per_node, Profile profile, int lanes_per_rank = 1,
-         std::string_view netmod = "mailbox");
+         std::string_view netmod = "mailbox", bool lamport = false);
   ~Fabric();  // the backend reclaims undelivered packets
 
   Fabric(const Fabric&) = delete;
@@ -62,6 +64,10 @@ class Fabric {
   // The facade stamps the causal header here -- Lamport tick plus send
   // timestamp -- so both backends carry it without transport changes:
   //   L := ++clock[src];  hdr.lclock = L;  hdr.send_ns = lat_now_ns().
+  // The tick is a locked read-modify-write on rank-global state, so it runs
+  // only in traced worlds; untraced packets keep lclock = 0, which also makes
+  // poll() skip its merge. send_ns is always stamped: sampled receives
+  // classify their wait state with it.
   //
   // The aggregate profiler's rank x rank communication matrix is stamped at
   // the same boundary for the same reason. The stamp sits before the backend
@@ -69,7 +75,7 @@ class Fabric {
   // refuses blackhole worlds, so matrix bytes track the backends' own
   // injected_bytes counters exactly (the profcheck invariant).
   void inject(Rank src, Rank dst, rt::Packet* p) noexcept {
-    if (src >= 0 && src < nranks()) {
+    if (lamport_ && src >= 0 && src < nranks()) {
       p->hdr.lclock =
           clock_[static_cast<std::size_t>(src)].fetch_add(1, std::memory_order_relaxed) +
           1;
@@ -91,6 +97,7 @@ class Fabric {
   // Merges the Lamport clock on delivery: clock[self] := max(clock[self],
   // hdr.lclock + 1), so any event the receiver records after this poll carries
   // a clock strictly greater than everything that happened-before the send.
+  // Untraced packets carry lclock 0 and skip the merge.
   rt::Packet* poll(Rank self, int vci = 0) noexcept {
     rt::Packet* p = mod_->poll(self, lane(vci));
     if (p != nullptr && p->hdr.lclock != 0 && self >= 0 && self < nranks()) {
@@ -104,7 +111,8 @@ class Fabric {
     return p;
   }
 
-  // Current Lamport clock of `r` (causal trace events snapshot this).
+  // Current Lamport clock of `r` (causal trace events snapshot this); stays 0
+  // in an untraced world.
   std::uint64_t lclock(Rank r) const noexcept {
     if (r < 0 || r >= nranks()) return 0;
     return clock_[static_cast<std::size_t>(r)].load(std::memory_order_relaxed);
@@ -183,8 +191,10 @@ class Fabric {
   }
 
   std::unique_ptr<Netmod> mod_;
-  // Per-rank Lamport logical clocks, ticked at inject and merged at poll.
+  // Per-rank Lamport logical clocks, ticked at inject and merged at poll when
+  // `lamport_` is set.
   std::unique_ptr<std::atomic<std::uint64_t>[]> clock_;
+  const bool lamport_;
   // Aggregate-profiler hook (null when profiling is off): one predictable
   // branch on the injection path, matching the counters discipline.
   obs::Profiler* prof_ = nullptr;

@@ -22,12 +22,15 @@
 // on rdma_capable().
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string_view>
+#include <vector>
 
 #include "common/types.hpp"
 #include "net/profile.hpp"
+#include "obs/counters.hpp"
 
 namespace lwmpi::rt {
 struct Packet;
@@ -56,7 +59,9 @@ class Netmod {
       : nranks_(nranks),
         ranks_per_node_(ranks_per_node < 1 ? 1 : ranks_per_node),
         lanes_(lanes_per_rank < 1 ? 1 : lanes_per_rank),
-        profile_(std::move(profile)) {}
+        profile_(std::move(profile)),
+        drops_(static_cast<std::size_t>(nranks_ < 1 ? 1 : nranks_) *
+               static_cast<std::size_t>(lanes_)) {}
   virtual ~Netmod() = default;
   Netmod(const Netmod&) = delete;
   Netmod& operator=(const Netmod&) = delete;
@@ -94,8 +99,13 @@ class Netmod {
     (void)vci;
     return 0;
   }
-  // Packets dropped at the injection boundary (blackhole methodology).
-  virtual std::uint64_t dropped() const noexcept = 0;
+  // Packets dropped at the injection boundary (blackhole methodology), summed
+  // over the per-(source rank, lane) counters.
+  std::uint64_t dropped() const noexcept {
+    std::uint64_t n = 0;
+    for (const DropCount& d : drops_) n += d.n.load(std::memory_order_relaxed);
+    return n;
+  }
 
   // --- RDMA-semantics extensions (default: not provided) ---------------------
   // True when the backend supports registered-buffer handoff: register_memory
@@ -147,10 +157,27 @@ class Netmod {
   const Profile& profile() const noexcept { return profile_; }
 
  protected:
+  // Count one blackhole drop by `src` on `lane`, which the caller has bounded
+  // to [0, lanes_); an out-of-range `src` counts against rank 0. Each (source
+  // rank, lane) counter has one writer at a time: the sender holding that
+  // lane's channel lock, or owning an all-opts channel.
+  void count_drop(Rank src, int lane) noexcept {
+    const std::size_t r = src >= 0 && src < nranks_ ? static_cast<std::size_t>(src) : 0;
+    obs::add_single_writer(
+        drops_[r * static_cast<std::size_t>(lanes_) + static_cast<std::size_t>(lane)].n, 1);
+  }
+
   const int nranks_;
   const int ranks_per_node_;
   const int lanes_;
   const Profile profile_;
+
+ private:
+  // Cache-line padded so two lanes' senders never false-share.
+  struct alignas(64) DropCount {
+    std::atomic<std::uint64_t> n{0};
+  };
+  std::vector<DropCount> drops_;  // nranks x lanes, row-major
 };
 
 // Backend factory. Known names: "mailbox", "rdma". Unknown names are a hard

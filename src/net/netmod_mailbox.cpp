@@ -44,8 +44,9 @@ class MailboxNetmod final : public Netmod {
         local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns;
     rt::spin_for_ns(inject_cost);
 
+    const int lane = p->hdr.vci < lanes_ ? p->hdr.vci : 0;
     if (profile_.blackhole) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      count_drop(src, lane);
       rt::PacketPool::free(p);
       return;
     }
@@ -54,7 +55,6 @@ class MailboxNetmod final : public Netmod {
     const std::uint64_t wire = profile_.serialization_ns(p->payload.size());
     p->deliver_at_ns = (latency || wire) ? rt::now_ns() + latency + wire : 0;
 
-    const int lane = p->hdr.vci < lanes_ ? p->hdr.vci : 0;
     Mailbox& box = *boxes_[index(dst, lane)];
     box.injected.fetch_add(1, std::memory_order_release);
     box.injected_bytes.fetch_add(p->payload.size(), std::memory_order_relaxed);
@@ -115,9 +115,6 @@ class MailboxNetmod final : public Netmod {
   std::uint64_t delivered_bytes(Rank r, int vci) const noexcept override {
     return boxes_[index(r, vci)]->delivered_bytes.load(std::memory_order_relaxed);
   }
-  std::uint64_t dropped() const noexcept override {
-    return dropped_.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Mailbox {
@@ -144,7 +141,6 @@ class MailboxNetmod final : public Netmod {
 
   std::vector<std::unique_ptr<Mailbox>> boxes_;  // nranks x lanes, row-major
   std::unique_ptr<RankMeter[]> meters_;          // one per rank
-  std::atomic<std::uint64_t> dropped_{0};
 };
 
 }  // namespace

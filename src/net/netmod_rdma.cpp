@@ -65,8 +65,9 @@ class RdmaNetmod final : public Netmod {
     const bool local = same_node(src, dst);
     rt::spin_for_ns(local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns);
 
+    const int lane = p->hdr.vci < lanes_ ? p->hdr.vci : 0;
     if (profile_.blackhole) {
-      dropped_.fetch_add(1, std::memory_order_relaxed);
+      count_drop(src, lane);
       rt::PacketPool::free(p);
       return;
     }
@@ -81,7 +82,6 @@ class RdmaNetmod final : public Netmod {
     const std::uint64_t wire = profile_.serialization_ns(wire_bytes);
     p->deliver_at_ns = (latency || wire) ? rt::now_ns() + latency + wire : 0;
 
-    const int lane = p->hdr.vci < lanes_ ? p->hdr.vci : 0;
     Ring& ring = *rings_[index(dst, lane)];
     const std::uint64_t stall = acquire_credit(ring, src);
     // Carry the credit-stall duration in the causal header so the receiver's
@@ -145,9 +145,6 @@ class RdmaNetmod final : public Netmod {
   }
   std::uint64_t delivered_bytes(Rank r, int vci) const noexcept override {
     return rings_[index(r, vci)]->delivered_bytes.load(std::memory_order_relaxed);
-  }
-  std::uint64_t dropped() const noexcept override {
-    return dropped_.load(std::memory_order_relaxed);
   }
 
   // --- RDMA extensions --------------------------------------------------------
@@ -346,7 +343,6 @@ class RdmaNetmod final : public Netmod {
   const int ring_depth_;
   std::vector<std::unique_ptr<Ring>> rings_;  // nranks x lanes, row-major
   std::unique_ptr<RankState[]> ranks_;        // one per rank
-  std::atomic<std::uint64_t> dropped_{0};
 };
 
 }  // namespace

@@ -17,6 +17,15 @@
 
 namespace lwmpi::obs {
 
+// Add `n` to a counter that has one writer at a time: a relaxed load+store, a
+// third of the cost of a locked fetch_add. Readers on other threads see an
+// untorn value. Every per-message statistic uses it: the blocks below, the
+// per-channel send statistics (core/vci.hpp) and the blackhole drop counts
+// (net/netmod.hpp).
+inline void add_single_writer(std::atomic<std::uint64_t>& a, std::uint64_t n) noexcept {
+  a.store(a.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+}
+
 // Channel-scoped counters, one block per VCI.
 enum class VciCtr : std::uint8_t {
   SendEager = 0,     // eager-path sends issued
@@ -54,7 +63,7 @@ inline constexpr std::size_t kNumEngCtrs = static_cast<std::size_t>(EngCtr::kCou
 // there is one writer at a time and the store is exact -- at a third of the
 // cost of a locked RMW, which is what keeps the hooks inside the 3% overhead
 // budget bench_obs_overhead enforces. The few sites that tick without a lock
-// (the progress idle fast path, gate-contention diagnostics) may lose a tick
+// (the progress idle fast path, the all-opts send path) may lose a tick
 // under a concurrent writer; values are never torn and readers never race.
 template <typename Enum, std::size_t N>
 struct alignas(64) CounterBlock {
@@ -64,9 +73,7 @@ struct alignas(64) CounterBlock {
   bool enabled = true;
 
   void inc(Enum e, std::uint64_t n = 1) noexcept {
-    if (!enabled) return;
-    auto& a = c[static_cast<std::size_t>(e)];
-    a.store(a.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+    if (enabled) add_single_writer(c[static_cast<std::size_t>(e)], n);
   }
   // Saturates at zero: a level counter whose inc lost a tick to the documented
   // lock-free race (see the block comment above) must not wrap a later dec to

@@ -183,7 +183,6 @@ void Watchdog::run() {
       std::lock_guard<std::mutex> lk(report_mu_);
       last_ = report;
     }
-    fires_.fetch_add(1, std::memory_order_release);
     if (!opts_.report_path.empty()) {
       std::ofstream f(opts_.report_path, std::ios::trunc);
       if (f) f << render_json(report) << '\n';
@@ -203,6 +202,9 @@ void Watchdog::run() {
     if (!world_.options().record_path.empty()) world_.flush_recording();
     if (opts_.announce) std::cerr << render_text(report);
     if (opts_.on_hang) opts_.on_hang(report);
+    // Counted last: a caller that sees fires() > 0 finds the report file
+    // closed, the causal export and bundle flush written, and on_hang returned.
+    fires_.fetch_add(1, std::memory_order_release);
   }
 }
 

@@ -136,7 +136,9 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  // Number of distinct stall episodes diagnosed so far.
+  // Number of distinct stall episodes diagnosed so far. An episode counts
+  // once all of its outputs exist: the report file, the causal export, the
+  // bundle flush and the on_hang callback.
   int fires() const noexcept { return fires_.load(std::memory_order_acquire); }
   // Copy of the most recent diagnosis (empty report if none yet).
   HangReport last_report() const;

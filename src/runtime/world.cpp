@@ -69,7 +69,7 @@ World::World(int nranks, WorldOptions opts)
     : nranks_(nranks),
       opts_(apply_cvars(std::move(opts))),
       fabric_(nranks, opts_.ranks_per_node, opts_.profile, opts_.build.vcis(),
-              opts_.netmod),
+              opts_.netmod, opts_.build.trace),
       next_ctx_(kFirstDynamicCtx) {
   if (opts_.prof) {
     profiler_ = std::make_unique<obs::Profiler>(nranks_, opts_.build.vcis(),

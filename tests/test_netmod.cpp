@@ -22,6 +22,7 @@
 #include "runtime/backoff.hpp"
 #include "runtime/packet.hpp"
 #include "runtime/world.hpp"
+#include "util.hpp"
 
 namespace lwmpi {
 namespace {
@@ -32,17 +33,7 @@ rt::Packet* make_packet(Tag tag) {
   return p;
 }
 
-std::uint64_t read_pvar(Engine& e, const char* name) {
-  const int idx = obs::LWMPI_T_pvar_index(name);
-  EXPECT_GE(idx, 0) << name;
-  if (idx < 0) return 0;
-  obs::PvarSession s;
-  obs::LWMPI_T_pvar_session_create(e, &s);
-  std::uint64_t v = 0;
-  obs::LWMPI_T_pvar_read(s, idx, &v);
-  obs::LWMPI_T_pvar_session_free(&s);
-  return v;
-}
+using test::read_pvar;
 
 // --- factory ----------------------------------------------------------------
 

@@ -28,16 +28,7 @@ WorldOptions prof_opts(const std::string& netmod = "mailbox") {
   return o;
 }
 
-std::uint64_t read_pvar(Engine& e, const char* name) {
-  obs::PvarSession s;
-  EXPECT_EQ(obs::LWMPI_T_pvar_session_create(e, &s), Err::Success);
-  const int idx = obs::LWMPI_T_pvar_index(name);
-  EXPECT_GE(idx, 0) << "unknown pvar " << name;
-  std::uint64_t v = 0;
-  EXPECT_EQ(obs::LWMPI_T_pvar_read(s, idx, &v), Err::Success);
-  obs::LWMPI_T_pvar_session_free(&s);
-  return v;
-}
+using test::read_pvar;
 
 // --- phase regions ----------------------------------------------------------
 

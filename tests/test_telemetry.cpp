@@ -43,16 +43,7 @@ class CvarGuard {
   std::int64_t saved_;
 };
 
-std::uint64_t read_pvar(Engine& e, const char* name) {
-  obs::PvarSession s;
-  EXPECT_EQ(obs::LWMPI_T_pvar_session_create(e, &s), Err::Success);
-  const int idx = obs::LWMPI_T_pvar_index(name);
-  EXPECT_GE(idx, 0) << "unknown pvar " << name;
-  std::uint64_t v = 0;
-  EXPECT_EQ(obs::LWMPI_T_pvar_read(s, idx, &v), Err::Success);
-  obs::LWMPI_T_pvar_session_free(&s);
-  return v;
-}
+using test::read_pvar;
 
 // --- cvar registry ----------------------------------------------------------
 
@@ -441,8 +432,9 @@ TEST(Sampler, WatchdogEmbedsTimeline) {
 // every lane, the workload the sampler races against in the tests below.
 // After each batch of `iters` rounds rank 0 asks `more()` and broadcasts the
 // answer, so both ranks keep the lanes hot for the same number of batches.
-template <class More>
-void hot_vci_loop(Engine& e, int iters, More more) {
+// `round(i)` runs on every rank before round i of each batch.
+template <class More, class Round>
+void hot_vci_loop(Engine& e, int iters, More more, Round round) {
   const Comm comms[4] = {kComm1, kComm2, kComm3, kComm4};
   for (Comm c : comms) {
     ASSERT_EQ(e.comm_dup_predefined(kCommWorld, c), Err::Success);
@@ -450,6 +442,7 @@ void hot_vci_loop(Engine& e, int iters, More more) {
   std::uint64_t v = 0;
   for (int go = 1; go != 0;) {
     for (int i = 0; i < iters; ++i) {
+      round(i);
       for (Comm c : comms) {
         if (e.world_rank() == 0) {
           ASSERT_EQ(e.send(&v, 1, kUint64, 1, 3, c), Err::Success);
@@ -463,6 +456,11 @@ void hot_vci_loop(Engine& e, int iters, More more) {
     if (e.world_rank() == 0) go = more() ? 1 : 0;
     ASSERT_EQ(e.bcast(&go, 1, kInt, 0, kCommWorld), Err::Success);
   }
+}
+
+template <class More>
+void hot_vci_loop(Engine& e, int iters, More more) {
+  hot_vci_loop(e, iters, more, [](int) {});
 }
 
 void hot_vci_loop(Engine& e, int iters) {
@@ -528,29 +526,18 @@ TEST(SamplerRace, CvarMutationMidRun) {
 
   // Rank 0 retunes the sampler's runtime cvars from inside the run while the
   // sampling thread re-reads them every tick: interval cadence flapping
-  // between 1ms and 5ms, an SLO rule toggling on and off.
+  // between 1ms and 5ms, an SLO rule toggling on and off. 300 rounds can
+  // finish before the first tick on a fast host, so the batches repeat until
+  // the sampler has ticked.
   w.run([&](Engine& e) {
     const bool mutate = e.world_rank() == 0;
-    const Comm comms[4] = {kComm1, kComm2, kComm3, kComm4};
-    for (Comm c : comms) {
-      ASSERT_EQ(e.comm_dup_predefined(kCommWorld, c), Err::Success);
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < 300; ++i) {
-      if (mutate) {
-        obs::cvar_set(obs::Cv::SamplerIntervalMs, (i & 1) != 0 ? 5 : 1);
-        obs::cvar_set(obs::Cv::SloUnexpectedGrowth, (i & 2) != 0 ? 1 : 0);
-      }
-      for (Comm c : comms) {
-        if (e.world_rank() == 0) {
-          ASSERT_EQ(e.send(&v, 1, kUint64, 1, 3, c), Err::Success);
-          ASSERT_EQ(e.recv(&v, 1, kUint64, 1, 4, c, nullptr), Err::Success);
-        } else {
-          ASSERT_EQ(e.recv(&v, 1, kUint64, 0, 3, c, nullptr), Err::Success);
-          ASSERT_EQ(e.send(&v, 1, kUint64, 0, 4, c), Err::Success);
-        }
-      }
-    }
+    hot_vci_loop(
+        e, 300, [&] { return sampler.ticks() == 0; },
+        [&](int i) {
+          if (!mutate) return;
+          obs::cvar_set(obs::Cv::SamplerIntervalMs, (i & 1) != 0 ? 5 : 1);
+          obs::cvar_set(obs::Cv::SloUnexpectedGrowth, (i & 2) != 0 ? 1 : 0);
+        });
   });
 
   EXPECT_GT(sampler.ticks(), 0u);

@@ -1,12 +1,15 @@
 // Virtual communication interface tests: comm->channel mapping, cross-VCI
-// isolation, and multithreaded correctness with independent communicators
-// driven simultaneously (the concurrency suite runs these under TSan).
+// isolation, multithreaded correctness with independent communicators
+// driven simultaneously, and the single-writer send-path statistics (the
+// concurrency suite runs these under TSan).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "cost/model.hpp"
+#include "runtime/packet.hpp"
 #include "util.hpp"
 
 using namespace lwmpi;
@@ -178,4 +181,99 @@ TEST(Vci, NoreqSendsDrainPerChannel) {
     e.barrier(kCommWorld);
     EXPECT_EQ(e.live_requests(), 0u);
   });
+}
+
+// The Lamport clock runs only in a traced world. Untraced, no packet carries
+// a clock, so Fabric::poll never merges one and every rank's clock stays 0;
+// the traced twin shows the same probe sees the clock when it runs.
+TEST(SingleWriter, UntracedWorldCarriesNoLamportClock) {
+  for (const bool traced : {false, true}) {
+    SCOPED_TRACE(traced ? "traced" : "untraced");
+    WorldOptions o = test::fast_opts();
+    o.build.trace = traced;
+    World w(2, o);
+    std::uint64_t lclock = ~0ull, send_ns = 0;
+    w.run([&](Engine& e) {
+      int v = 7;
+      for (int i = 0; i < 32; ++i) {
+        if (e.world_rank() == 0) {
+          ASSERT_EQ(e.send(&v, 1, kInt, 1, 3, kCommWorld), Err::Success);
+          ASSERT_EQ(e.recv(&v, 1, kInt, 1, 4, kCommWorld, nullptr), Err::Success);
+        } else {
+          ASSERT_EQ(e.recv(&v, 1, kInt, 0, 3, kCommWorld, nullptr), Err::Success);
+          ASSERT_EQ(e.send(&v, 1, kInt, 0, 4, kCommWorld), Err::Success);
+        }
+      }
+      // One more eager message, which rank 1 takes straight off its fabric
+      // lane (instead of through progress) to read the causal header.
+      if (e.world_rank() == 0) {
+        ASSERT_EQ(e.send(&v, 1, kInt, 1, 9, kCommWorld), Err::Success);
+      } else {
+        net::Fabric& f = e.world().fabric();
+        const int lane = e.vci_of(kCommWorld);
+        rt::Packet* p = nullptr;
+        while ((p = f.poll(1, lane)) == nullptr) std::this_thread::yield();
+        lclock = p->hdr.lclock;
+        send_ns = p->hdr.send_ns;
+        f.credit_return(1, lane);
+        rt::PacketPool::free(p);
+      }
+    });
+    EXPECT_NE(send_ns, 0u);  // wait classification still gets its stamp
+    if (traced) {
+      EXPECT_GT(lclock, 0u);
+      EXPECT_GT(w.fabric().lclock(0), 0u);
+      EXPECT_GT(w.fabric().lclock(1), 0u);
+    } else {
+      EXPECT_EQ(lclock, 0u);
+      EXPECT_EQ(w.fabric().lclock(0), 0u);
+      EXPECT_EQ(w.fabric().lclock(1), 0u);
+    }
+  }
+}
+
+// sends_issued, busy_instr and the blackhole drop count have one writer per
+// channel and are summed on read, and requests_live is summed from the
+// request pools: four threads on four channels must still account for every
+// send exactly.
+TEST(SingleWriter, BlackholeSendTotalsSumAcrossChannels) {
+  constexpr int kSends = 2000;
+  for (const char* netmod : {"mailbox", "rdma"}) {
+    SCOPED_TRACE(netmod);
+    WorldOptions o;
+    o.profile = net::infinite();  // blackhole: every injection is dropped
+    o.netmod = netmod;
+    World w(1, o);
+    const std::uint64_t send_instr = cost::modeled_isend_total(
+        false, o.build.error_checking, o.build.thread_safety, o.build.ipo);
+    w.run([&](Engine& e) {
+      dup_predefined(e);
+      ASSERT_EQ(e.num_vcis(), kNumThreads);
+      const std::uint64_t sends0 = test::read_pvar(e, "sends_issued");
+      const std::uint64_t dropped0 = e.world().fabric().dropped();
+      std::vector<std::uint64_t> busy0;
+      for (int v = 0; v < kNumThreads; ++v) busy0.push_back(e.vci_busy_instr(v));
+
+      std::vector<std::thread> threads;
+      for (Comm c : kPredefined) {
+        threads.emplace_back([&e, c] {
+          std::vector<Request> reqs(kSends, kRequestNull);
+          const char b = 1;
+          for (Request& r : reqs) ASSERT_EQ(e.isend(&b, 1, kChar, 0, 0, c, &r), Err::Success);
+          ASSERT_EQ(e.waitall(reqs, {}), Err::Success);
+        });
+      }
+      for (std::thread& th : threads) th.join();
+
+      EXPECT_EQ(test::read_pvar(e, "sends_issued") - sends0,
+                std::uint64_t{kNumThreads} * kSends);
+      EXPECT_EQ(e.world().fabric().dropped() - dropped0, std::uint64_t{kNumThreads} * kSends);
+      for (Comm c : kPredefined) {
+        const int v = e.vci_of(c);
+        EXPECT_EQ(e.vci_busy_instr(v) - busy0[static_cast<std::size_t>(v)], kSends * send_instr)
+            << "vci " << v;
+      }
+      EXPECT_EQ(test::read_pvar(e, "requests_live"), 0u);
+    });
+  }
 }

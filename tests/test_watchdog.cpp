@@ -1,12 +1,14 @@
 // Hang-diagnosis watchdog (obs/watchdog.hpp): a genuinely deadlocked tag
 // mismatch must be diagnosed with the stuck rank, its blocking call, and the
-// unmatched (comm, tag, peer); slow-but-progressing rendezvous traffic must
-// never trip it. Both tests run real rank threads plus the watchdog's
-// sampling thread, so they carry the concurrency label and run under TSan.
+// unmatched (comm, tag, peer); fires() must count an episode only once its
+// outputs exist; slow-but-progressing rendezvous traffic must never trip it.
+// The tests run real rank threads plus the watchdog's sampling thread, so
+// they carry the concurrency label and run under TSan.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -101,6 +103,48 @@ TEST(Watchdog, DiagnosesTagMismatchDeadlock) {
   EXPECT_NE(json.find("\"rank\":1"), std::string::npos);
   EXPECT_NE(json.find("\"call\":\"Wait\""), std::string::npos);
   EXPECT_NE(json.find("\"tag\":42"), std::string::npos);
+}
+
+TEST(Watchdog, FiresCountsAnEpisodeAfterItsOutputs) {
+  // A slow on_hang: if fires() were bumped before the report file and the
+  // callback, a caller polling fires() would see the episode half-written.
+  World w(2, test::fast_opts());
+  obs::WatchdogOptions wo;
+  wo.stall_ns = 150'000'000;
+  wo.poll_ns = 20'000'000;
+  wo.report_path = "watchdog_fires_order_test.json";  // cwd = build tree
+  std::remove(wo.report_path.c_str());
+  std::atomic<bool> returned{false};
+  wo.on_hang = [&](const obs::HangReport&) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    returned.store(true, std::memory_order_release);
+  };
+  obs::Watchdog wd(w, wo);
+
+  bool returned_at_fire = false;
+  std::string report;
+  w.run([&](Engine& e) {
+    char b = 1;
+    if (e.world_rank() == 0) {
+      ASSERT_EQ(e.send(&b, 1, kChar, 1, 7, kCommWorld), Err::Success);
+      while (wd.fires() == 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      // Sample both outputs the moment the episode is counted.
+      returned_at_fire = returned.load(std::memory_order_acquire);
+      ASSERT_TRUE(obs::json::read_file(wo.report_path, &report));
+      ASSERT_EQ(e.send(&b, 1, kChar, 1, 42, kCommWorld), Err::Success);
+    } else {
+      ASSERT_EQ(e.recv(&b, 1, kChar, 0, 42, kCommWorld, nullptr), Err::Success);
+    }
+  });
+
+  EXPECT_TRUE(returned_at_fire);
+  obs::json::Value v;
+  std::string err;
+  ASSERT_TRUE(obs::json::parse_one_line(report, &v, &err)) << err;
+  EXPECT_EQ(v["nranks"].i64(), 2);
+  EXPECT_FALSE(v["stuck"].arr.empty());
 }
 
 TEST(Watchdog, NoFalsePositiveOnSlowRendezvousTraffic) {
