@@ -11,14 +11,13 @@
 // path where a fixed per-hook tax shows up largest -- and asserts the
 // instrumented build stays within 3% of the stripped one.
 //
-// Since the causal tier (obs/causal.hpp), every packet additionally carries a
-// piggybacked causal header: net::Fabric::inject stamps a TSC read plus a
-// relaxed Lamport tick, and poll CAS-merges the clock, on every message with
-// tracing *off*. Both configurations here run with trace off, so that stamp
-// is inside the measured path on both sides of the ratio -- the <3% gate thus
-// certifies the counter/histogram tax on top of a transport that already
-// pays the piggyback cost, and the stamp itself is config-independent by
-// design (flipping BuildConfig::trace cannot change transport timing).
+// Since the causal tier (obs/causal.hpp), a packet can carry a piggybacked
+// causal header: net::Fabric::inject stamps a TSC read on the packets whose
+// sender sampled them (and, in a traced world, on every packet, with a
+// Lamport tick that poll CAS-merges). Both configurations here run with
+// trace off, so the counters-on side pays the stamp on its 1-in-2^shift
+// sampled messages and the counters-off side, which samples nothing, pays
+// none: the <3% gate covers the send stamp as part of the histogram tier.
 //
 // Methodology for a noisy 1-core container: the workload is single-rank
 // (sender == receiver, no thread handoff, no scheduler dependence). Two

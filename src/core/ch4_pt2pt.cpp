@@ -289,6 +289,9 @@ Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_d
   }
   cost::charge(cost::Category::MandInject, cost::kAllOptsInject);
   Vci& v = *vcis_[c.vci];
+  // No latency record on this path: the stream ordinal only marks a sampled
+  // packet, so the receiver's matching sampled post can classify its wait.
+  if (v.lat.arm_send(world_dest)) pkt->hdr.sampled = 1;
   obs::add_single_writer(v.sends_issued, 1);
   v.counters.inc(obs::VciCtr::SendEager);
   v.counters.inc(obs::VciCtr::SendNoreq);
@@ -363,8 +366,10 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
   std::lock_guard<std::recursive_mutex> lk(v.mu);
   // Message-lifetime start edge (0 when this message is not sampled): eager
   // sends record at local completion below; rendezvous sends carry it in the
-  // slot until the CTS completion site (progress.cpp).
-  const std::uint64_t lat_t0 = v.lat.arm() ? obs::lat_now_ns() : 0;
+  // slot until the CTS completion site (progress.cpp). Sampling follows the
+  // (channel, destination) stream, and a sampled packet is marked so the
+  // fabric stamps its send time for the receiver's wait classification.
+  const std::uint64_t lat_t0 = v.lat.arm_send(dst_world) ? obs::lat_now_ns() : 0;
   // Simulated-CPU mode: execute the modeled software path length as time.
   rt::spin_for_ns(sim_send_ns_);
   obs::add_single_writer(v.busy_instr, send_instr_);
@@ -430,6 +435,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
       dt::pack(types_, p.buf, p.count, p.dt, pkt->payload.data());
     }
     pkt->hdr.seq = tseq;
+    pkt->hdr.sampled = lat_t0 != 0;
     cost::charge(cost::Category::MandInject, cost::kMandInjectResidual);
     inject_or_queue(v, dst_world, pkt);
     if (slot != nullptr) {
@@ -473,6 +479,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
     rts->hdr.total_bytes = bytes;
     rts->hdr.origin_req = r;
     rts->hdr.seq = tseq;
+    rts->hdr.sampled = lat_t0 != 0;
     // Offer zero-copy handoff when the backend can write into a registered
     // remote buffer; the receiver accepts (CTS carries an rkey) only if its
     // own buffer is contiguous and large enough. The send buffer need not be
@@ -522,7 +529,18 @@ Err Engine::post_recv_common(void* buf, int count, Datatype dt, Rank src, Tag ta
 
   Request r = alloc_request(RequestSlot::Kind::Recv, c->vci);
   RequestSlot* slot = req_slot(r);
-  const std::uint64_t lat_t0 = v.lat.arm() ? obs::lat_now_ns() : 0;
+  // Sampling: an explicit source ticks its (channel, peer) stream, the same
+  // one its sender ticks, so both ends sample the same messages when receives
+  // are posted in send order. kAnySource, and a rank outside the map (which
+  // only a build without error checking lets through), use the channel tick;
+  // kProcNull ticks nothing.
+  std::uint64_t lat_t0 = 0;
+  if (src != kProcNull) {
+    const bool in_map = src >= 0 && src < c->map.size();
+    if (v.lat.arm_post(in_map ? c->map.to_world_nocharge(src) : kAnySource)) {
+      lat_t0 = obs::lat_now_ns();
+    }
+  }
   slot->rbuf = buf;
   slot->rcount = count;
   slot->rdt = dt;

@@ -36,12 +36,14 @@ struct BuildConfig {
   // export; it is compiled in but off by default.
   bool counters = true;
   bool trace = false;
-  // Latency-histogram sampling: 1 in 2^lat_sample_shift messages per channel
-  // gets TSC-stamped at post/match/complete. A stamp is ~20ns where the TSC
-  // is virtualized, and a 1-byte transfer takes up to four of them, so
-  // stamping every message busts the <3% bench_obs_overhead budget; sampling
-  // 1/64 keeps the histogram statistically faithful at negligible cost. Set
-  // to 0 to stamp every message (tests, hang postmortems).
+  // Latency-histogram sampling: 1 in 2^lat_sample_shift messages of each
+  // (channel, peer) stream gets TSC-stamped at post/inject/match/complete
+  // (obs/histogram.hpp VciLatency); an unsampled message reads no clock. A
+  // stamp is ~20ns where the TSC is virtualized, and a 1-byte transfer takes
+  // up to four of them, so stamping every message busts the <3%
+  // bench_obs_overhead budget; sampling 1/64 keeps the histogram
+  // statistically faithful at negligible cost. Set to 0 to stamp every
+  // message (tests, hang postmortems).
   int lat_sample_shift = 6;
 
   // Clamped VCI count used by both World (fabric lanes) and Engine (channels).

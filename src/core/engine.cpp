@@ -35,15 +35,27 @@ Engine::Engine(World& world, Rank world_rank)
     sim_put_ns_ = static_cast<std::uint64_t>(put_instr * k);
   }
   const int n = cfg_.vcis();
+  const int lat_shift =
+      cfg_.lat_sample_shift < 0 ? 0 : (cfg_.lat_sample_shift > 20 ? 20 : cfg_.lat_sample_shift);
+  // Per-peer sampling ordinals (obs/histogram.hpp VciLatency): one allocation
+  // per engine holding two world-sized arrays per channel. The 16-slot gap
+  // after each channel's pair keeps two channels' writers off a shared cache
+  // line.
+  const auto peers = static_cast<std::size_t>(fabric_.nranks());
+  const std::size_t stride = 2 * peers + 16;
+  lat_ordinals_ =
+      std::make_unique<std::atomic<std::uint32_t>[]>(stride * static_cast<std::size_t>(n));
   vcis_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     vcis_.push_back(std::make_unique<Vci>());
-    vcis_.back()->counters.enabled = cfg_.counters;
-    vcis_.back()->lat.enabled = cfg_.counters;
-    const int lat_shift =
-        cfg_.lat_sample_shift < 0 ? 0 : (cfg_.lat_sample_shift > 20 ? 20 : cfg_.lat_sample_shift);
-    vcis_.back()->lat.sample_mask = (1u << lat_shift) - 1;
-    vcis_.back()->matcher.set_stamp_arrivals(cfg_.counters);
+    Vci& v = *vcis_.back();
+    v.counters.enabled = cfg_.counters;
+    v.lat.enabled = cfg_.counters;
+    v.lat.sample_mask = (1u << lat_shift) - 1;
+    v.lat.peers = static_cast<std::uint32_t>(peers);
+    v.lat.sends_to = &lat_ordinals_[static_cast<std::size_t>(i) * stride];
+    v.lat.posts_from = v.lat.sends_to + peers;
+    v.matcher.set_stamp_arrivals(cfg_.counters);
   }
   eng_counters_.enabled = cfg_.counters;
   if (obs::Profiler* p = world.profiler(); p != nullptr) prof_ = &p->rank(self_);

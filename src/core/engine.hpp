@@ -606,6 +606,9 @@ class Engine {
   // The VCI channels; sized once in the constructor and never resized, so
   // vcis_[i].get() is stable for the engine's lifetime.
   std::vector<std::unique_ptr<Vci>> vcis_;
+  // Backing store of every channel's per-peer sampling ordinals
+  // (VciLatency::sends_to / posts_from point into it); allocated once.
+  std::unique_ptr<std::atomic<std::uint32_t>[]> lat_ordinals_;
   common::StableTable<CommObject> comms_;
   std::mutex comm_mu_;  // serializes comm-slot allocation / free
   std::vector<std::optional<std::vector<Rank>>> groups_;

@@ -41,7 +41,10 @@ std::optional<PostedRecv> MatchEngine::arrive(rt::Packet* p) {
       return r;
     }
   }
-  unexpected_.push_back({p, stamp_arrivals_ ? obs::lat_now_ns() : 0});
+  // Only a packet its sender stamped can meet a sampled receive, so an
+  // unstamped one skips the clock read (its queue age then reads 0, as an
+  // unsampled posted receive's does).
+  unexpected_.push_back({p, stamp_arrivals_ && p->hdr.send_ns != 0 ? obs::lat_now_ns() : 0});
   return std::nullopt;
 }
 

@@ -60,7 +60,8 @@ class MatchEngine {
   // Route an arriving first packet (Eager or Rts). If a posted receive
   // matches it is removed and returned; otherwise the packet is retained on
   // the unexpected queue (ownership to the engine, stamped with
-  // obs::lat_now_ns() when stamping is on) and nullopt is returned.
+  // obs::lat_now_ns() when stamping is on and the packet carries a send
+  // stamp) and nullopt is returned.
   std::optional<PostedRecv> arrive(rt::Packet* p);
 
   // Non-destructive probe of the unexpected queue.

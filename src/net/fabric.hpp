@@ -38,8 +38,9 @@ class Fabric {
  public:
   // `netmod` selects the backend ("mailbox" or "rdma"); unknown names throw
   // std::invalid_argument (see make_netmod). `lamport` turns on the causal
-  // clock; World passes BuildConfig::trace, because trace events (and the
-  // sampler's trace alerts) are the clock's only readers.
+  // clock and the send stamp on every packet; World passes
+  // BuildConfig::trace, because trace events (and the sampler's trace
+  // alerts) are the clock's only readers.
   Fabric(int nranks, int ranks_per_node, Profile profile, int lanes_per_rank = 1,
          std::string_view netmod = "mailbox", bool lamport = false);
   ~Fabric();  // the backend reclaims undelivered packets
@@ -61,13 +62,18 @@ class Fabric {
   // stamps latency, and enqueues into the destination lane. In blackhole mode
   // the packet is dropped at this boundary (Figure 5/6 methodology).
   //
-  // The facade stamps the causal header here -- Lamport tick plus send
-  // timestamp -- so both backends carry it without transport changes:
+  // The facade stamps the causal header here, so both backends carry it
+  // without transport changes. A traced world ticks the Lamport clock and
+  // stamps every packet:
   //   L := ++clock[src];  hdr.lclock = L;  hdr.send_ns = lat_now_ns().
-  // The tick is a locked read-modify-write on rank-global state, so it runs
-  // only in traced worlds; untraced packets keep lclock = 0, which also makes
-  // poll() skip its merge. send_ns is always stamped: sampled receives
-  // classify their wait state with it.
+  // The tick is a locked read-modify-write on rank-global state, and trace
+  // events (with the sampler's trace alerts) are the clock's only readers, so
+  // untraced packets keep lclock = 0, which also makes poll() skip its merge.
+  // An untraced world stamps send_ns only on a packet the sender marked
+  // `sampled`: the latency tier samples both ends of a (channel, peer) stream
+  // at the same messages (obs/histogram.hpp VciLatency), and only a sampled
+  // receive classifies its wait with the stamp. An unsampled send reads no
+  // clock.
   //
   // The aggregate profiler's rank x rank communication matrix is stamped at
   // the same boundary for the same reason. The stamp sits before the backend
@@ -75,12 +81,16 @@ class Fabric {
   // refuses blackhole worlds, so matrix bytes track the backends' own
   // injected_bytes counters exactly (the profcheck invariant).
   void inject(Rank src, Rank dst, rt::Packet* p) noexcept {
-    if (lamport_ && src >= 0 && src < nranks()) {
-      p->hdr.lclock =
-          clock_[static_cast<std::size_t>(src)].fetch_add(1, std::memory_order_relaxed) +
-          1;
+    if (lamport_) [[unlikely]] {
+      if (src >= 0 && src < nranks()) {
+        p->hdr.lclock =
+            clock_[static_cast<std::size_t>(src)].fetch_add(1, std::memory_order_relaxed) +
+            1;
+      }
+      p->hdr.send_ns = obs::lat_now_ns();
+    } else if (p->hdr.sampled != 0) [[unlikely]] {
+      p->hdr.send_ns = obs::lat_now_ns();
     }
-    p->hdr.send_ns = obs::lat_now_ns();
     if (prof_ != nullptr) prof_->on_inject(src, dst, p->hdr.kind, p->payload.size());
     mod_->inject(src, dst, p);
   }

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/types.hpp"
 #include "runtime/backoff.hpp"
 
 #if defined(__x86_64__) || defined(_M_X64)
@@ -40,10 +41,16 @@ namespace lwmpi::obs {
 // Fast monotonic nanosecond clock for latency stamping. Absolute epoch is
 // meaningless; only differences between two lat_now_ns() values are used.
 // Never returns 0, so 0 can serve as the "no timestamp" sentinel in slots.
+//
+// The tsc->ns factor is calibrated once per process against the steady clock
+// by spinning about 1 ms (thread-safe via the magic-static guard). World's
+// constructor calls lat_calibrate() so the spin lands in setup, never inside
+// the first timed message. The spin's length is published for the
+// lat_calibration_ns pvar once it has run, so reading the pvar never spins
+// (it reads 0 before calibration and on targets without a TSC).
+inline std::atomic<std::uint64_t> lat_calibration_spin_ns{0};
 #if defined(__x86_64__) || defined(_M_X64)
-inline std::uint64_t lat_now_ns() noexcept {
-  // Calibrate tsc->ns once per process against the steady clock. ~1ms of
-  // spinning at startup; thread-safe via the magic-static guard.
+inline double lat_calibrate() noexcept {
   static const double kNsPerTick = [] {
     const std::uint64_t t0 = rt::now_ns();
     const std::uint64_t c0 = __rdtsc();
@@ -51,12 +58,17 @@ inline std::uint64_t lat_now_ns() noexcept {
     }
     const std::uint64_t t1 = rt::now_ns();
     const std::uint64_t c1 = __rdtsc();
+    lat_calibration_spin_ns.store(t1 - t0, std::memory_order_relaxed);
     return static_cast<double>(t1 - t0) / static_cast<double>(c1 - c0);
   }();
-  const auto ns = static_cast<std::uint64_t>(static_cast<double>(__rdtsc()) * kNsPerTick);
+  return kNsPerTick;
+}
+inline std::uint64_t lat_now_ns() noexcept {
+  const auto ns = static_cast<std::uint64_t>(static_cast<double>(__rdtsc()) * lat_calibrate());
   return ns | 1;  // never 0
 }
 #else
+inline double lat_calibrate() noexcept { return 1.0; }
 inline std::uint64_t lat_now_ns() noexcept { return rt::now_ns() | 1; }
 #endif
 
@@ -183,32 +195,58 @@ inline LatSnapshot LatencyHist::snapshot() const noexcept {
 
 // Per-VCI latency block: one histogram per instrumented path. `enabled`
 // follows BuildConfig::counters and `sample_mask` follows
-// BuildConfig::lat_sample_shift; both are set once at engine construction
-// before the world's rank threads start (same contract as
-// CounterBlock::enabled).
+// BuildConfig::lat_sample_shift; both, and the per-peer ordinal arrays, are
+// set once at engine construction before the world's rank threads start
+// (same contract as CounterBlock::enabled).
 //
-// arm() is the sampling gate called once per message at its post site: it
-// decides whether this message gets TSC-stamped at all. Un-sampled messages
-// carry a 0 timestamp and every downstream record site already skips those,
-// so the per-message cost in the common case is one branch and one counter
-// increment -- the stamps themselves (~20ns each where the TSC is
-// virtualized) are only paid by 1 in 2^lat_sample_shift messages.
+// The arm_*() calls are the sampling gate, called once per message at its
+// post site: they decide whether this message gets TSC-stamped at all.
+// Un-sampled messages carry a 0 timestamp and every downstream record site
+// already skips those, so the per-message cost in the common case is one
+// branch and one ordinal bump -- the stamps themselves (~20ns each where the
+// TSC is virtualized) are only paid by 1 in 2^lat_sample_shift messages.
+//
+// Sampling is per (channel, peer) stream: a send counts in `sends_to[dst]`,
+// an explicit-source receive in `posts_from[src]` (both world ranks). A
+// stream whose receives are posted in send order is therefore sampled at the
+// same messages on both ends, so a sampled receive meets a send-stamped
+// packet and the wait-state tier can classify it. Wildcard-source posts, the
+// orig send-queue stamp and any rank outside the world use the channel tick.
 struct alignas(64) VciLatency {
   std::array<LatencyHist, kNumLatPaths> hist{};
   bool enabled = true;
   std::uint32_t sample_mask = 63;  // stamp 1 in (mask + 1) messages
-  std::uint32_t sample_tick = 0;   // single writer under the channel lock
+  std::uint32_t sample_tick = 0;   // channel tick; single writer under the lock
+  // Per-peer stream ordinals, indexed by world rank, in storage the Engine
+  // allocates once. One writer (the channel-lock holder, or the owner of an
+  // all-opts channel), bumped with a relaxed load+store; nobody else reads.
+  std::uint32_t peers = 0;
+  std::atomic<std::uint32_t>* sends_to = nullptr;
+  std::atomic<std::uint32_t>* posts_from = nullptr;
 
   bool arm() noexcept {
     if (!enabled) return false;
     return (sample_tick++ & sample_mask) == 0;
   }
+  bool arm_send(Rank dst_world) noexcept { return arm_stream(sends_to, dst_world); }
+  bool arm_post(Rank src_world) noexcept { return arm_stream(posts_from, src_world); }
+
   void record(LatPath p, std::uint64_t ns) noexcept {
     if (!enabled) return;
     hist[static_cast<std::size_t>(p)].record(ns);
   }
   const LatencyHist& of(LatPath p) const noexcept {
     return hist[static_cast<std::size_t>(p)];
+  }
+
+ private:
+  bool arm_stream(std::atomic<std::uint32_t>* ord, Rank peer) noexcept {
+    if (!enabled) return false;
+    if (static_cast<std::uint32_t>(peer) >= peers) return arm();
+    std::atomic<std::uint32_t>& o = ord[peer];
+    const std::uint32_t n = o.load(std::memory_order_relaxed);
+    o.store(n + 1, std::memory_order_relaxed);
+    return (n & sample_mask) == 0;
   }
 };
 

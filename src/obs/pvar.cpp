@@ -248,6 +248,8 @@ const Entry kRegistry[] = {
     {{"lat_send_queue_wait_count", "send-queue residencies recorded", PvarClass::Counter,
       PvarBind::Engine},
      &read_lat_count<LatPath::SendQueueWait>},
+    {lat_level("lat_calibration_ns", "ns the process spent calibrating the TSC clock"),
+     +[](Engine&, int) { return lat_calibration_spin_ns.load(std::memory_order_relaxed); }},
     // Causal wait-state distributions (obs/causal.hpp): every matched
     // message's wait interval, classified by its dominant cause and merged
     // over the engine's channels.

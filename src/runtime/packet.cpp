@@ -16,6 +16,38 @@ TlPool& tl_pool() {
   return pool;
 }
 
+// Give a recycled header the values of a value-initialized PacketHeader, one
+// field at a time: the aggregate assignment `h = PacketHeader{}` compiles to
+// a `rep stosq` over the whole 112 bytes, whose startup cost the eager send
+// pays on every message. The size check breaks the build when a field is
+// added, until this reset covers it.
+static_assert(sizeof(PacketHeader) == 112, "reset_header must cover every field");
+void reset_header(PacketHeader& h) noexcept {
+  h.kind = PacketKind::Eager;
+  h.match_mode = MatchMode::Full;
+  h.vci = 0;
+  h.op = 0;
+  h.ctx = 0;
+  h.src_comm_rank = 0;
+  h.src_world = 0;
+  h.tag = 0;
+  h.total_bytes = 0;
+  h.offset = 0;
+  h.origin_req = 0;
+  h.target_req = 0;
+  h.win_id = 0;
+  h.dt = kDatatypeNull;
+  h.dt_count = 0;
+  h.lock_type = 0;
+  h.seq = 0;
+  h.rkey = 0;
+  h.zcopy = 0;
+  h.sampled = 0;
+  h.send_ns = 0;
+  h.lclock = 0;
+  h.stall_ns = 0;
+}
+
 }  // namespace
 
 Packet* PacketPool::alloc() {
@@ -23,12 +55,12 @@ Packet* PacketPool::alloc() {
   if (!pool.free_list.empty()) {
     Packet* p = pool.free_list.back();
     pool.free_list.pop_back();
-    p->hdr = PacketHeader{};
+    reset_header(p->hdr);
     p->payload.clear();  // keeps capacity for reuse
     p->deliver_at_ns = 0;
     return p;
   }
-  return new Packet();
+  return new Packet;  // default-init: the member initializers, without a rep stos over padding
 }
 
 void PacketPool::free(Packet* p) noexcept {

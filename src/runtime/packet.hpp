@@ -69,7 +69,10 @@ struct PacketHeader {
 
   // Causal header (observability tier 4, obs/causal.hpp). Stamped by the
   // net::Fabric facade at the injection boundary so every backend carries it.
-  std::uint64_t send_ns = 0;        // obs::lat_now_ns() when injected
+  // send_ns is stamped only for a packet the sender's latency tier sampled
+  // (`sampled`), or for every packet in a traced world; 0 means unstamped.
+  std::uint8_t sampled = 0;         // sender marks: stamp send_ns at inject
+  std::uint64_t send_ns = 0;        // obs::lat_now_ns() when injected, or 0
   std::uint64_t lclock = 0;         // origin's Lamport clock after the inject tick
   std::uint32_t stall_ns = 0;       // ns the injection busy-waited for a ring credit
 };

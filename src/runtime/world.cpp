@@ -71,6 +71,9 @@ World::World(int nranks, WorldOptions opts)
       fabric_(nranks, opts_.ranks_per_node, opts_.profile, opts_.build.vcis(),
               opts_.netmod, opts_.build.trace),
       next_ctx_(kFirstDynamicCtx) {
+  // The TSC calibration spins about 1 ms once per process; pay it here, in
+  // setup, rather than in the first sampled message of a timed run.
+  obs::lat_calibrate();
   if (opts_.prof) {
     profiler_ = std::make_unique<obs::Profiler>(nranks_, opts_.build.vcis(),
                                                 opts_.prof_default_phase);

@@ -8,6 +8,7 @@
 // analyzer must rank the injected gap as the top critical-path contributor.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -139,6 +140,9 @@ WorldOptions causal_opts(const std::string& netmod) {
 }
 
 // One warmup exchange plus one delayed message; returns the merged trace.
+// The on-time side finishes its half (the receive posted, or the message
+// sent) and raises `ready` before the late side starts its delay, so host
+// load cannot reorder the two and flip the classification.
 std::vector<trace::Event> run_delayed(const std::string& netmod, bool delay_sender,
                                       std::uint64_t* wait_count,
                                       std::uint64_t* wait_max_ns) {
@@ -147,6 +151,10 @@ std::vector<trace::Event> run_delayed(const std::string& netmod, bool delay_send
   std::vector<trace::Event> events;
   {
     World w(2, causal_opts(netmod));
+    std::atomic<bool> ready{false};
+    const auto wait_ready = [&] {
+      while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
+    };
     w.run([&](Engine& e) {
       char b = 0;
       // Warmup: both ranks get a timeline origin for the analyzer to anchor
@@ -157,10 +165,20 @@ std::vector<trace::Event> run_delayed(const std::string& netmod, bool delay_send
         e.recv(&b, 1, kChar, 0, 1, kCommWorld, nullptr);
       }
       if (e.world_rank() == 0) {
-        if (delay_sender) std::this_thread::sleep_for(kDelay);
+        if (delay_sender) {
+          wait_ready();
+          std::this_thread::sleep_for(kDelay);
+        }
         e.send(&b, 1, kChar, 1, 7, kCommWorld);
+        if (!delay_sender) ready.store(true, std::memory_order_release);
+      } else if (delay_sender) {
+        Request r = kRequestNull;
+        EXPECT_EQ(e.irecv(&b, 1, kChar, 0, 7, kCommWorld, &r), Err::Success);
+        ready.store(true, std::memory_order_release);
+        EXPECT_EQ(e.wait(&r, nullptr), Err::Success);
       } else {
-        if (!delay_sender) std::this_thread::sleep_for(kDelay);
+        wait_ready();
+        std::this_thread::sleep_for(kDelay);
         e.recv(&b, 1, kChar, 0, 7, kCommWorld, nullptr);
       }
     });

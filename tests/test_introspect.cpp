@@ -108,7 +108,7 @@ TEST(Introspect, UnexpectedArrivalsCarrySenderAndPayload) {
       EXPECT_EQ(u.src, 0);
       EXPECT_EQ(u.tag, 9);
       EXPECT_EQ(u.bytes, payload.size());
-      EXPECT_GT(u.age_ns, 0u);  // counters on by default, so arrivals are stamped
+      EXPECT_GT(u.age_ns, 0u);  // a stream's first message is sampled, so its arrival is stamped
     }
   }
   EXPECT_EQ(unexpected, 1u);

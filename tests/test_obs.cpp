@@ -444,6 +444,17 @@ TEST(Latency, DisabledBuildRecordsNothing) {
   EXPECT_EQ(read_pvar(w.engine(0), "lat_send_eager_p99_ns"), 0u);
 }
 
+// World construction calibrates the TSC clock, so the ~1 ms spin never lands
+// inside a timed message, and publishes what the spin cost.
+TEST(Latency, WorldPublishesTheClockCalibration) {
+  World w(1, test::fast_opts());
+#if defined(__x86_64__) || defined(_M_X64)
+  EXPECT_GE(read_pvar(w.engine(0), "lat_calibration_ns"), 1'000'000u);
+#else
+  EXPECT_EQ(read_pvar(w.engine(0), "lat_calibration_ns"), 0u);  // steady clock: no spin
+#endif
+}
+
 // --- trace ring --------------------------------------------------------------
 
 TEST(TraceRing, OverwritesOldestWithoutBlocking) {

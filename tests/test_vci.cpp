@@ -1,13 +1,16 @@
 // Virtual communication interface tests: comm->channel mapping, cross-VCI
 // isolation, multithreaded correctness with independent communicators
-// driven simultaneously, and the single-writer send-path statistics (the
-// concurrency suite runs these under TSan).
+// driven simultaneously, the single-writer send-path statistics, per-peer
+// latency sampling and the pooled packet's header reset (the concurrency
+// suite runs these under TSan).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <thread>
 #include <vector>
 
+#include "apps/nek.hpp"
+#include "apps/stencil.hpp"
 #include "cost/model.hpp"
 #include "runtime/packet.hpp"
 #include "util.hpp"
@@ -185,46 +188,59 @@ TEST(Vci, NoreqSendsDrainPerChannel) {
 
 // The Lamport clock runs only in a traced world. Untraced, no packet carries
 // a clock, so Fabric::poll never merges one and every rank's clock stays 0;
-// the traced twin shows the same probe sees the clock when it runs.
+// the traced twin shows the same probe sees the clock when it runs. The send
+// stamp follows the latency sample: at the default shift (6) ordinal 64 of
+// rank 0's stream to rank 1 is sampled and stamped in both worlds, ordinal
+// 32 is not, and only the traced world stamps it.
 TEST(SingleWriter, UntracedWorldCarriesNoLamportClock) {
   for (const bool traced : {false, true}) {
     SCOPED_TRACE(traced ? "traced" : "untraced");
     WorldOptions o = test::fast_opts();
     o.build.trace = traced;
     World w(2, o);
-    std::uint64_t lclock = ~0ull, send_ns = 0;
+    std::uint64_t lclock = ~0ull, send_ns_32 = 0, send_ns_64 = ~0ull;
     w.run([&](Engine& e) {
       int v = 7;
-      for (int i = 0; i < 32; ++i) {
-        if (e.world_rank() == 0) {
-          ASSERT_EQ(e.send(&v, 1, kInt, 1, 3, kCommWorld), Err::Success);
-          ASSERT_EQ(e.recv(&v, 1, kInt, 1, 4, kCommWorld, nullptr), Err::Success);
-        } else {
-          ASSERT_EQ(e.recv(&v, 1, kInt, 0, 3, kCommWorld, nullptr), Err::Success);
-          ASSERT_EQ(e.send(&v, 1, kInt, 0, 4, kCommWorld), Err::Success);
+      const auto round_trips = [&](int n) {
+        for (int i = 0; i < n; ++i) {
+          if (e.world_rank() == 0) {
+            ASSERT_EQ(e.send(&v, 1, kInt, 1, 3, kCommWorld), Err::Success);
+            ASSERT_EQ(e.recv(&v, 1, kInt, 1, 4, kCommWorld, nullptr), Err::Success);
+          } else {
+            ASSERT_EQ(e.recv(&v, 1, kInt, 0, 3, kCommWorld, nullptr), Err::Success);
+            ASSERT_EQ(e.send(&v, 1, kInt, 0, 4, kCommWorld), Err::Success);
+          }
         }
-      }
+      };
       // One more eager message, which rank 1 takes straight off its fabric
       // lane (instead of through progress) to read the causal header.
-      if (e.world_rank() == 0) {
-        ASSERT_EQ(e.send(&v, 1, kInt, 1, 9, kCommWorld), Err::Success);
-      } else {
-        net::Fabric& f = e.world().fabric();
-        const int lane = e.vci_of(kCommWorld);
-        rt::Packet* p = nullptr;
-        while ((p = f.poll(1, lane)) == nullptr) std::this_thread::yield();
-        lclock = p->hdr.lclock;
-        send_ns = p->hdr.send_ns;
-        f.credit_return(1, lane);
-        rt::PacketPool::free(p);
-      }
+      const auto probe = [&](std::uint64_t* send_ns) {
+        if (e.world_rank() == 0) {
+          ASSERT_EQ(e.send(&v, 1, kInt, 1, 9, kCommWorld), Err::Success);
+        } else {
+          net::Fabric& f = e.world().fabric();
+          const int lane = e.vci_of(kCommWorld);
+          rt::Packet* p = nullptr;
+          while ((p = f.poll(1, lane)) == nullptr) std::this_thread::yield();
+          lclock = p->hdr.lclock;
+          *send_ns = p->hdr.send_ns;
+          f.credit_return(1, lane);
+          rt::PacketPool::free(p);
+        }
+      };
+      round_trips(32);
+      probe(&send_ns_32);  // ordinal 32 of rank 0's sends to rank 1
+      round_trips(31);
+      probe(&send_ns_64);  // ordinal 64
     });
-    EXPECT_NE(send_ns, 0u);  // wait classification still gets its stamp
+    EXPECT_NE(send_ns_64, 0u);  // a sampled message is stamped in both worlds
     if (traced) {
+      EXPECT_NE(send_ns_32, 0u);
       EXPECT_GT(lclock, 0u);
       EXPECT_GT(w.fabric().lclock(0), 0u);
       EXPECT_GT(w.fabric().lclock(1), 0u);
     } else {
+      EXPECT_EQ(send_ns_32, 0u);  // an unsampled send reads no clock
       EXPECT_EQ(lclock, 0u);
       EXPECT_EQ(w.fabric().lclock(0), 0u);
       EXPECT_EQ(w.fabric().lclock(1), 0u);
@@ -276,4 +292,133 @@ TEST(SingleWriter, BlackholeSendTotalsSumAcrossChannels) {
       EXPECT_EQ(test::read_pvar(e, "requests_live"), 0u);
     });
   }
+}
+
+namespace {
+
+// Every wait-state classification a rank recorded, over all five causes.
+std::uint64_t classified_waits(Engine& e) {
+  std::uint64_t n = 0;
+  for (const char* name : {"wait_late_sender_count", "wait_late_receiver_count",
+                           "wait_progress_starved_count", "wait_credit_stalled_count",
+                           "wait_reg_cache_miss_count"}) {
+    n += test::read_pvar(e, name);
+  }
+  return n;
+}
+
+}  // namespace
+
+// Sampling is per (channel, peer) stream, so both ends of a ping-pong sample
+// the same messages: each rank samples 640 / 64 = 10 of its sends and 10 of
+// its receives, and every sampled receive meets a send-stamped packet and
+// classifies its wait. One tick per channel sampled only rank 0's sends and
+// rank 1's receives, because each channel alternated one send and one post.
+TEST(Sampling, PingPongSamplesBothDirections) {
+  constexpr int kRoundTrips = 640;
+  World w(2, test::fast_opts());
+  w.run([&](Engine& e) {
+    char b = 0;
+    for (int i = 0; i < kRoundTrips; ++i) {
+      if (e.world_rank() == 0) {
+        ASSERT_EQ(e.send(&b, 1, kChar, 1, 0, kCommWorld), Err::Success);
+        ASSERT_EQ(e.recv(&b, 1, kChar, 1, 0, kCommWorld, nullptr), Err::Success);
+      } else {
+        ASSERT_EQ(e.recv(&b, 1, kChar, 0, 0, kCommWorld, nullptr), Err::Success);
+        ASSERT_EQ(e.send(&b, 1, kChar, 0, 0, kCommWorld), Err::Success);
+      }
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE(r);
+    Engine& e = w.engine(r);
+    EXPECT_EQ(test::read_pvar(e, "lat_send_eager_count"), 10u);
+    EXPECT_EQ(test::read_pvar(e, "lat_recv_eager_count"), 10u);
+    EXPECT_EQ(classified_waits(e), 10u);
+  }
+}
+
+// The stencil and Nek CG kernels post their receives in send order, so at
+// the default shift (almost) every sampled receive classifies its wait.
+TEST(Sampling, StencilAndCgClassifyTheirSampledReceives) {
+  constexpr int kRanks = 4;
+  World w(kRanks, test::fast_opts());
+  w.run([&](Engine& e) {
+    apps::StencilConfig s;
+    s.nx = s.ny = 32;
+    s.px = s.py = 2;
+    s.iters = 400;
+    EXPECT_TRUE(apps::run_stencil(e, kCommWorld, s).converged_layout);
+    apps::NekConfig n;
+    n.elems_total = 16;
+    n.cg_iters = 150;
+    EXPECT_TRUE(apps::run_nek_cg(e, kCommWorld, n).valid);
+  });
+  std::uint64_t sampled = 0, classified = 0;
+  for (int r = 0; r < kRanks; ++r) {
+    sampled += test::read_pvar(w.engine(r), "lat_recv_eager_count");
+    classified += classified_waits(w.engine(r));
+  }
+  EXPECT_GT(sampled, 0u);
+  EXPECT_GE(classified * 100, sampled * 95) << classified << " of " << sampled;
+}
+
+// A recycled packet comes back with the header of a fresh one: every field
+// equals that of a value-initialized PacketHeader.
+TEST(PacketPool, AllocReturnsAZeroedHeader) {
+  rt::PacketPool::tl_drain();
+  rt::Packet* p = rt::PacketPool::alloc();
+  rt::PacketHeader& h = p->hdr;
+  h.kind = rt::PacketKind::RdvDone;
+  h.match_mode = rt::MatchMode::ArrivalOrder;
+  h.vci = 3;
+  h.op = 4;
+  h.ctx = 5;
+  h.src_comm_rank = 6;
+  h.src_world = 7;
+  h.tag = 8;
+  h.total_bytes = 9;
+  h.offset = 10;
+  h.origin_req = 11;
+  h.target_req = 12;
+  h.win_id = 13;
+  h.dt = kInt;
+  h.dt_count = 14;
+  h.lock_type = 15;
+  h.seq = 16;
+  h.rkey = 17;
+  h.zcopy = 1;
+  h.sampled = 1;
+  h.send_ns = 18;
+  h.lclock = 19;
+  h.stall_ns = 20;
+  rt::PacketPool::free(p);
+  rt::Packet* q = rt::PacketPool::alloc();
+  ASSERT_EQ(q, p);  // the same packet, taken back from this thread's pool
+  const rt::PacketHeader& g = q->hdr;
+  const rt::PacketHeader z{};
+  EXPECT_EQ(g.kind, z.kind);
+  EXPECT_EQ(g.match_mode, z.match_mode);
+  EXPECT_EQ(g.vci, z.vci);
+  EXPECT_EQ(g.op, z.op);
+  EXPECT_EQ(g.ctx, z.ctx);
+  EXPECT_EQ(g.src_comm_rank, z.src_comm_rank);
+  EXPECT_EQ(g.src_world, z.src_world);
+  EXPECT_EQ(g.tag, z.tag);
+  EXPECT_EQ(g.total_bytes, z.total_bytes);
+  EXPECT_EQ(g.offset, z.offset);
+  EXPECT_EQ(g.origin_req, z.origin_req);
+  EXPECT_EQ(g.target_req, z.target_req);
+  EXPECT_EQ(g.win_id, z.win_id);
+  EXPECT_EQ(g.dt, z.dt);
+  EXPECT_EQ(g.dt_count, z.dt_count);
+  EXPECT_EQ(g.lock_type, z.lock_type);
+  EXPECT_EQ(g.seq, z.seq);
+  EXPECT_EQ(g.rkey, z.rkey);
+  EXPECT_EQ(g.zcopy, z.zcopy);
+  EXPECT_EQ(g.sampled, z.sampled);
+  EXPECT_EQ(g.send_ns, z.send_ns);
+  EXPECT_EQ(g.lclock, z.lclock);
+  EXPECT_EQ(g.stall_ns, z.stall_ns);
+  rt::PacketPool::free(q);
 }
