@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -34,27 +35,27 @@ std::string sidecar_string(const std::string& text, const std::string& key) {
 }
 
 bool read_rank_file(const std::string& path, TraceRank* out) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) return false;
+  const std::streamoff size = in.tellg();
+  in.seekg(0);
   in.read(reinterpret_cast<char*>(&out->header), sizeof(out->header));
   if (in.gcount() != static_cast<std::streamsize>(sizeof(out->header))) return false;
   if (out->header.magic != obs::kLwtraceMagic ||
       out->header.version != obs::kLwtraceVersion) {
     return false;
   }
-  out->records.resize(out->header.nrecords);
-  std::size_t got = 0;
-  if (out->header.nrecords != 0) {
-    in.read(reinterpret_cast<char*>(out->records.data()),
-            static_cast<std::streamsize>(out->records.size() * sizeof(obs::DiskRec)));
-    got = static_cast<std::size_t>(in.gcount()) / sizeof(obs::DiskRec);
-  }
-  if (got < out->header.nrecords) {
-    // Tolerate a short file: keep the complete-record prefix, flag it.
-    out->records.resize(got);
-    out->header.nrecords = got;
+  // Size the records by the bytes present, not by the header's claim: a
+  // short file (killed writer, partial copy) keeps its complete-record
+  // prefix and is flagged.
+  const auto present = static_cast<std::uint64_t>(size - in.tellg()) / sizeof(obs::DiskRec);
+  if (present < out->header.nrecords) {
+    out->header.nrecords = present;
     out->truncated = true;
   }
+  out->records.resize(static_cast<std::size_t>(out->header.nrecords));
+  in.read(reinterpret_cast<char*>(out->records.data()),
+          static_cast<std::streamsize>(out->records.size() * sizeof(obs::DiskRec)));
   return true;
 }
 
@@ -447,19 +448,30 @@ bool TraceBundle::complete() const noexcept {
 
 bool load_trace(const std::string& prefix, TraceBundle* out, std::string* err) {
   *out = TraceBundle{};
-  TraceRank first;
-  if (!read_rank_file(prefix + ".rank0.lwtrace", &first)) {
-    if (err != nullptr) *err = "cannot read " + prefix + ".rank0.lwtrace";
+  const auto fail = [&](const std::string& why) {
+    *out = TraceBundle{};
+    if (err != nullptr) *err = why;
     return false;
+  };
+  TraceRank first;
+  const std::string rank0 = prefix + ".rank0.lwtrace";
+  if (!read_rank_file(rank0, &first)) return fail("cannot read " + rank0);
+  const obs::LwtraceHeader& h0 = first.header;
+  // The header sizes the replay World: nranks rank threads, nvcis channels.
+  if (h0.rank != 0 || h0.nranks == 0 || h0.nranks > static_cast<std::uint32_t>(INT32_MAX) ||
+      h0.nvcis == 0 || h0.nvcis > static_cast<std::uint32_t>(kMaxVcis)) {
+    return fail(rank0 + ": header names rank " + std::to_string(h0.rank) + " of " +
+                std::to_string(h0.nranks) + " with " + std::to_string(h0.nvcis) + " vcis");
   }
-  out->nranks = static_cast<int>(first.header.nranks);
-  out->nvcis = static_cast<int>(first.header.nvcis);
-  out->eager_threshold = first.header.eager_threshold;
-  out->sample_shift = first.header.sample_shift;
+  out->nranks = static_cast<int>(h0.nranks);
+  out->nvcis = static_cast<int>(h0.nvcis);
+  out->eager_threshold = h0.eager_threshold;
+  out->sample_shift = h0.sample_shift;
   out->ranks.push_back(std::move(first));
   for (int r = 1; r < out->nranks; ++r) {
     TraceRank tr;
-    if (!read_rank_file(prefix + ".rank" + std::to_string(r) + ".lwtrace", &tr)) {
+    const std::string path = prefix + ".rank" + std::to_string(r) + ".lwtrace";
+    if (!read_rank_file(path, &tr)) {
       // Missing rank file: treat as an empty, truncated slice so the replay
       // still runs the ranks it has records for.
       tr.header = out->ranks[0].header;
@@ -468,6 +480,12 @@ bool load_trace(const std::string& prefix, TraceBundle* out, std::string* err) {
       tr.header.total_ops = 0;
       tr.records.clear();
       tr.truncated = true;
+    } else if (tr.header.rank != static_cast<std::uint32_t>(r) ||
+               tr.header.nranks != out->ranks[0].header.nranks ||
+               tr.header.nvcis != out->ranks[0].header.nvcis) {
+      return fail(path + ": header (rank " + std::to_string(tr.header.rank) + " of " +
+                  std::to_string(tr.header.nranks) + ", " + std::to_string(tr.header.nvcis) +
+                  " vcis) contradicts rank 0's");
     }
     out->ranks.push_back(std::move(tr));
   }

@@ -63,8 +63,11 @@ struct TraceBundle {
 };
 
 // Load `<prefix>.rank<r>.lwtrace` for every rank named by rank 0's header,
-// plus the sidecar when present. Returns false (with a message in *err) only
-// when no usable trace exists; per-rank truncation is tolerated and flagged.
+// plus the sidecar when present. Returns false (with a message in *err) when
+// no usable trace exists or the headers are not one bundle's: rank 0 names
+// no ranks or an nvcis outside 1..kMaxVcis, or a rank file names another
+// rank, nranks or nvcis. Per-rank truncation, a missing rank file, and an
+// nrecords beyond the bytes present are tolerated and flagged.
 bool load_trace(const std::string& prefix, TraceBundle* out, std::string* err);
 
 struct ReplayOptions {

@@ -296,14 +296,14 @@ Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_d
   v.counters.inc(obs::VciCtr::SendEager);
   v.counters.inc(obs::VciCtr::SendNoreq);
   if (cfg_.trace) {
-    const std::uint64_t seq = obs::trace::next_seq();
+    const std::uint64_t seq = world_.next_trace_seq();
     pkt->hdr.seq = seq;
     const auto vci8 = static_cast<std::uint8_t>(c.vci);
-    trace_msg(obs::trace::Ev::SendPost, seq, vci8, world_dest, 0, bytes);
-    trace_msg(obs::trace::Ev::Inject, seq, vci8, world_dest, 0, bytes);
+    trace_msg(v, obs::trace::Ev::SendPost, seq, vci8, world_dest, 0, bytes);
+    trace_msg(v, obs::trace::Ev::Inject, seq, vci8, world_dest, 0, bytes);
     // _ALL_OPTS sends are counter-completed at injection; there is no later
     // per-request completion site to record.
-    trace_msg(obs::trace::Ev::Complete, seq, vci8, world_dest, 0, bytes);
+    trace_msg(v, obs::trace::Ev::Complete, seq, vci8, world_dest, 0, bytes);
   }
   obs::add_single_writer(v.busy_instr, cost::kAllOptsLocality + cost::kAllOptsCtxLoad +
                                            cost::kAllOptsCounter + cost::kAllOptsAddrLoad +
@@ -403,8 +403,8 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
   const auto vci8 = static_cast<std::uint8_t>(c.vci);
   std::uint64_t tseq = 0;
   if (cfg_.trace) {
-    tseq = obs::trace::next_seq();
-    trace_msg(obs::trace::Ev::SendPost, tseq, vci8, dst_world, p.tag, bytes);
+    tseq = world_.next_trace_seq();
+    trace_msg(v, obs::trace::Ev::SendPost, tseq, vci8, dst_world, p.tag, bytes);
   }
 
   Request r = kRequestNull;
@@ -446,7 +446,7 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
       v.lat.record(obs::LatPath::SendEager, obs::lat_now_ns() - lat_t0);
     }
     if (tseq != 0) {
-      trace_msg(obs::trace::Ev::Complete, tseq, vci8, dst_world, p.tag, bytes);
+      trace_msg(v, obs::trace::Ev::Complete, tseq, vci8, dst_world, p.tag, bytes);
     }
   } else {
     // Rendezvous: we track the origin side with a request even for _NOREQ
@@ -506,7 +506,7 @@ void Engine::inject_or_queue(Vci& v, Rank dst_world, rt::Packet* pkt) {
     v.send_q_depth.fetch_add(1, std::memory_order_release);
   } else {
     if (cfg_.trace && pkt->hdr.seq != 0) {
-      trace_msg(obs::trace::Ev::Inject, pkt->hdr.seq, pkt->hdr.vci, dst_world,
+      trace_msg(v, obs::trace::Ev::Inject, pkt->hdr.seq, pkt->hdr.vci, dst_world,
                 pkt->hdr.tag, pkt->hdr.total_bytes);
     }
     fabric_.inject(self_, dst_world, pkt);
@@ -572,7 +572,7 @@ Err Engine::post_recv_common(void* buf, int count, Datatype dt, Rank src, Tag ta
 
   v.counters.inc(obs::VciCtr::RecvPosted);
   if (cfg_.trace) {
-    trace_msg(obs::trace::Ev::RecvPost, 0, static_cast<std::uint8_t>(c->vci), src, tag,
+    trace_msg(v, obs::trace::Ev::RecvPost, 0, static_cast<std::uint8_t>(c->vci), src, tag,
               slot->bytes_expected);
   }
   std::uint64_t arrived_ns = 0;
@@ -595,11 +595,11 @@ Err Engine::post_recv_common(void* buf, int count, Datatype dt, Rank src, Tag ta
       v.waits.record(wait, wait_ns);
     }
     if (cfg_.trace && (*pkt)->hdr.seq != 0) {
-      trace_msg(obs::trace::Ev::Match, (*pkt)->hdr.seq, (*pkt)->hdr.vci,
+      trace_msg(v, obs::trace::Ev::Match, (*pkt)->hdr.seq, (*pkt)->hdr.vci,
                 (*pkt)->hdr.src_world, (*pkt)->hdr.tag, (*pkt)->hdr.total_bytes, wait,
                 wait_ns);
     }
-    deliver_match(pr, *pkt);
+    deliver_match(v, pr, *pkt);
   } else {
     v.counters.inc(obs::VciCtr::PostedDepth);
     v.counters.high_water(obs::VciCtr::PostedHwm, v.matcher.posted_depth());

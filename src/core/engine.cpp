@@ -47,7 +47,7 @@ Engine::Engine(World& world, Rank world_rank)
       std::make_unique<std::atomic<std::uint32_t>[]>(stride * static_cast<std::size_t>(n));
   vcis_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    vcis_.push_back(std::make_unique<Vci>());
+    vcis_.push_back(std::make_unique<Vci>(cfg_.trace ? obs::trace::kRingCapacity : 0));
     Vci& v = *vcis_.back();
     v.counters.enabled = cfg_.counters;
     v.lat.enabled = cfg_.counters;
@@ -319,7 +319,6 @@ void Engine::release_request(Request r) noexcept {
   // leave the buffer allocated past the completion path.
   s.stage.clear();
   s.stage.shrink_to_fit();
-  s.kind = RequestSlot::Kind::None;
   s.active.store(false, std::memory_order_release);
   pool.lock();
   pool.free_list.push_back(idx);

@@ -286,6 +286,11 @@ class Engine {
   const obs::WaitBlock& vci_waits(int vci) const noexcept {
     return vcis_[static_cast<std::size_t>(vci)]->waits;
   }
+  // Per-channel lifecycle-trace ring (obs/trace.hpp); holds nothing unless
+  // the build traces. World::trace_events() merges them.
+  const obs::Ring<obs::trace::Event>& vci_trace(int vci) const noexcept {
+    return vcis_[static_cast<std::size_t>(vci)]->trace;
+  }
 
   // --- aggregate profiler (obs/profiler.hpp) ----------------------------------
   // This rank's profile accumulators, or nullptr when WorldOptions::prof is
@@ -483,17 +488,17 @@ class Engine {
   void inject_or_queue(Vci& v, Rank dst_world, rt::Packet* pkt);
 
   // Deliver a matched first packet (eager payload or RTS handshake).
-  void deliver_match(const match::PostedRecv& r, rt::Packet* pkt);
+  void deliver_match(Vci& v, const match::PostedRecv& r, rt::Packet* pkt);
 
   // ---- progress internals (progress.cpp); all run under the VCI's lock ----
   void handle_packet(Vci& v, rt::Packet* pkt);
-  void handle_rdv_cts(rt::Packet* pkt);
-  void handle_rdv_data(rt::Packet* pkt);
-  void handle_rdv_done(rt::Packet* pkt);
+  void handle_rdv_cts(Vci& v, rt::Packet* pkt);
+  void handle_rdv_data(Vci& v, rt::Packet* pkt);
+  void handle_rdv_done(Vci& v, rt::Packet* pkt);
   void handle_am(rt::Packet* pkt);
   void drain_send_queue(Vci& v);
   void complete_recv_from_eager(Vci& v, RequestSlot& slot, rt::Packet* pkt);
-  void start_rendezvous_recv(RequestSlot& slot, Request req_handle, rt::Packet* rts);
+  void start_rendezvous_recv(Vci& v, RequestSlot& slot, Request req_handle, rt::Packet* rts);
 
   // Hook-free bodies of the public entry points: the blocking wrappers
   // (send/recv/sendrecv) compose these so only the user-facing call opens an
@@ -540,25 +545,26 @@ class Engine {
   }
 
   // ---- observability internals ----
-  // Record one message-lifecycle trace event on this rank. Callers gate on
+  // Record one message-lifecycle trace event into channel `v`'s ring, which
+  // the caller holds (its lock, or all-opts ownership). Callers gate on
   // cfg_.trace so the disabled path costs a single predictable branch. Every
   // event snapshots the rank's Lamport clock (net::Fabric) so the causal
-  // analyzer can stitch per-rank rings into one globally-ordered timeline;
-  // Match events additionally carry their wait-state classification.
-  void trace_msg(obs::trace::Ev kind, std::uint64_t seq, std::uint8_t vci, Rank peer,
+  // analyzer can stitch the rings into one globally-ordered timeline; Match
+  // events additionally carry their wait-state classification.
+  void trace_msg(Vci& v, obs::trace::Ev kind, std::uint64_t seq, std::uint8_t vci, Rank peer,
                  Tag tag, std::uint64_t bytes, obs::Wait wait = obs::Wait::None,
                  std::uint64_t wait_ns = 0) noexcept {
-    obs::trace::record(obs::trace::Event{.ts_ns = rt::now_ns(),
-                                         .seq = seq,
-                                         .bytes = bytes,
-                                         .lclock = fabric_.lclock(self_),
-                                         .wait_ns = wait_ns,
-                                         .rank = self_,
-                                         .peer = peer,
-                                         .tag = tag,
-                                         .vci = vci,
-                                         .wait = static_cast<std::uint8_t>(wait),
-                                         .kind = kind});
+    v.trace.push(obs::trace::Event{.ts_ns = rt::now_ns(),
+                                   .seq = seq,
+                                   .bytes = bytes,
+                                   .lclock = fabric_.lclock(self_),
+                                   .wait_ns = wait_ns,
+                                   .rank = self_,
+                                   .peer = peer,
+                                   .tag = tag,
+                                   .vci = vci,
+                                   .wait = static_cast<std::uint8_t>(wait),
+                                   .kind = kind});
   }
 
   // ---- RMA internals (rma.cpp) ----

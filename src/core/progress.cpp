@@ -64,7 +64,7 @@ void Engine::progress() {
 
 void Engine::handle_packet(Vci& v, rt::Packet* pkt) {
   if (cfg_.trace && pkt->hdr.seq != 0) {
-    trace_msg(obs::trace::Ev::Deliver, pkt->hdr.seq, pkt->hdr.vci, pkt->hdr.src_world,
+    trace_msg(v, obs::trace::Ev::Deliver, pkt->hdr.seq, pkt->hdr.vci, pkt->hdr.src_world,
               pkt->hdr.tag, pkt->hdr.total_bytes);
   }
   switch (pkt->hdr.kind) {
@@ -91,11 +91,11 @@ void Engine::handle_packet(Vci& v, rt::Packet* pkt) {
           v.waits.record(wait, wait_ns);
         }
         if (cfg_.trace && pkt->hdr.seq != 0) {
-          trace_msg(obs::trace::Ev::Match, pkt->hdr.seq, pkt->hdr.vci,
+          trace_msg(v, obs::trace::Ev::Match, pkt->hdr.seq, pkt->hdr.vci,
                     pkt->hdr.src_world, pkt->hdr.tag, pkt->hdr.total_bytes, wait,
                     wait_ns);
         }
-        deliver_match(*pr, pkt);
+        deliver_match(v, *pr, pkt);
       } else {
         // Retained on the unexpected queue; ownership transferred. Track the
         // gauge + high-water under the channel lock (single writer).
@@ -105,13 +105,13 @@ void Engine::handle_packet(Vci& v, rt::Packet* pkt) {
       }
       return;
     case rt::PacketKind::Cts:
-      handle_rdv_cts(pkt);
+      handle_rdv_cts(v, pkt);
       return;
     case rt::PacketKind::RdvData:
-      handle_rdv_data(pkt);
+      handle_rdv_data(v, pkt);
       return;
     case rt::PacketKind::RdvDone:
-      handle_rdv_done(pkt);
+      handle_rdv_done(v, pkt);
       return;
     case rt::PacketKind::Barrier:
       rt::PacketPool::free(pkt);
@@ -122,16 +122,16 @@ void Engine::handle_packet(Vci& v, rt::Packet* pkt) {
   }
 }
 
-void Engine::deliver_match(const match::PostedRecv& r, rt::Packet* pkt) {
+void Engine::deliver_match(Vci& v, const match::PostedRecv& r, rt::Packet* pkt) {
   RequestSlot* slot = req_slot(r.req);
   if (slot == nullptr) {  // cancelled in the meantime; drop the payload
     rt::PacketPool::free(pkt);
     return;
   }
   if (pkt->hdr.kind == rt::PacketKind::Eager) {
-    complete_recv_from_eager(*vcis_[request_vci(r.req)], *slot, pkt);
+    complete_recv_from_eager(v, *slot, pkt);
   } else {
-    start_rendezvous_recv(*slot, r.req, pkt);
+    start_rendezvous_recv(v, *slot, r.req, pkt);
   }
 }
 
@@ -155,14 +155,15 @@ void Engine::complete_recv_from_eager(Vci& v, RequestSlot& slot, rt::Packet* pkt
     v.lat.record(obs::LatPath::RecvEager, obs::lat_now_ns() - slot.post_ts);
   }
   if (cfg_.trace && pkt->hdr.seq != 0) {
-    trace_msg(obs::trace::Ev::Complete, pkt->hdr.seq, pkt->hdr.vci, pkt->hdr.src_world,
+    trace_msg(v, obs::trace::Ev::Complete, pkt->hdr.seq, pkt->hdr.vci, pkt->hdr.src_world,
               pkt->hdr.tag, take);
   }
   rt::PacketPool::free(pkt);
 }
 
-void Engine::start_rendezvous_recv(RequestSlot& slot, Request req_handle, rt::Packet* rts) {
-  slot.kind = RequestSlot::Kind::RecvRdv;
+void Engine::start_rendezvous_recv(Vci& v, RequestSlot& slot, Request req_handle,
+                                   rt::Packet* rts) {
+  slot.rdv_recv = true;
   const std::uint64_t total = rts->hdr.total_bytes;
   const std::uint64_t capacity = dt::packed_size(types_, slot.rcount, slot.rdt);
   if (total > capacity) slot.op_error = Err::Truncate;
@@ -195,22 +196,21 @@ void Engine::start_rendezvous_recv(RequestSlot& slot, Request req_handle, rt::Pa
     // A cache miss just paid the pin cost on the message's critical path;
     // record it as a reg-cache-miss wait (caller holds the VCI lock).
     if (fabric_.net_stat(net::NetStat::RegCacheMiss, self_) != miss0) {
-      vcis_[request_vci(req_handle)]->waits.record(obs::Wait::RegCacheMiss,
-                                                   obs::lat_now_ns() - t0);
+      v.waits.record(obs::Wait::RegCacheMiss, obs::lat_now_ns() - t0);
     }
   }
   // The CTS is a cross-rank hop of this message's chain: record its Inject so
   // the critical-path walk (and the Perfetto flow arrows) can follow
   // RTS -> CTS -> data back through the handshake.
   if (cfg_.trace && cts->hdr.seq != 0) {
-    trace_msg(obs::trace::Ev::Inject, cts->hdr.seq, cts->hdr.vci, rts->hdr.src_world,
+    trace_msg(v, obs::trace::Ev::Inject, cts->hdr.seq, cts->hdr.vci, rts->hdr.src_world,
               rts->hdr.tag, 0);
   }
   fabric_.inject(self_, rts->hdr.src_world, cts);
   rt::PacketPool::free(rts);
 }
 
-void Engine::handle_rdv_cts(rt::Packet* pkt) {
+void Engine::handle_rdv_cts(Vci& v, rt::Packet* pkt) {
   RequestSlot* slot = req_slot(pkt->hdr.origin_req);
   if (slot == nullptr || slot->kind != RequestSlot::Kind::SendRdv) {
     rt::PacketPool::free(pkt);
@@ -241,14 +241,13 @@ void Engine::handle_rdv_cts(rt::Packet* pkt) {
     const std::uint64_t t0 = obs::lat_now_ns();
     fabric_.register_memory(self_, src, total);
     if (fabric_.net_stat(net::NetStat::RegCacheMiss, self_) != miss0) {
-      vcis_[request_vci(pkt->hdr.origin_req)]->waits.record(obs::Wait::RegCacheMiss,
-                                                            obs::lat_now_ns() - t0);
+      v.waits.record(obs::Wait::RegCacheMiss, obs::lat_now_ns() - t0);
     }
     fabric_.rdma_write(self_, dst, src, pkt->hdr.rkey, total);
     // The one-sided landing bypasses the packet path entirely; give it its
     // own lifecycle event so zcopy messages keep balanced spans.
     if (cfg_.trace && slot->trace_seq != 0) {
-      trace_msg(obs::trace::Ev::ZcopyWrite, slot->trace_seq, pkt->hdr.vci, dst, 0,
+      trace_msg(v, obs::trace::Ev::ZcopyWrite, slot->trace_seq, pkt->hdr.vci, dst, 0,
                 total);
     }
     rt::Packet* done = rt::PacketPool::alloc();
@@ -259,7 +258,7 @@ void Engine::handle_rdv_cts(rt::Packet* pkt) {
     done->hdr.target_req = target_req;
     done->hdr.total_bytes = total;
     if (cfg_.trace && slot->trace_seq != 0) {
-      trace_msg(obs::trace::Ev::Inject, slot->trace_seq, done->hdr.vci, dst, 0, total);
+      trace_msg(v, obs::trace::Ev::Inject, slot->trace_seq, done->hdr.vci, dst, 0, total);
     }
     fabric_.inject(self_, dst, done);
   } else {
@@ -276,7 +275,7 @@ void Engine::handle_rdv_cts(rt::Packet* pkt) {
       d->hdr.total_bytes = total;
       d->set_payload(src + offset, n);
       if (cfg_.trace && slot->trace_seq != 0) {
-        trace_msg(obs::trace::Ev::Inject, slot->trace_seq, d->hdr.vci, dst, 0, n);
+        trace_msg(v, obs::trace::Ev::Inject, slot->trace_seq, d->hdr.vci, dst, 0, n);
       }
       fabric_.inject(self_, dst, d);
       offset += n;
@@ -285,10 +284,9 @@ void Engine::handle_rdv_cts(rt::Packet* pkt) {
 
   // Origin-side completion: the data is out of the user buffer.
   if (cfg_.trace && slot->trace_seq != 0) {
-    trace_msg(obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci, dst, 0, total);
+    trace_msg(v, obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci, dst, 0, total);
   }
   if (slot->post_ts != 0) {
-    Vci& v = *vcis_[request_vci(pkt->hdr.origin_req)];
     v.lat.record(obs::LatPath::SendRdv, obs::lat_now_ns() - slot->post_ts);
   }
   if (slot->noreq) {
@@ -308,9 +306,9 @@ void Engine::handle_rdv_cts(rt::Packet* pkt) {
   rt::PacketPool::free(pkt);
 }
 
-void Engine::handle_rdv_data(rt::Packet* pkt) {
+void Engine::handle_rdv_data(Vci& v, rt::Packet* pkt) {
   RequestSlot* slot = req_slot(pkt->hdr.target_req);
-  if (slot == nullptr || slot->kind != RequestSlot::Kind::RecvRdv) {
+  if (slot == nullptr || !slot->rdv_recv) {
     rt::PacketPool::free(pkt);
     return;
   }
@@ -337,23 +335,22 @@ void Engine::handle_rdv_data(rt::Packet* pkt) {
     cost::charge(cost::Category::MandRequest, cost::kMandCompletionCounter);
     slot->complete.store(true, std::memory_order_release);
     if (slot->post_ts != 0) {
-      Vci& v = *vcis_[request_vci(pkt->hdr.target_req)];
       v.lat.record(obs::LatPath::RecvRdv, obs::lat_now_ns() - slot->post_ts);
     }
     if (cfg_.trace && slot->trace_seq != 0) {
-      trace_msg(obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci,
+      trace_msg(v, obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci,
                 pkt->hdr.src_world, 0, take);
     }
   }
   rt::PacketPool::free(pkt);
 }
 
-void Engine::handle_rdv_done(rt::Packet* pkt) {
+void Engine::handle_rdv_done(Vci& v, rt::Packet* pkt) {
   // Zero-copy rendezvous completion: the payload already landed in the user
   // buffer via rdma_write (the MPSC hand-off of this packet orders those
   // writes before us); only the request bookkeeping remains.
   RequestSlot* slot = req_slot(pkt->hdr.target_req);
-  if (slot == nullptr || slot->kind != RequestSlot::Kind::RecvRdv) {
+  if (slot == nullptr || !slot->rdv_recv) {
     rt::PacketPool::free(pkt);
     return;
   }
@@ -363,11 +360,10 @@ void Engine::handle_rdv_done(rt::Packet* pkt) {
   cost::charge(cost::Category::MandRequest, cost::kMandCompletionCounter);
   slot->complete.store(true, std::memory_order_release);
   if (slot->post_ts != 0) {
-    Vci& v = *vcis_[request_vci(pkt->hdr.target_req)];
     v.lat.record(obs::LatPath::RecvRdv, obs::lat_now_ns() - slot->post_ts);
   }
   if (cfg_.trace && slot->trace_seq != 0) {
-    trace_msg(obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci,
+    trace_msg(v, obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci,
               pkt->hdr.src_world, 0, slot->bytes_expected);
   }
   rt::PacketPool::free(pkt);

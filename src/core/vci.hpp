@@ -27,6 +27,11 @@
 //     read-modify-write, and readers on other threads sum them across
 //     channels. An all-opts sender racing another thread on the same channel
 //     can lose a tick, as the counter blocks can; it never tears a value.
+//   * The trace ring (`trace`) follows the same single-writer rule: events
+//     are pushed by the thread holding `mu`, or by the owner of an all-opts
+//     channel, so tracing needs no lock or atomic read-modify-write of its
+//     own. An all-opts sender racing another thread on its channel can
+//     clobber a trace event the same way.
 #pragma once
 
 #include <atomic>
@@ -44,6 +49,8 @@
 #include "obs/causal.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
+#include "obs/ring.hpp"
+#include "obs/trace.hpp"
 #include "runtime/packet.hpp"
 
 namespace lwmpi {
@@ -75,10 +82,11 @@ struct RequestSlot {
     SendEager,
     SendRdv,
     Recv,
-    RecvRdv,
     PersistentSend,
     PersistentRecv,
   };
+  // Written once, by alloc_request before `active` is published, so wait and
+  // test read it without the channel lock.
   Kind kind = Kind::None;
   // Cross-thread lifecycle flags. `active` publishes allocation (release) and
   // gates handle lookups (acquire); `complete` publishes the status fields
@@ -102,6 +110,9 @@ struct RequestSlot {
   std::uint64_t bytes_received = 0;
   std::vector<std::byte> stage;  // rendezvous staging for noncontiguous recv
   bool stage_used = false;
+  // A Recv matched to a rendezvous RTS (start_rendezvous_recv). Written and
+  // read only under the channel lock.
+  bool rdv_recv = false;
   // persistent-request state: bound arguments + the in-flight inner request
   Rank bound_peer = kProcNull;
   Tag bound_tag = 0;
@@ -135,6 +146,7 @@ struct RequestSlot {
     bytes_received = 0;
     stage.clear();
     stage_used = false;
+    rdv_recv = false;
     bound_peer = kProcNull;
     bound_tag = 0;
     inner = kRequestNull;
@@ -175,6 +187,9 @@ struct RequestPool {
 };
 
 struct Vci {
+  // `trace_capacity` is 0 in an untraced world: the ring then holds nothing.
+  explicit Vci(std::size_t trace_capacity) : trace(trace_capacity) {}
+
   // Guards matcher, send_queue, and request-slot bodies on this channel.
   mutable std::recursive_mutex mu;
   match::MatchEngine matcher;
@@ -205,6 +220,10 @@ struct Vci {
   // Wait-state histograms for this channel, one log2 histogram per causal
   // classification (obs/causal.hpp). Same writer discipline as `lat`.
   obs::WaitBlock waits;
+
+  // Lifecycle-trace events recorded on this channel (obs/trace.hpp); same
+  // writer discipline as `lat`. Last, because only traced worlds touch it.
+  obs::Ring<obs::trace::Event> trace;
 
   // Introspection hook (obs/introspect.cpp): copy this channel's posted,
   // unexpected, and send-queue contents into `out`, with entry ages relative

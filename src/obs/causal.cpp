@@ -84,21 +84,6 @@ namespace {
 using trace::Ev;
 using trace::Event;
 
-// Lifecycle order for equal-timestamp ties, mirroring the exporter's rule.
-int stage_order(Ev e) noexcept {
-  switch (e) {
-    case Ev::SendPost:
-    case Ev::RecvPost: return 0;
-    case Ev::Inject: return 1;
-    case Ev::Deliver: return 2;
-    case Ev::ZcopyWrite: return 2;
-    case Ev::Match: return 3;
-    case Ev::Complete: return 4;
-    case Ev::Alert: return 5;
-  }
-  return 5;
-}
-
 // Global merge order: timestamps are process-wide (all ranks share one steady
 // clock), so ts is primary; the Lamport clock breaks ties causally for events
 // recorded in the same nanosecond, then lifecycle stage, then seq.
@@ -106,7 +91,7 @@ bool merged_before(const Event& a, const Event& b) noexcept {
   if (a.ts_ns != b.ts_ns) return a.ts_ns < b.ts_ns;
   if (a.lclock != b.lclock) return a.lclock < b.lclock;
   if (a.seq != b.seq) return a.seq < b.seq;
-  return stage_order(a.kind) < stage_order(b.kind);
+  return trace::stage_order(a.kind) < trace::stage_order(b.kind);
 }
 
 struct MatchInfo {

@@ -16,7 +16,7 @@
 //     (clock[dst] := max(clock[dst], L + 1)). Any event recorded after a
 //     delivery therefore carries a logical clock strictly greater than every
 //     event that happened-before the send, so a single globally-ordered
-//     timeline can be stitched from the per-rank trace rings.
+//     timeline can be stitched from a World's trace rings.
 //   * At every match site the receiver decomposes the message's wait interval
 //     (first-ready to match) into components and classifies it by the
 //     dominant one:
@@ -123,7 +123,7 @@ struct Analysis {
   std::vector<RankSlack> ranks;            // sorted by rank
 };
 
-// Stitch `events` (from trace::collect_all, any order) into the merged
+// Stitch `events` (from World::trace_events, any order) into the merged
 // timeline and extract the end-to-end critical path. Events with lclock 0
 // (pre-causal traces) fall back to timestamp order.
 Analysis analyze(std::span<const trace::Event> events);

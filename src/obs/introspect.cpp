@@ -18,16 +18,16 @@ namespace lwmpi {
 
 namespace {
 
-const char* req_kind_name(RequestSlot::Kind k) noexcept {
-  switch (k) {
+// Caller holds the slot's channel lock (rdv_recv is lock-guarded).
+const char* req_kind_name(const RequestSlot& s) noexcept {
+  if (s.rdv_recv) return "recv_rdv";
+  switch (s.kind) {
     case RequestSlot::Kind::SendEager:
       return "send_eager";
     case RequestSlot::Kind::SendRdv:
       return "send_rdv";
     case RequestSlot::Kind::Recv:
       return "recv";
-    case RequestSlot::Kind::RecvRdv:
-      return "recv_rdv";
     default:
       return "none";
   }
@@ -119,14 +119,14 @@ obs::RankSnapshot Engine::snapshot() const {
       if (slot->complete.load(std::memory_order_acquire)) continue;
       const RequestSlot::Kind k = slot->kind;
       if (k != RequestSlot::Kind::SendEager && k != RequestSlot::Kind::SendRdv &&
-          k != RequestSlot::Kind::Recv && k != RequestSlot::Kind::RecvRdv) {
+          k != RequestSlot::Kind::Recv) {
         continue;
       }
       if (slot->post_ts == 0) continue;
       if (s.oldest.valid && slot->post_ts >= oldest_ts) continue;
       oldest_ts = slot->post_ts;
       s.oldest.valid = true;
-      s.oldest.kind = req_kind_name(k);
+      s.oldest.kind = req_kind_name(*slot);
       s.oldest.comm = slot->comm;
       s.oldest.peer = slot->bound_peer;
       s.oldest.tag = slot->bound_tag;

@@ -8,7 +8,6 @@
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
 #include "obs/recorder.hpp"
-#include "obs/trace.hpp"
 #include "runtime/world.hpp"
 
 namespace lwmpi::obs {
@@ -198,12 +197,15 @@ const Entry kRegistry[] = {
     {{"sends_issued", "total sends issued by this rank", PvarClass::Counter,
       PvarBind::Engine},
      +[](Engine& e, int) { return e.sends_issued(); }},
-    // Process-global (the trace-ring registry is shared by every world in the
-    // process): events overwritten before collection, so exported Perfetto
-    // timelines can be flagged as incomplete.
+    // Events this rank's channel rings overwrote before collection, so
+    // exported Perfetto timelines can be flagged as incomplete.
     {{"trace_events_dropped", "trace-ring events overwritten before collection",
       PvarClass::Counter, PvarBind::Engine},
-     +[](Engine&, int) { return trace::dropped_all(); }},
+     +[](Engine& e, int) {
+       std::uint64_t n = 0;
+       for (int v = 0; v < e.num_vcis(); ++v) n += e.vci_trace(v).dropped();
+       return n;
+     }},
     // Message-lifetime latency distributions (obs/histogram.hpp), merged over
     // the engine's channels.
     {lat_level("lat_send_eager_p50_ns", "eager send lifetime p50 (ns)"),
@@ -365,19 +367,19 @@ const Entry kRegistry[] = {
       PvarClass::Counter, PvarBind::Engine},
      +[](Engine& e, int) -> std::uint64_t {
        const RankRec* r = e.rec();
-       return r == nullptr ? 0 : r->total_ops();
+       return r == nullptr ? 0 : r->ops().recorded();
      }},
     {{"rec_ops_dropped", "recorded ops overwritten in the ring before flush",
       PvarClass::Counter, PvarBind::Engine},
      +[](Engine& e, int) -> std::uint64_t {
        const RankRec* r = e.rec();
-       return r == nullptr ? 0 : r->dropped();
+       return r == nullptr ? 0 : r->ops().dropped();
      }},
     {{"rec_ops_sampled", "recorded ops carrying TSC timing anchors", PvarClass::Counter,
       PvarBind::Engine},
      +[](Engine& e, int) -> std::uint64_t {
        const RankRec* r = e.rec();
-       return r == nullptr ? 0 : r->anchor_count();
+       return r == nullptr ? 0 : r->anchors().recorded();
      }},
     {{"rec_bytes_flushed", "trace-bundle bytes written for this rank", PvarClass::Counter,
       PvarBind::Engine},

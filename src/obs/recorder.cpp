@@ -12,16 +12,6 @@
 
 namespace lwmpi::obs {
 
-namespace {
-
-std::size_t pow2_at_least(std::size_t n) {
-  std::size_t p = 64;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 std::string_view rec_kind_name(std::uint8_t kind) noexcept {
   if (kind == kRecKindSendrecvRecv) return "sendrecv.recv";
   if (kind == kRecKindWaitItem) return "wait.item";
@@ -49,18 +39,14 @@ RecTotals read_rec_totals(Engine& e) {
 
 // --- RankRec -----------------------------------------------------------------
 
-RankRec::RankRec(int rank, int nvcis, std::size_t ring_depth, int sample_shift)
-    : ring_(pow2_at_least(ring_depth)),
-      ring_mask_(ring_.size() - 1),
+RankRec::RankRec(std::size_t ring_depth, int sample_shift)
+    : ops_(std::max<std::size_t>(ring_depth, 64)),
       sample_mask_((1ull << std::clamp(sample_shift, 0, 32)) - 1),
       links_(256, 0),  // pre-sized past the warm request range: no hot growth
-      rank_(rank),
-      nvcis_(nvcis),
       sample_shift_(std::clamp(sample_shift, 0, 32)),
       // Enough anchor slots to cover every sampled op still resident in the
       // ring, with slack so the gap chain rarely breaks at the seam.
-      anchors_(pow2_at_least((ring_.size() >> std::clamp(sample_shift, 0, 32)) + 8)),
-      anchor_mask_(anchors_.size() - 1) {}
+      anchors_(std::max<std::size_t>((ops_.capacity() >> sample_shift_) + 8, 64)) {}
 
 void RankRec::bind_grow(std::vector<std::uint64_t>& m, std::uint32_t slot) {
   // Flat-index space is dense (slot x 8 VCIs); grow geometrically with
@@ -80,9 +66,7 @@ void RankRec::stamp(std::uint64_t op_index, std::uint64_t t0) noexcept {
   const std::uint64_t dur = t1 > t0 ? t1 - t0 : 0;
   a.dur_ns = dur > 0xFFFFFFFFull ? 0xFFFFFFFFu : static_cast<std::uint32_t>(dur);
   last_end_ns_ = t1;
-  const std::uint64_t ai = anchor_head_.load(std::memory_order_relaxed);
-  anchors_[ai & anchor_mask_] = a;
-  anchor_head_.store(ai + 1, std::memory_order_release);
+  anchors_.push(a);
 }
 
 // --- SurfaceScope sampled path -------------------------------------------------
@@ -109,40 +93,13 @@ void SurfaceScope::finish_sampled(std::uint8_t state) noexcept {
   }
 }
 
-std::vector<std::pair<std::uint64_t, RecOp>> RankRec::last_ops(std::size_t n) const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t avail = std::min<std::uint64_t>(head, ring_.size());
-  const std::uint64_t take = std::min<std::uint64_t>(n, avail);
-  std::vector<std::pair<std::uint64_t, RecOp>> out;
-  out.reserve(static_cast<std::size_t>(take));
-  for (std::uint64_t i = head - take; i < head; ++i) {
-    out.emplace_back(i, ring_[i & (ring_.size() - 1)]);
-  }
-  return out;
-}
-
-std::vector<std::pair<std::uint64_t, RecOp>> RankRec::collect() const {
-  return last_ops(ring_.size());
-}
-
-std::vector<RecAnchor> RankRec::collect_anchors() const {
-  const std::uint64_t head = anchor_head_.load(std::memory_order_acquire);
-  const std::uint64_t take = std::min<std::uint64_t>(head, anchors_.size());
-  std::vector<RecAnchor> out;
-  out.reserve(static_cast<std::size_t>(take));
-  for (std::uint64_t i = head - take; i < head; ++i) {
-    out.push_back(anchors_[i & (anchors_.size() - 1)]);
-  }
-  return out;
-}
-
 // --- Recorder ----------------------------------------------------------------
 
 Recorder::Recorder(int nranks, int nvcis, std::size_t ring_depth, int sample_shift)
     : nranks_(nranks), nvcis_(nvcis) {
   ranks_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r) {
-    ranks_.push_back(std::make_unique<RankRec>(r, nvcis, ring_depth, sample_shift));
+    ranks_.push_back(std::make_unique<RankRec>(ring_depth, sample_shift));
   }
 }
 
@@ -153,8 +110,9 @@ bool Recorder::flush(const std::string& prefix, const std::vector<RecTotals>& to
   for (int r = 0; r < nranks_; ++r) {
     const std::uint64_t t_flush0 = rt::now_ns();
     RankRec& rr = *ranks_[static_cast<std::size_t>(r)];
-    const auto records = rr.collect();
-    const auto anchors = rr.collect_anchors();
+    std::uint64_t first = 0;  // op index of records[0]
+    const std::vector<RecOp> records = rr.ops().collect(&first);
+    const std::vector<RecAnchor> anchors = rr.anchors().collect();
 
     LwtraceHeader h;
     h.rank = static_cast<std::uint32_t>(r);
@@ -162,7 +120,7 @@ bool Recorder::flush(const std::string& prefix, const std::vector<RecTotals>& to
     h.nvcis = static_cast<std::uint32_t>(nvcis_);
     h.sample_shift = static_cast<std::uint32_t>(rr.sample_shift());
     h.eager_threshold = eager_threshold_;
-    h.total_ops = rr.total_ops();
+    h.total_ops = first + records.size();
     h.nrecords = records.size();
     const RecTotals t =
         static_cast<std::size_t>(r) < totals.size() ? totals[static_cast<std::size_t>(r)]
@@ -179,7 +137,8 @@ bool Recorder::flush(const std::string& prefix, const std::vector<RecTotals>& to
     std::vector<DiskRec> disk(records.size());
     std::size_t ai = 0;
     for (std::size_t i = 0; i < records.size(); ++i) {
-      const auto& [idx, op] = records[i];
+      const std::uint64_t idx = first + i;
+      const RecOp& op = records[i];
       DiskRec& d = disk[i];
       d.peer = op.peer;
       d.tag = op.tag;

@@ -1,10 +1,10 @@
 // Flight recorder: a durable, DXT-style per-rank record of every surface
 // call (observability tier 4).
 //
-// The trace ring (obs/trace.hpp) records *message lifecycle* events for the
+// The trace tier (obs/trace.hpp) records *message lifecycle* events for the
 // causal analyzer; this tier records the *application's own call stream* --
 // one compact 16-byte record per MPI surface call, held in a per-rank
-// overwrite-oldest ring and flushed to a per-rank binary `.lwtrace` file
+// overwrite-oldest obs::Ring and flushed to a per-rank binary `.lwtrace` file
 // (plus one JSON provenance sidecar) at World teardown or when the watchdog
 // fires (postmortem flight-recorder mode). The format is deliberately
 // replayable: src/apps/replay.cpp re-issues the recorded ops through the
@@ -30,12 +30,13 @@
 //
 // Writer discipline: one RankRec belongs to one rank, and under World::run
 // exactly one thread issues that rank's calls, so ring/anchor writes are
-// single-writer. The watchdog may read mid-run (last_ops); it snapshots
+// single-writer. The watchdog may read mid-run (ops().last()); it snapshots
 // under the released head and tolerates a racing in-place overwrite exactly
-// like the trace ring's mid-run collect -- a hung rank is not pushing.
+// like the trace rings' mid-run collect -- a hung rank is not pushing.
 #pragma once
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -46,6 +47,7 @@
 #include "core/vci.hpp"
 #include "obs/histogram.hpp"
 #include "obs/profiler.hpp"
+#include "obs/ring.hpp"
 
 namespace lwmpi {
 class Engine;
@@ -120,8 +122,8 @@ RecTotals read_rec_totals(Engine& e);
 // request-slot -> op-index link map.
 class RankRec {
  public:
-  // ring_depth/anchor ring sizes are rounded up to powers of two.
-  RankRec(int rank, int nvcis, std::size_t ring_depth, int sample_shift);
+  // Both rings hold at least 64 entries, rounded up to powers of two.
+  RankRec(std::size_t ring_depth, int sample_shift);
 
   // --- hot path (called via SurfaceScope) -----------------------------------
   // Everything here is inline and branch-light: the overhead gate budget is
@@ -136,12 +138,8 @@ class RankRec {
     const std::uint64_t hi = op.bytes | (static_cast<std::uint64_t>(op.link) << 32) |
                              (static_cast<std::uint64_t>(op.vci) << 48) |
                              (static_cast<std::uint64_t>(op.kind) << 56);
-    const std::uint64_t idx = head_.load(std::memory_order_relaxed);
     const std::uint64_t words[2] = {lo, hi};
-    static_assert(sizeof(words) == sizeof(RecOp));
-    __builtin_memcpy(&ring_[idx & ring_mask_], words, sizeof(words));
-    head_.store(idx + 1, std::memory_order_release);
-    return idx;
+    return ops_.push(std::bit_cast<RecOp>(words));
   }
   // Append an anchor for `op_index` with timing [t0, now); updates the
   // last-end stamp the next gap is measured from. Out-of-line: runs for
@@ -167,8 +165,7 @@ class RankRec {
   std::uint16_t link_to(Request req) const noexcept {
     const std::uint64_t issuer = issuer_of(req);
     if (issuer == ~0ull) return 0;
-    const std::uint64_t next = head_.load(std::memory_order_relaxed);
-    const std::uint64_t dist = next - issuer;
+    const std::uint64_t dist = ops_.recorded() - issuer;
     return dist > 0xFFFF ? 0xFFFF : static_cast<std::uint16_t>(dist);
   }
 
@@ -177,25 +174,12 @@ class RankRec {
   }
 
   // --- read side -------------------------------------------------------------
-  int rank() const noexcept { return rank_; }
+  // The op ring's push index is the op index; anchors name theirs. Both are
+  // read mid-run by the watchdog (tolerant-racy, see header comment) and at
+  // flush.
+  const Ring<RecOp>& ops() const noexcept { return ops_; }
+  const Ring<RecAnchor>& anchors() const noexcept { return anchors_; }
   int sample_shift() const noexcept { return sample_shift_; }
-  std::uint64_t total_ops() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-  std::uint64_t dropped() const noexcept {
-    const std::uint64_t h = total_ops();
-    return h > ring_.size() ? h - ring_.size() : 0;
-  }
-  std::uint64_t anchor_count() const noexcept {
-    return anchor_head_.load(std::memory_order_acquire);
-  }
-  // The last `n` records, oldest first (watchdog "last moves" embed; mid-run
-  // tolerant-racy, see header comment). The second element of each pair is
-  // the op index.
-  std::vector<std::pair<std::uint64_t, RecOp>> last_ops(std::size_t n) const;
-  // Ordered surviving records / anchors for the flush path (quiescent).
-  std::vector<std::pair<std::uint64_t, RecOp>> collect() const;
-  std::vector<RecAnchor> collect_anchors() const;
 
   // Flush statistics (rec_* pvars).
   std::uint64_t flushed_bytes() const noexcept {
@@ -214,11 +198,9 @@ class RankRec {
   static void bind_grow(std::vector<std::uint64_t>& m, std::uint32_t slot);
 
   // Hot members first so one cache line serves the whole push/bind path:
-  // push reads ring_'s data pointer, ring_mask_ and head_; the sampling gate
-  // reads sample_mask_; bind/issuer_of start at links_.
-  std::vector<RecOp> ring_;      // power-of-two capacity
-  std::uint64_t ring_mask_;      // ring_.size() - 1, cached off the hot path
-  std::atomic<std::uint64_t> head_{0};
+  // push reads ops_ (slots, mask, head); the sampling gate reads
+  // sample_mask_; bind/issuer_of start at links_.
+  Ring<RecOp> ops_;
   std::uint64_t sample_mask_;
   // links_[(slot << 3) | vci] = op_index + 1 (0 = unbound). Request slots are
   // dense small integers per VCI and vci fits 3 bits (kMaxVcis == 8), so the
@@ -228,12 +210,8 @@ class RankRec {
   }
   std::vector<std::uint64_t> links_;
 
-  const int rank_;
-  const int nvcis_;
   const int sample_shift_;
-  std::vector<RecAnchor> anchors_;  // power-of-two capacity
-  std::uint64_t anchor_mask_;
-  std::atomic<std::uint64_t> anchor_head_{0};
+  Ring<RecAnchor> anchors_;
   std::uint64_t last_end_ns_ = 0;  // owning thread only
   std::atomic<std::uint64_t> flushed_bytes_{0};
   std::atomic<std::uint64_t> flush_ns_{0};

@@ -112,8 +112,7 @@ Sampler::Sampler(World& world, SamplerOptions opts)
     : world_(world),
       opts_(std::move(opts)),
       ring_depth_(static_cast<std::size_t>(
-          std::clamp<std::int64_t>(cvar(Cv::SamplerRingDepth), 2, 1 << 20))),
-      trace_enabled_(world.options().build.trace) {
+          std::clamp<std::int64_t>(cvar(Cv::SamplerRingDepth), 2, 1 << 20))) {
   const auto n = static_cast<std::size_t>(world_.nranks());
   raw_.resize(n);
   rings_.resize(n);
@@ -307,21 +306,21 @@ void Sampler::evaluate_slo(RankSample* s) {
     a.seq = s->seq;
     s->alerts.push_back(a);
     alerts_fired_.fetch_add(1, std::memory_order_release);
-    if (opts_.emit_trace_alerts && trace_enabled_) {
-      // Structured alert event into the (sampler thread's) trace ring: seq 0
-      // keeps it out of message chains; tag carries the rule index, bytes the
+    if (opts_.emit_trace_alerts) {
+      // Structured alert event into the World's alert ring: seq 0 keeps it
+      // out of message chains; tag carries the rule index, bytes the
       // observed value, wait_ns the threshold -- all integers by contract.
-      trace::record(trace::Event{.ts_ns = rt::now_ns(),
-                                 .seq = 0,
-                                 .bytes = static_cast<std::uint64_t>(value),
-                                 .lclock = world_.fabric().lclock(s->rank),
-                                 .wait_ns = static_cast<std::uint64_t>(thr),
-                                 .rank = s->rank,
-                                 .peer = -1,
-                                 .tag = i,
-                                 .vci = 0,
-                                 .wait = 0,
-                                 .kind = trace::Ev::Alert});
+      world_.trace_alert(trace::Event{.ts_ns = rt::now_ns(),
+                                      .seq = 0,
+                                      .bytes = static_cast<std::uint64_t>(value),
+                                      .lclock = world_.fabric().lclock(s->rank),
+                                      .wait_ns = static_cast<std::uint64_t>(thr),
+                                      .rank = s->rank,
+                                      .peer = -1,
+                                      .tag = i,
+                                      .vci = 0,
+                                      .wait = 0,
+                                      .kind = trace::Ev::Alert});
     }
   }
 }
@@ -516,11 +515,11 @@ std::string Sampler::prometheus() const {
     };
     static constexpr R kRecCounters[] = {
         {"lwmpi_rec_ops_total", "Surface calls captured by the flight recorder.",
-         [](const RankRec& r) { return r.total_ops(); }},
+         [](const RankRec& r) { return r.ops().recorded(); }},
         {"lwmpi_rec_ops_dropped_total", "Recorded ops overwritten before flush.",
-         [](const RankRec& r) { return r.dropped(); }},
+         [](const RankRec& r) { return r.ops().dropped(); }},
         {"lwmpi_rec_ops_sampled_total", "Recorded ops carrying TSC timing anchors.",
-         [](const RankRec& r) { return r.anchor_count(); }},
+         [](const RankRec& r) { return r.anchors().recorded(); }},
         {"lwmpi_rec_flushed_bytes_total", "Trace-bundle bytes written per rank.",
          [](const RankRec& r) { return r.flushed_bytes(); }},
         {"lwmpi_rec_flush_seconds_total", "Seconds spent flushing per rank.",

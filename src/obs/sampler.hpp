@@ -23,8 +23,9 @@
 //   * An SLO rule engine evaluates threshold predicates (cvar-configured)
 //     over the derived rates each tick; a fired rule becomes a structured
 //     Alert on the sample and -- when the world was built with tracing -- an
-//     Ev::Alert event in the trace ring, timestamped into the same causal
-//     timeline as the messages that caused it.
+//     Ev::Alert event in the World's alert ring (World::trace_alert),
+//     timestamped into the same causal timeline as the messages that caused
+//     it.
 //   * Export: Prometheus text-exposition format (prometheus()), JSONL time
 //     series (export_jsonl()), and a compact JSON timeline block
 //     (timeline_json()) the watchdog embeds in HangReports so a hang carries
@@ -176,7 +177,6 @@ class Sampler {
   World& world_;
   const SamplerOptions opts_;
   const std::size_t ring_depth_;
-  const bool trace_enabled_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> alerts_fired_{0};

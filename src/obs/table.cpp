@@ -15,7 +15,7 @@ WorldOptions walk_opts(DeviceKind device, BuildConfig build) {
   WorldOptions o;
   o.device = device;
   o.build = build;
-  o.build.trace = false;  // keep the walk out of the process-global trace rings
+  o.build.trace = false;  // the walk needs no lifecycle events
   o.ranks_per_node = 1;
   return o;
 }

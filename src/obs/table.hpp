@@ -24,8 +24,8 @@ namespace lwmpi::obs {
 
 // Walk one operation through a fresh two-rank world with a meter armed around
 // the single metered call. Deterministic: the result depends only on
-// (device, build). Tracing is forced off in the throwaway world so the walk
-// never pollutes the process-global trace rings.
+// (device, build). Tracing is forced off in the throwaway world: the walk
+// needs no lifecycle events.
 cost::Meter metered_isend(DeviceKind device, BuildConfig build);
 cost::Meter metered_put(DeviceKind device, BuildConfig build);
 

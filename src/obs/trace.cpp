@@ -1,9 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <bit>
-#include <mutex>
+#include <unordered_map>
+#include <vector>
 
 namespace lwmpi::obs::trace {
 
@@ -29,93 +28,7 @@ std::optional<Ev> ev_from_string(std::string_view s) noexcept {
   return std::nullopt;
 }
 
-Ring::Ring(std::size_t min_capacity)
-    : mask_(std::bit_ceil(min_capacity < 2 ? std::size_t{2} : min_capacity) - 1),
-      slots_(mask_ + 1) {}
-
-std::vector<Event> Ring::collect() const {
-  const std::uint64_t h = head_.load(std::memory_order_acquire);
-  const std::uint64_t start = h > capacity() ? h - capacity() : 0;
-  std::vector<Event> out;
-  out.reserve(static_cast<std::size_t>(h - start));
-  for (std::uint64_t i = start; i < h; ++i) {
-    out.push_back(slots_[i & mask_]);
-  }
-  return out;
-}
-
 namespace {
-
-// Registry of every thread's ring. Rings outlive their owning thread (the
-// exporter collects after World::run joins), hence shared_ptr ownership.
-std::mutex& registry_mu() {
-  static std::mutex mu;
-  return mu;
-}
-std::vector<std::shared_ptr<Ring>>& registry() {
-  static std::vector<std::shared_ptr<Ring>> rings;
-  return rings;
-}
-
-Ring& tl_ring() {
-  thread_local std::shared_ptr<Ring> ring = [] {
-    auto r = std::make_shared<Ring>(kDefaultRingCapacity);
-    std::lock_guard<std::mutex> lk(registry_mu());
-    registry().push_back(r);
-    return r;
-  }();
-  return *ring;
-}
-
-std::atomic<std::uint64_t> g_seq{1};
-
-}  // namespace
-
-void record(const Event& e) noexcept { tl_ring().push(e); }
-
-std::uint64_t next_seq() noexcept {
-  return g_seq.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::vector<Event> collect_all() {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  std::vector<Event> out;
-  for (const auto& r : registry()) {
-    std::vector<Event> part = r->collect();
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
-}
-
-std::uint64_t dropped_all() {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  std::uint64_t n = 0;
-  for (const auto& r : registry()) n += r->dropped();
-  return n;
-}
-
-void reset_all() {
-  std::lock_guard<std::mutex> lk(registry_mu());
-  for (const auto& r : registry()) r->clear();
-}
-
-namespace {
-
-// Chrome's trace viewer sorts equal timestamps arbitrarily; break ties by
-// lifecycle stage so post always precedes complete within one message.
-int stage_order(Ev e) noexcept {
-  switch (e) {
-    case Ev::SendPost:
-    case Ev::RecvPost: return 0;
-    case Ev::Inject: return 1;
-    case Ev::Deliver: return 2;
-    case Ev::ZcopyWrite: return 2;
-    case Ev::Match: return 3;
-    case Ev::Complete: return 4;
-    case Ev::Alert: return 5;
-  }
-  return 5;
-}
 
 void write_common(std::ostream& os, const Event& e, std::uint64_t base_ns) {
   // Chrome trace timestamps are microseconds; emit fractional us to keep
@@ -159,32 +72,38 @@ void export_chrome_json(std::ostream& os, std::span<const Event> events) {
     os << "}";
   }
 
-  // Async begin/end per message: the post -> complete chain. `sorted` is
-  // timestamp-ordered, so the first/last occurrence of a seq bound its chain.
+  // Per message, in order of first appearance: the first and last event
+  // (the async begin/end pair of the post -> complete chain) and the hops
+  // (the flow chain). `sorted` is timestamp-ordered, so one pass finds all.
+  auto is_hop = [](Ev k) {
+    return k == Ev::Inject || k == Ev::Deliver || k == Ev::ZcopyWrite;
+  };
   struct Chain {
+    std::uint64_t seq = 0;
     const Event* first = nullptr;
     const Event* last = nullptr;
+    std::vector<const Event*> hops;
   };
-  std::vector<std::pair<std::uint64_t, Chain>> chains;  // seq-keyed, small N
+  std::vector<Chain> chains;
+  std::unordered_map<std::uint64_t, std::size_t> chain_of;  // seq -> chains index
   for (const Event& e : sorted) {
     if (e.seq == 0) continue;
-    auto it = std::find_if(chains.begin(), chains.end(),
-                           [&](const auto& c) { return c.first == e.seq; });
-    if (it == chains.end()) {
-      chains.push_back({e.seq, Chain{&e, &e}});
-    } else {
-      it->second.last = &e;
-    }
+    const auto [it, fresh] = chain_of.try_emplace(e.seq, chains.size());
+    if (fresh) chains.push_back(Chain{e.seq, &e, &e, {}});
+    Chain& c = chains[it->second];
+    c.last = &e;
+    if (is_hop(e.kind)) c.hops.push_back(&e);
   }
-  for (const auto& [seq, chain] : chains) {
+  for (const Chain& c : chains) {
     sep();
-    os << "{\"name\":\"msg " << seq << "\",\"ph\":\"b\",\"cat\":\"msg\",\"id\":" << seq << ",";
-    write_common(os, *chain.first, base);
-    os << ",";
-    write_args(os, *chain.first);
-    os << "},{\"name\":\"msg " << seq << "\",\"ph\":\"e\",\"cat\":\"msg\",\"id\":" << seq
+    os << "{\"name\":\"msg " << c.seq << "\",\"ph\":\"b\",\"cat\":\"msg\",\"id\":" << c.seq
        << ",";
-    write_common(os, *chain.last, base);
+    write_common(os, *c.first, base);
+    os << ",";
+    write_args(os, *c.first);
+    os << "},{\"name\":\"msg " << c.seq << "\",\"ph\":\"e\",\"cat\":\"msg\",\"id\":" << c.seq
+       << ",";
+    write_common(os, *c.last, base);
     os << "}";
   }
 
@@ -192,22 +111,15 @@ void export_chrome_json(std::ostream& os, std::span<const Event> events) {
   // Deliver (and the zcopy landing), finish at the last hop. Perfetto draws
   // these as arrows between the per-rank (pid) tracks, so the RTS -> CTS ->
   // RdvDone / rdma_write arcs of a rendezvous read as a cross-rank chain.
-  auto is_hop = [](Ev k) {
-    return k == Ev::Inject || k == Ev::Deliver || k == Ev::ZcopyWrite;
-  };
-  for (const auto& [seq, chain] : chains) {
-    std::vector<const Event*> hops;
-    for (const Event& e : sorted) {
-      if (e.seq == seq && is_hop(e.kind)) hops.push_back(&e);
-    }
-    if (hops.size() < 2) continue;
-    for (std::size_t i = 0; i < hops.size(); ++i) {
-      const char* ph = i == 0 ? "s" : (i + 1 == hops.size() ? "f" : "t");
+  for (const Chain& c : chains) {
+    if (c.hops.size() < 2) continue;
+    for (std::size_t i = 0; i < c.hops.size(); ++i) {
+      const char* ph = i == 0 ? "s" : (i + 1 == c.hops.size() ? "f" : "t");
       sep();
-      os << "{\"name\":\"msg " << seq << "\",\"ph\":\"" << ph
-         << "\",\"cat\":\"flow\",\"id\":" << seq << ",";
+      os << "{\"name\":\"msg " << c.seq << "\",\"ph\":\"" << ph
+         << "\",\"cat\":\"flow\",\"id\":" << c.seq << ",";
       if (ph[0] == 'f') os << "\"bp\":\"e\",";
-      write_common(os, *hops[i], base);
+      write_common(os, *c.hops[i], base);
       os << "}";
     }
   }

@@ -3,12 +3,13 @@
 //
 // When a World is built with BuildConfig::trace, the engine records one fixed-
 // size event per lifecycle step of each message -- post, match, inject,
-// deliver, complete -- keyed by a sequence id carried in the packet header so
-// the origin- and target-side halves of one message chain back together.
-// Recording is a store into a per-thread lock-free SPSC ring (producer = the
-// recording thread, consumer = the exporter); a full ring overwrites its
-// oldest events rather than blocking or allocating, so tracing never perturbs
-// the progress engine it is observing.
+// deliver, complete -- keyed by a sequence id (World::next_trace_seq) carried
+// in the packet header so the origin- and target-side halves of one message
+// chain back together. Events land in the obs::Ring of the channel whose lock
+// the recording thread holds (core/vci.hpp); the sampler's alerts land in a
+// ring of the World's own. A full ring overwrites its oldest events rather
+// than blocking or allocating, so tracing never perturbs the progress engine
+// it is observing. World::trace_events() merges a World's rings.
 //
 // export_chrome_json() renders collected events as a Chrome about:tracing /
 // Perfetto-loadable timeline: one instant event per lifecycle step (pid =
@@ -16,14 +17,12 @@
 // post -> complete across ranks.
 #pragma once
 
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
 #include <string_view>
-#include <vector>
 
 namespace lwmpi::obs::trace {
 
@@ -43,6 +42,23 @@ enum class Ev : std::uint8_t {
 const char* to_string(Ev e) noexcept;
 std::optional<Ev> ev_from_string(std::string_view s) noexcept;  // nullopt: unknown
 
+// Lifecycle stage, the tie-break for events with equal timestamps in both the
+// Perfetto export and the causal merge: post precedes complete within one
+// message.
+constexpr int stage_order(Ev e) noexcept {
+  switch (e) {
+    case Ev::SendPost:
+    case Ev::RecvPost: return 0;
+    case Ev::Inject: return 1;
+    case Ev::Deliver: return 2;
+    case Ev::ZcopyWrite: return 2;
+    case Ev::Match: return 3;
+    case Ev::Complete: return 4;
+    case Ev::Alert: return 5;
+  }
+  return 5;
+}
+
 struct Event {
   std::uint64_t ts_ns = 0;   // rt::now_ns() at record time
   std::uint64_t seq = 0;     // message id; 0 = not message-associated
@@ -57,56 +73,8 @@ struct Event {
   Ev kind = Ev::SendPost;
 };
 
-// Fixed-capacity overwrite-oldest SPSC event ring. push() is wait-free for
-// the single producing thread; collect()/clear() belong to one consumer and
-// are only well-defined while the producer is quiescent (the exporters run
-// after World::run joins its rank threads).
-class Ring {
- public:
-  explicit Ring(std::size_t min_capacity);
-
-  void push(const Event& e) noexcept {
-    const std::uint64_t h = head_.load(std::memory_order_relaxed);
-    slots_[h & mask_] = e;
-    head_.store(h + 1, std::memory_order_release);
-  }
-
-  std::size_t capacity() const noexcept { return mask_ + 1; }
-  // Events recorded over the ring's lifetime, including overwritten ones.
-  std::uint64_t recorded() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-  std::uint64_t dropped() const noexcept {
-    const std::uint64_t h = recorded();
-    return h > capacity() ? h - capacity() : 0;
-  }
-
-  // Surviving events, oldest first.
-  std::vector<Event> collect() const;
-  void clear() noexcept { head_.store(0, std::memory_order_release); }
-
- private:
-  const std::uint64_t mask_;
-  std::vector<Event> slots_;
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-};
-
-// Default capacity of the lazily-created per-thread rings.
-inline constexpr std::size_t kDefaultRingCapacity = 1 << 16;
-
-// Record into this thread's ring (created and registered on first use).
-// Callers gate on BuildConfig::trace; this function itself never blocks.
-void record(const Event& e) noexcept;
-
-// Exporter side: snapshot every registered ring (all threads, oldest-first
-// within a thread), total overwritten-event count, and global reset. Only
-// well-defined while recording threads are quiescent.
-std::vector<Event> collect_all();
-std::uint64_t dropped_all();
-void reset_all();
-
-// Allocate a fresh message sequence id, unique across ranks for the process.
-std::uint64_t next_seq() noexcept;
+// Capacity of each channel's event ring and of the World's alert ring.
+inline constexpr std::size_t kRingCapacity = 1 << 16;
 
 // Write `events` as a Chrome about:tracing / Perfetto JSON document. Events
 // are sorted by timestamp (ties broken by lifecycle order), timestamps are

@@ -18,7 +18,6 @@
 #include "obs/cvar.hpp"
 #include "obs/json.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "runtime/world.hpp"
 
 namespace lwmpi::obs {
@@ -172,7 +171,10 @@ void Watchdog::run() {
       s.blocked_ns = s.snap.blocked_ns;
       s.stalled_ns = now - state[static_cast<std::size_t>(r)].last_change_ns;
       if (Recorder* rec = world_.recorder(); rec != nullptr) {
-        s.last_moves = rec->rank(r).last_ops(opts_.last_moves_depth);
+        std::uint64_t i = 0;
+        for (const RecOp& op : rec->rank(r).ops().last(opts_.last_moves_depth, &i)) {
+          s.last_moves.emplace_back(i++, op);
+        }
       }
       report.stuck.push_back(std::move(s));
     }
@@ -192,10 +194,7 @@ void Watchdog::run() {
       // its ring's oldest events mid-collect; for a hang diagnosis a slightly
       // frayed tail beats no timeline at all.
       std::ofstream f(opts_.causal_trace_path, std::ios::trunc);
-      if (f) {
-        const std::vector<trace::Event> events = trace::collect_all();
-        causal::export_jsonl(f, events);
-      }
+      if (f) causal::export_jsonl(f, world_.trace_events());
     }
     // A hung run may never reach World teardown; flush the trace bundle now
     // so the stall is replayable postmortem (teardown re-flushes harmlessly).

@@ -108,8 +108,8 @@ struct WatchdogOptions {
   // When non-empty, each diagnosis is also written here as JSON (the format
   // tools/hangdump consumes). Overwritten per episode.
   std::string report_path;
-  // When non-empty, each diagnosis also dumps the merged causal trace (every
-  // rank's trace ring, globally ordered) here as JSONL -- the format
+  // When non-empty, each diagnosis also dumps the merged causal trace (the
+  // World's trace rings, globally ordered) here as JSONL -- the format
   // tools/critpath consumes. Requires the world to be built with
   // BuildConfig::trace; written per episode so a hung run still yields a
   // critical-path-analyzable timeline.

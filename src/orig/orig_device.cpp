@@ -37,7 +37,7 @@ void Engine::drain_send_queue(Vci& v) {
       v.lat.record(obs::LatPath::SendQueueWait, obs::lat_now_ns() - q.enq_ts);
     }
     if (cfg_.trace && q.pkt->hdr.seq != 0) {
-      trace_msg(obs::trace::Ev::Inject, q.pkt->hdr.seq, q.pkt->hdr.vci, q.dst_world,
+      trace_msg(v, obs::trace::Ev::Inject, q.pkt->hdr.seq, q.pkt->hdr.vci, q.dst_world,
                 q.pkt->hdr.tag, q.pkt->hdr.total_bytes);
     }
     fabric_.inject(self_, q.dst_world, q.pkt);

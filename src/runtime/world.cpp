@@ -13,7 +13,6 @@
 #include "obs/pvar.hpp"
 #include "obs/recorder.hpp"
 #include "obs/table.hpp"
-#include "obs/trace.hpp"
 
 namespace lwmpi {
 
@@ -70,7 +69,8 @@ World::World(int nranks, WorldOptions opts)
       opts_(apply_cvars(std::move(opts))),
       fabric_(nranks, opts_.ranks_per_node, opts_.profile, opts_.build.vcis(),
               opts_.netmod, opts_.build.trace),
-      next_ctx_(kFirstDynamicCtx) {
+      next_ctx_(kFirstDynamicCtx),
+      alert_ring_(opts_.build.trace ? obs::trace::kRingCapacity : 0) {
   // The TSC calibration spins about 1 ms once per process; pay it here, in
   // setup, rather than in the first sampled message of a timed run.
   obs::lat_calibrate();
@@ -93,13 +93,10 @@ World::World(int nranks, WorldOptions opts)
 
 World::~World() {
   // Teardown causal export: all rank threads have joined by now, so the
-  // per-rank trace rings are quiescent and the merge is exact.
+  // trace rings are quiescent and the merge is exact.
   if (opts_.build.trace && !opts_.causal_trace_path.empty()) {
     std::ofstream f(opts_.causal_trace_path, std::ios::trunc);
-    if (f) {
-      const std::vector<obs::trace::Event> events = obs::trace::collect_all();
-      obs::causal::export_jsonl(f, events);
-    }
+    if (f) obs::causal::export_jsonl(f, trace_events());
   }
   // Teardown profile artifact: same quiescence argument as the causal export.
   if (profiler_ != nullptr && !opts_.prof_path.empty()) {
@@ -127,6 +124,30 @@ bool World::flush_recording(const std::string& prefix) {
        << ",\"counters\":" << (opts_.build.counters ? "true" : "false")
        << ",\"profile\":" << obs::json::quote(opts_.profile.name);
   return recorder_->flush(out, totals, prov.str());
+}
+
+void World::trace_alert(const obs::trace::Event& e) {
+  std::lock_guard<std::mutex> lk(alert_mu_);
+  if (alert_ring_.capacity() != 0) alert_ring_.push(e);
+}
+
+std::vector<const obs::Ring<obs::trace::Event>*> World::trace_rings() const {
+  std::vector<const obs::Ring<obs::trace::Event>*> rings;
+  for (const auto& e : engines_) {
+    for (int v = 0; v < e->num_vcis(); ++v) rings.push_back(&e->vci_trace(v));
+  }
+  rings.push_back(&alert_ring_);
+  return rings;
+}
+
+std::vector<obs::trace::Event> World::trace_events() const {
+  std::lock_guard<std::mutex> lk(alert_mu_);
+  std::vector<obs::trace::Event> out;
+  for (const obs::Ring<obs::trace::Event>* ring : trace_rings()) {
+    const std::vector<obs::trace::Event> part = ring->collect();
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
 }
 
 void World::phase_push(std::string_view name) {

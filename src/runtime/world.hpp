@@ -20,6 +20,8 @@
 #include "core/config.hpp"
 #include "net/fabric.hpp"
 #include "net/profile.hpp"
+#include "obs/ring.hpp"
+#include "obs/trace.hpp"
 
 namespace lwmpi {
 
@@ -46,9 +48,10 @@ struct WorldOptions {
   BuildConfig build = {};
   std::size_t eager_threshold = 16 * 1024;
   // When non-empty (and the build has tracing on), World teardown stitches
-  // every rank's trace ring into one globally-ordered timeline and writes it
-  // here as JSONL -- the input format of tools/critpath. The watchdog can
-  // dump the same file mid-run on a hang (WatchdogOptions::causal_trace_path).
+  // this World's trace rings (trace_events()) into one globally-ordered
+  // timeline and writes it here as JSONL -- the input format of
+  // tools/critpath. The watchdog can dump the same file mid-run on a hang
+  // (WatchdogOptions::causal_trace_path).
   std::string causal_trace_path;
   // When > 0, the engine busy-waits `modeled instructions x this` per
   // operation on the send, receive, and put paths, turning the instruction
@@ -123,6 +126,22 @@ class World {
   // flush). Returns false when recording is off or no prefix is known.
   bool flush_recording(const std::string& prefix = {});
 
+  // --- lifecycle tracing (obs/trace.hpp) --------------------------------------
+  // Message ids, unique within this World; 0 means "no message".
+  std::uint64_t next_trace_seq() noexcept {
+    return next_trace_seq_.fetch_add(1, std::memory_order_relaxed);
+  }
+  // Record a sampler alert (obs/sampler.hpp). The sampler holds no channel
+  // lock, so alerts get a ring of their own, behind a mutex. No-op when the
+  // build does not trace.
+  void trace_alert(const obs::trace::Event& e);
+  // Every trace ring of this World: one per (rank, channel), rank-major, then
+  // the alert ring. Untraced worlds' rings hold nothing.
+  std::vector<const obs::Ring<obs::trace::Event>*> trace_rings() const;
+  // The events held in those rings, grouped by ring, oldest first within
+  // each. Exact once the ranks are quiescent (after run() returns).
+  std::vector<obs::trace::Event> trace_events() const;
+
   // Global id allocators. Context ids are handed out in pairs: (ctx) for
   // pt2pt and (ctx + 1) for the collective plane of the same communicator.
   std::uint32_t alloc_context_pair() noexcept {
@@ -153,6 +172,9 @@ class World {
   std::vector<std::unique_ptr<Engine>> engines_;
   std::atomic<std::uint32_t> next_ctx_;
   std::atomic<std::uint32_t> next_win_{1};
+  std::atomic<std::uint64_t> next_trace_seq_{1};
+  mutable std::mutex alert_mu_;
+  obs::Ring<obs::trace::Event> alert_ring_;  // guarded by alert_mu_
   std::mutex win_mu_;
   std::unordered_map<std::uint32_t, std::shared_ptr<rma::WindowGlobal>> win_registry_;
 };

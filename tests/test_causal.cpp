@@ -147,7 +147,6 @@ std::vector<trace::Event> run_delayed(const std::string& netmod, bool delay_send
                                       std::uint64_t* wait_count,
                                       std::uint64_t* wait_max_ns) {
   const auto kDelay = std::chrono::milliseconds(20 * kDelayScale);
-  trace::reset_all();
   std::vector<trace::Event> events;
   {
     World w(2, causal_opts(netmod));
@@ -188,7 +187,7 @@ std::vector<trace::Event> run_delayed(const std::string& netmod, bool delay_send
         delay_sender ? "wait_late_sender_max_ns" : "wait_late_receiver_max_ns";
     *wait_count = read_pvar(w.engine(1), count_pvar);
     *wait_max_ns = read_pvar(w.engine(1), max_pvar);
-    events = trace::collect_all();
+    events = w.trace_events();
   }
   return events;
 }
@@ -238,7 +237,6 @@ TEST(CreditStall, WithheldCreditsClassifyAsCreditStalled) {
   // withholds progress, so the sender's third inject busy-waits for a credit.
   constexpr int kMsgs = 8;
   const auto kDelay = std::chrono::milliseconds(25 * kDelayScale);
-  trace::reset_all();
   WorldOptions o = causal_opts("rdma");
   o.profile.rdma_ring_depth = 2;
   World w(2, o);
@@ -271,7 +269,7 @@ TEST(CreditStall, WithheldCreditsClassifyAsCreditStalled) {
 
   // The stall must also be visible on the merged timeline: a credit_stalled
   // classification on some Match event.
-  const auto events = trace::collect_all();
+  const auto events = w.trace_events();
   bool saw = false;
   for (const trace::Event& e : events) {
     if (e.kind == trace::Ev::Match &&
@@ -286,7 +284,6 @@ TEST(CreditStall, WithheldCreditsClassifyAsCreditStalled) {
 TEST(RegCacheMiss, ZcopyRegistrationPinsAreRecorded) {
   // A zero-copy rendezvous registers memory on both sides; with a measurable
   // pin cost the cold registrations must be recorded as reg-cache-miss waits.
-  trace::reset_all();
   WorldOptions o = causal_opts("rdma");
   o.eager_threshold = 1024;
   o.profile.pin_cost_ns_per_page = 50'000;  // 50 us per page, measurable
@@ -311,7 +308,6 @@ TEST(RegCacheMiss, ZcopyRegistrationPinsAreRecorded) {
 // --- Lamport ordering across the wire ----------------------------------------
 
 TEST(LamportClock, DeliverIsStrictlyAfterMatchingInject) {
-  trace::reset_all();
   WorldOptions o = causal_opts("rdma");
   World w(2, o);
   w.run([&](Engine& e) {
@@ -324,7 +320,7 @@ TEST(LamportClock, DeliverIsStrictlyAfterMatchingInject) {
       }
     }
   });
-  const auto events = trace::collect_all();
+  const auto events = w.trace_events();
   std::map<std::uint64_t, std::uint64_t> inject_clock;
   for (const trace::Event& e : events) {
     if (e.kind == trace::Ev::Inject && e.seq != 0 && e.rank == 0) {
@@ -353,7 +349,6 @@ TEST(TraceSpans, EveryRdmaMessageHasBalancedBeginEnd) {
   // distinct message id in the Chrome export must open exactly one async span
   // and close it ("b"/"e" balance), including the RdvDone and zcopy-landing
   // hops.
-  trace::reset_all();
   WorldOptions o = causal_opts("rdma");
   o.eager_threshold = 1024;
   World w(2, o);
@@ -373,7 +368,7 @@ TEST(TraceSpans, EveryRdmaMessageHasBalancedBeginEnd) {
       e.recv(in_big.data(), static_cast<int>(big), kChar, 0, 99, kCommWorld, nullptr);
     }
   });
-  const auto events = trace::collect_all();
+  const auto events = w.trace_events();
 
   // The zcopy landing and the rendezvous-completion hop are on the timeline.
   bool saw_zcopy = false;
@@ -470,7 +465,6 @@ TEST(CausalJsonl, RoundTripsEveryField) {
 TEST(CausalJsonl, WorldTeardownWritesAnalyzableTrace) {
   const std::string path = ::testing::TempDir() + "lwmpi_causal_teardown.jsonl";
   std::remove(path.c_str());
-  trace::reset_all();
   {
     WorldOptions o = causal_opts("mailbox");
     o.causal_trace_path = path;

@@ -6,20 +6,24 @@
 // fixed, seeded set of single-byte flips of a real artifact. Every mutant
 // must either load or return an error -- never crash (the asan preset runs
 // this binary) and never yield a record whose fields were not all in the
-// text.
+// text. The binary `.lwtrace` bundle loader (apps::load_trace) gets the same
+// treatment.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <initializer_list>
+#include <iterator>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/replay.hpp"
 #include "obs/causal.hpp"
 #include "obs/json.hpp"
 #include "tools/check_core.hpp"
@@ -397,6 +401,136 @@ TEST(JsonHostile, BenchEntryWithoutUnitIsAnError) {
       "{\"label\":\"b\",\"value\":2,\"unit\":\"instr\"}]}");
   EXPECT_FALSE(f.ok);
   EXPECT_EQ(f.error, "results[0]: missing \"unit\"");
+}
+
+// --- .lwtrace bundles ------------------------------------------------------------
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Copies committed bundle `name` to a scratch prefix, then swaps each rank
+// file in turn for each of its mutants and loads the bundle with
+// apps::load_trace. Mutants never reach run_replay: a flipped nranks would
+// start that many rank threads. A cut file loads with that rank flagged
+// truncated and holding exactly its complete records (rank 0 cut inside its
+// header is an error); any bundle that loads is one bundle's worth of
+// consistent headers.
+void expect_lwtrace_mutants_load_or_fail(const std::string& name) {
+  const std::string src = std::string(LWMPI_SOURCE_DIR) + "/bench/traces/" + name;
+  apps::TraceBundle ref;
+  std::string err;
+  ASSERT_TRUE(apps::load_trace(src, &ref, &err)) << err;
+  ASSERT_TRUE(ref.complete());
+  const std::string prefix = ::testing::TempDir() + "lwmpi_lwtrace_hostile_" + name;
+  const auto rank_file = [](const std::string& pre, int r) {
+    return pre + ".rank" + std::to_string(r) + ".lwtrace";
+  };
+  std::vector<std::string> files;
+  for (int r = 0; r < ref.nranks; ++r) {
+    files.push_back(read_bytes(rank_file(src, r)));
+    write_bytes(rank_file(prefix, r), files.back());
+  }
+  constexpr std::size_t kHeader = sizeof(obs::LwtraceHeader);
+  int loaded = 0, rejected = 0;
+  for (int r = 0; r < ref.nranks; ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    for_each_mutant(files[static_cast<std::size_t>(r)], [&](const std::string& m,
+                                                            bool truncated) {
+      write_bytes(rank_file(prefix, r), m);
+      apps::TraceBundle b;
+      std::string why;
+      const bool ok = apps::load_trace(prefix, &b, &why);
+      if (truncated) {
+        ASSERT_EQ(ok, r != 0 || m.size() >= kHeader) << m.size() << ": " << why;
+      }
+      if (!ok) {
+        EXPECT_FALSE(why.empty());
+        EXPECT_TRUE(b.ranks.empty());
+        ++rejected;
+        return;
+      }
+      ++loaded;
+      // A claim of more ranks meets an intact rank file that says otherwise;
+      // a flip down to nranks 1 is a consistent one-rank bundle.
+      ASSERT_GE(b.nranks, 1);
+      ASSERT_LE(b.nranks, ref.nranks);
+      ASSERT_EQ(b.ranks.size(), static_cast<std::size_t>(b.nranks));
+      EXPECT_GE(b.nvcis, 1);
+      EXPECT_LE(b.nvcis, kMaxVcis);
+      for (std::size_t i = 0; i < b.ranks.size(); ++i) {
+        const apps::TraceRank& tr = b.ranks[i];
+        EXPECT_EQ(tr.header.rank, i);
+        EXPECT_EQ(tr.header.nranks, b.ranks[0].header.nranks);
+        EXPECT_EQ(tr.header.nvcis, b.ranks[0].header.nvcis);
+        EXPECT_EQ(tr.records.size(), tr.header.nrecords);
+        const std::string& bytes = static_cast<int>(i) == r ? m : files[i];
+        if (bytes.size() >= kHeader) {
+          EXPECT_LE(tr.records.size(), (bytes.size() - kHeader) / sizeof(obs::DiskRec));
+        }
+      }
+      if (truncated) {
+        const apps::TraceRank& cut = b.ranks[static_cast<std::size_t>(r)];
+        EXPECT_TRUE(cut.truncated);
+        EXPECT_EQ(cut.records.size(),
+                  m.size() < kHeader ? 0 : (m.size() - kHeader) / sizeof(obs::DiskRec));
+      }
+    });
+    write_bytes(rank_file(prefix, r), files[static_cast<std::size_t>(r)]);
+  }
+  EXPECT_GT(loaded, 0);
+  EXPECT_GT(rejected, 0);
+}
+
+TEST(LwtraceHostile, Storm4Mutants) { expect_lwtrace_mutants_load_or_fail("storm4"); }
+
+TEST(LwtraceHostile, Stencil4Mutants) { expect_lwtrace_mutants_load_or_fail("stencil4"); }
+
+// The headers that used to load: a rank-0 claim of 1,000,000 ranks beside
+// rank files that say 4, an nvcis past kMaxVcis, and an nrecords of 2^40 on
+// a file holding a few records.
+TEST(LwtraceHostile, ContradictoryHeadersAreErrors) {
+  const std::string src = std::string(LWMPI_SOURCE_DIR) + "/bench/traces/storm4";
+  const std::string prefix = ::testing::TempDir() + "lwmpi_lwtrace_headers";
+  std::vector<std::string> files;
+  for (int r = 0; r < 4; ++r) {
+    files.push_back(read_bytes(src + ".rank" + std::to_string(r) + ".lwtrace"));
+  }
+  const auto load_with_rank0 = [&](const std::function<void(obs::LwtraceHeader&)>& edit,
+                                   apps::TraceBundle* b, std::string* why) {
+    for (int r = 0; r < 4; ++r) {
+      std::string bytes = files[static_cast<std::size_t>(r)];
+      if (r == 0) {
+        obs::LwtraceHeader h;
+        std::memcpy(&h, bytes.data(), sizeof(h));
+        edit(h);
+        std::memcpy(bytes.data(), &h, sizeof(h));
+      }
+      write_bytes(prefix + ".rank" + std::to_string(r) + ".lwtrace", bytes);
+    }
+    return apps::load_trace(prefix, b, why);
+  };
+  apps::TraceBundle b;
+  std::string why;
+  EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nranks = 1'000'000; }, &b, &why));
+  EXPECT_NE(why.find("contradicts"), std::string::npos) << why;
+  EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nvcis = kMaxVcis + 1; }, &b, &why));
+  EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nvcis = 0; }, &b, &why));
+  EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nranks = 0; }, &b, &why));
+  for (const std::uint64_t claim : {1ull << 40, 1ull << 59}) {
+    ASSERT_TRUE(load_with_rank0([&](obs::LwtraceHeader& h) { h.nrecords = claim; }, &b, &why))
+        << why;
+    EXPECT_TRUE(b.ranks[0].truncated);
+    EXPECT_EQ(b.ranks[0].records.size(),
+              (files[0].size() - sizeof(obs::LwtraceHeader)) / sizeof(obs::DiskRec));
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
@@ -12,9 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "obs/causal.hpp"
 #include "obs/counters.hpp"
 #include "obs/histogram.hpp"
 #include "obs/pvar.hpp"
+#include "obs/ring.hpp"
 #include "obs/trace.hpp"
 #include "util.hpp"
 
@@ -458,29 +461,37 @@ TEST(Latency, WorldPublishesTheClockCalibration) {
 // --- trace ring --------------------------------------------------------------
 
 TEST(TraceRing, OverwritesOldestWithoutBlocking) {
-  obs::trace::Ring ring(8);
+  obs::Ring<obs::trace::Event> ring(8);
   ASSERT_EQ(ring.capacity(), 8u);
   for (std::uint64_t i = 1; i <= 20; ++i) {
     obs::trace::Event e;
     e.seq = i;
     e.ts_ns = i;
-    ring.push(e);
+    EXPECT_EQ(ring.push(e), i - 1);  // the push index
   }
   EXPECT_EQ(ring.recorded(), 20u);
   EXPECT_EQ(ring.dropped(), 12u);
-  std::vector<obs::trace::Event> got = ring.collect();
+  std::uint64_t first = 0;
+  std::vector<obs::trace::Event> got = ring.collect(&first);
   ASSERT_EQ(got.size(), 8u);
+  EXPECT_EQ(first, 12u);
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].seq, 13 + i);  // oldest survivor first
   }
-  ring.clear();
-  EXPECT_EQ(ring.recorded(), 0u);
-  EXPECT_TRUE(ring.collect().empty());
+  got = ring.last(3, &first);
+  ASSERT_EQ(got.size(), 3u);
+  EXPECT_EQ(first, 17u);
+  EXPECT_EQ(got[0].seq, 18u);
+  EXPECT_EQ(got[2].seq, 20u);
 }
 
 TEST(TraceRing, RoundsCapacityToPowerOfTwo) {
-  obs::trace::Ring ring(5);
+  obs::Ring<obs::trace::Event> ring(5);
   EXPECT_EQ(ring.capacity(), 8u);
+  obs::Ring<obs::trace::Event> none(0);  // an untraced channel's ring
+  EXPECT_EQ(none.capacity(), 0u);
+  EXPECT_TRUE(none.collect().empty());
+  EXPECT_EQ(none.dropped(), 0u);
 }
 
 // --- end-to-end tracing ------------------------------------------------------
@@ -503,7 +514,6 @@ bool has_kind(const std::vector<obs::trace::Event>& chain, obs::trace::Ev k) {
 }
 
 TEST(Trace, FourRankRingExchangeExportsWellFormedChains) {
-  obs::trace::reset_all();
   WorldOptions o = test::fast_opts();
   o.build.trace = true;
   const int n = 4;
@@ -520,7 +530,7 @@ TEST(Trace, FourRankRingExchangeExportsWellFormedChains) {
     EXPECT_EQ(in, 1000 + prev);
   });
 
-  const std::vector<obs::trace::Event> events = obs::trace::collect_all();
+  const std::vector<obs::trace::Event> events = w.trace_events();
   const auto chains = by_seq(events);
   ASSERT_EQ(chains.size(), static_cast<std::size_t>(n));  // one chain per send
   for (const auto& [seq, chain] : chains) {
@@ -570,7 +580,6 @@ TEST(Trace, FourRankRingExchangeExportsWellFormedChains) {
 }
 
 TEST(Trace, RendezvousChainCarriesSeqAcrossHandshake) {
-  obs::trace::reset_all();
   WorldOptions o = test::fast_opts();
   o.build.trace = true;
   o.eager_threshold = 64;
@@ -585,7 +594,7 @@ TEST(Trace, RendezvousChainCarriesSeqAcrossHandshake) {
       EXPECT_EQ(rbuf[100], 'r');
     }
   });
-  const auto chains = by_seq(obs::trace::collect_all());
+  const auto chains = by_seq(w.trace_events());
   ASSERT_EQ(chains.size(), 1u);
   const auto& chain = chains.begin()->second;
   EXPECT_TRUE(has_kind(chain, obs::trace::Ev::SendPost));
@@ -600,7 +609,6 @@ TEST(Trace, RendezvousChainCarriesSeqAcrossHandshake) {
 }
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {
-  obs::trace::reset_all();
   WorldOptions o = test::fast_opts();  // build.trace defaults to false
   World w(2, o);
   w.run([&](Engine& e) {
@@ -611,28 +619,91 @@ TEST(Trace, DisabledByDefaultRecordsNothing) {
       e.recv(&v, 1, kInt, 0, 0, kCommWorld, nullptr);
     }
   });
-  EXPECT_TRUE(obs::trace::collect_all().empty());
+  EXPECT_TRUE(w.trace_events().empty());
+  for (const auto* ring : w.trace_rings()) EXPECT_EQ(ring->capacity(), 0u);  // nothing allocated
 }
 
+// Each rank counts only the events its own channels overwrote: rank 0
+// overflows its ring with all-opts sends (three events each) into a
+// blackhole, rank 1 records nothing.
 TEST(Trace, DroppedEventsSurfaceThroughPvar) {
-  obs::trace::reset_all();
   WorldOptions o = test::fast_opts();
-  World w(1, o);
-  Engine& e = w.engine(0);
-  EXPECT_EQ(read_pvar(e, "trace_events_dropped"), 0u);
-
-  // Overflow this thread's ring directly: capacity + 100 pushes must
-  // overwrite at least 100 events, and the pvar reports the loss so a
-  // truncated Perfetto export can be flagged.
-  obs::trace::Event ev;
-  ev.seq = 0;
-  for (std::size_t i = 0; i < obs::trace::kDefaultRingCapacity + 100; ++i) {
-    obs::trace::record(ev);
+  o.build.trace = true;
+  o.profile = net::infinite();  // blackhole: no receive-side events
+  World w(2, o);
+  Engine& e0 = w.engine(0);
+  EXPECT_EQ(read_pvar(e0, "trace_events_dropped"), 0u);
+  const int v = 1;
+  for (std::size_t i = 0; i < obs::trace::kRingCapacity / 3 + 100; ++i) {
+    ASSERT_EQ(e0.isend_all_opts(&v, 1, kInt, 1, kCommWorld), Err::Success);
   }
-  EXPECT_GE(read_pvar(e, "trace_events_dropped"), 100u);
+  EXPECT_GE(read_pvar(e0, "trace_events_dropped"), 100u);
+  EXPECT_EQ(read_pvar(w.engine(1), "trace_events_dropped"), 0u);
+}
 
-  obs::trace::reset_all();
-  EXPECT_EQ(read_pvar(e, "trace_events_dropped"), 0u);
+// A ring pass of `n` ranks in `w`: every rank sends one message tagged `tag`.
+void ring_pass(World& w, int tag) {
+  w.run([&](Engine& e) {
+    const int n = e.world_size();
+    const Rank me = e.world_rank();
+    int out = me, in = -1;
+    ASSERT_EQ(e.sendrecv(&out, 1, kInt, (me + 1) % n, tag, &in, 1, kInt, (me + n - 1) % n, tag,
+                         kCommWorld, nullptr),
+              Err::Success);
+  });
+}
+
+std::set<std::int32_t> tags_of(const std::vector<obs::trace::Event>& events) {
+  std::set<std::int32_t> tags;
+  for (const auto& e : events) {
+    if (e.kind == obs::trace::Ev::SendPost) tags.insert(e.tag);
+  }
+  return tags;
+}
+
+// Trace rings belong to their World: a second World, traced after the first
+// is gone, exports only its own messages, in memory and in its causal file.
+TEST(Trace, SecondWorldExportsOnlyItsOwnEvents) {
+  const std::string path = ::testing::TempDir() + "lwmpi_obs_second_world.jsonl";
+  WorldOptions o = test::fast_opts();
+  o.build.trace = true;
+  o.causal_trace_path = path;
+  for (const int tag : {1, 2}) {
+    SCOPED_TRACE(tag);
+    std::size_t held = 0;
+    {
+      World w(4, o);
+      ring_pass(w, tag);
+      const std::vector<obs::trace::Event> events = w.trace_events();
+      EXPECT_EQ(tags_of(events), std::set<std::int32_t>{tag});
+      EXPECT_EQ(by_seq(events).size(), 4u);
+      held = events.size();
+    }
+    std::ifstream f(path);
+    std::vector<obs::trace::Event> saved;
+    std::string err;
+    ASSERT_TRUE(obs::causal::parse_jsonl(f, &saved, &err)) << err;
+    EXPECT_EQ(saved.size(), held);
+    EXPECT_EQ(tags_of(saved), std::set<std::int32_t>{tag});
+  }
+}
+
+// Two run() calls on one World write into the same rings, one per (rank,
+// channel) plus the alert ring, and are collected together.
+TEST(Trace, RunsOfOneWorldShareItsRings) {
+  WorldOptions o = test::fast_opts();
+  o.build.trace = true;
+  World w(4, o);
+  const std::vector<const obs::Ring<obs::trace::Event>*> rings = w.trace_rings();
+  ASSERT_EQ(rings.size(), static_cast<std::size_t>(4 * o.build.vcis() + 1));
+  ring_pass(w, 1);
+  const std::size_t after_one = w.trace_events().size();
+  ring_pass(w, 2);
+  EXPECT_EQ(w.trace_rings(), rings);
+  const std::vector<obs::trace::Event> events = w.trace_events();
+  EXPECT_EQ(events.size(), 2 * after_one);
+  EXPECT_EQ(tags_of(events), (std::set<std::int32_t>{1, 2}));
+  EXPECT_EQ(by_seq(events).size(), 8u);  // seqs stay unique across runs
 }
 
 // --- stats report ------------------------------------------------------------

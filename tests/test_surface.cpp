@@ -124,7 +124,7 @@ TierView run_mixed(bool prof, bool record) {
       }
     }
     if (obs::Recorder* rec = w.recorder(); rec != nullptr) {
-      for (const auto& [idx, op] : rec->rank(r).collect()) {
+      for (const obs::RecOp& op : rec->rank(r).ops().collect()) {
         v.recs[ri].emplace_back(op.kind, op.peer, op.tag, op.bytes, op.link, op.vci);
       }
     }
@@ -198,8 +198,8 @@ TEST(Surface, RequestFreeReapIsNotAWait) {
   const obs::RankProf& p0 = w.profiler()->rank(0);
   EXPECT_EQ(p0.site_count(0, obs::Callsite::Start), 1u);
   EXPECT_EQ(p0.site_count(0, obs::Callsite::Wait), 0u);
-  for (const auto& [idx, op] : w.recorder()->rank(0).collect()) {
-    EXPECT_NE(op.kind, static_cast<std::uint8_t>(obs::Callsite::Wait)) << "op " << idx;
+  for (const obs::RecOp& op : w.recorder()->rank(0).ops().collect()) {
+    EXPECT_NE(op.kind, static_cast<std::uint8_t>(obs::Callsite::Wait));
   }
 }
 
@@ -226,7 +226,7 @@ TEST(Surface, RmaRecordsCarryTheWindowVci) {
     ASSERT_GT(vci, 0) << "kComm2 should map to a nonzero channel";
     std::size_t puts = 0;
     std::size_t fences = 0;
-    for (const auto& [idx, op] : w.recorder()->rank(r).collect()) {
+    for (const obs::RecOp& op : w.recorder()->rank(r).ops().collect()) {
       if (op.kind == static_cast<std::uint8_t>(obs::Callsite::Put)) {
         ++puts;
         EXPECT_EQ(static_cast<int>(op.vci), vci) << "rank " << r;

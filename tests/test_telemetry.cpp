@@ -276,7 +276,6 @@ TEST(Sampler, SloAlertFiresAndLandsInTraceRing) {
   WorldOptions o = test::fast_opts();
   o.build.trace = true;
   World w(2, o);
-  obs::trace::reset_all();
   obs::Sampler sampler(w);
 
   w.run([&](Engine& e) {
@@ -326,7 +325,7 @@ TEST(Sampler, SloAlertFiresAndLandsInTraceRing) {
   // ...and as a structured Ev::Alert in the trace ring, timestamped into the
   // same timeline as the messages that caused it.
   bool in_trace = false;
-  for (const obs::trace::Event& ev : obs::trace::collect_all()) {
+  for (const obs::trace::Event& ev : w.trace_events()) {
     if (ev.kind == obs::trace::Ev::Alert && ev.rank == 1) {
       in_trace = true;
       EXPECT_EQ(ev.seq, 0u);         // not message-associated
@@ -336,7 +335,6 @@ TEST(Sampler, SloAlertFiresAndLandsInTraceRing) {
     }
   }
   EXPECT_TRUE(in_trace);
-  obs::trace::reset_all();
 }
 
 TEST(Sampler, PrometheusExpositionShape) {

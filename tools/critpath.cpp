@@ -76,7 +76,6 @@ int run_demo(const std::string& netmod, const std::string& delay,
     o.profile.rdma_ring_depth = 2;  // exhaust the eager ring after two messages
   }
 
-  obs::trace::reset_all();
   std::vector<obs::trace::Event> events;
   {
     World w(2, o);
@@ -126,7 +125,7 @@ int run_demo(const std::string& netmod, const std::string& delay,
         }
       }
     });
-    events = obs::trace::collect_all();
+    events = w.trace_events();
   }
 
   if (!export_path.empty()) {
