@@ -43,7 +43,7 @@
 // tighter: the sampled configuration must stay within 1% of the plain one.
 // The telemetry pass emits its own BENCH_telemetry.json plus a Prometheus
 // text-exposition artifact that scripts/run_tier1.sh lints with
-// `bench_check --promlint`.
+// `lwmpi check --promlint`.
 // Every top-level MPI entry point opens one obs::SurfaceScope (obs/recorder.hpp),
 // which feeds both the aggregate profiler and the flight recorder -- one
 // branch when neither is attached. With a profiler attached the scope pays a
@@ -54,7 +54,7 @@
 // sampler's 1%: the scope does strictly more work per call than a counter
 // hook but runs only at the user-call boundary, not per packet). It emits
 // BENCH_prof.json plus a profile.json artifact that run_tier1.sh validates
-// with `bench_check --profcheck`.
+// with `lwmpi check --profcheck`.
 // With the flight recorder attached the same scope pays the depth check plus
 // a 16-byte ring store and -- at the default 1-in-2^8 sampling --
 // occasionally a TSC stamp pair. The record pass gates that tax at <2% (same
@@ -207,7 +207,7 @@ Measured measure(Pair pair) {
 
 // Telemetry-plane example artifact: a short 2-rank sampled run whose
 // Prometheus exposition is written next to the bench JSON (tier-1 lints it
-// with `bench_check --promlint`). Reports the run's tick count through the
+// with `lwmpi check --promlint`). Reports the run's tick count through the
 // JSON result and returns a line naming the exposition path.
 std::string write_prom_artifact(bench::JsonResult& jr) {
   const std::int64_t saved_interval = obs::cvar(obs::Cv::SamplerIntervalMs);
@@ -245,7 +245,7 @@ std::string write_prom_artifact(bench::JsonResult& jr) {
 
 // Profiler-tier example artifact: a short phased 2-rank profiled run whose
 // profile.json lands next to the bench JSON (tier-1 validates it with
-// `bench_check --profcheck`). Reports the run's aggregate counts through the
+// `lwmpi check --profcheck`). Reports the run's aggregate counts through the
 // JSON result and returns a line naming the artifact path.
 std::string write_profile_artifact(bench::JsonResult& jr) {
   std::string path = "profile.json";

@@ -7,7 +7,7 @@
 // decomposition (obs::AttributionRow::model_ok); a drifted charge site fails
 // the run. The emitted BENCH_table1.json is fully deterministic (instruction
 // counts only) and serves as a committed regression baseline
-// (bench/baselines/BENCH_table1.json, compared by tools/bench_check).
+// (bench/baselines/BENCH_table1.json, compared by `lwmpi check`).
 #include <cstdio>
 
 #include "bench/harness.hpp"

@@ -11,7 +11,7 @@ BUILD_DIR="${1:-build}"
 SOURCE_DIR="${2:-.}"
 
 for bin in bench/bench_table1 bench/bench_fig2 bench/bench_fig3 bench/bench_fig4 \
-           bench/bench_replay tools/bench_check; do
+           bench/bench_replay tools/lwmpi; do
   if [[ ! -x "${BUILD_DIR}/${bin}" ]]; then
     echo "run_bench_regression: ${BUILD_DIR}/${bin} not built" >&2
     exit 2
@@ -25,7 +25,7 @@ LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_table1" > /dev/null
 LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_fig2" > /dev/null
 
 # Per-backend rate figures (mailbox + rdma). Their msg/s entries are
-# report-only in bench_check; what the sentinel guards is the artifact schema
+# report-only in `lwmpi check`; what the sentinel guards is the artifact schema
 # (every stack variant present, per backend) and the table1/fig2 bit-exactness.
 LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_fig3" > /dev/null
 LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_fig4" > /dev/null
@@ -39,7 +39,7 @@ LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_fig4" > /dev/null
 # writes must pass the replay schema check.
 LWMPI_BENCH_DIR="${scratch}" "${BUILD_DIR}/bench/bench_replay" \
   "${SOURCE_DIR}/bench/traces" > /dev/null
-"${BUILD_DIR}/tools/bench_check" --replaycheck "${scratch}/BENCH_replay.json"
+"${BUILD_DIR}/tools/lwmpi" check --replaycheck "${scratch}/BENCH_replay.json"
 
-exec "${BUILD_DIR}/tools/bench_check" "${SOURCE_DIR}/bench/baselines" "${scratch}" \
+exec "${BUILD_DIR}/tools/lwmpi" check "${SOURCE_DIR}/bench/baselines" "${scratch}" \
   table1 fig2 fig3_mailbox fig3_rdma fig4_mailbox fig4_rdma

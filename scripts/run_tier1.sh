@@ -24,19 +24,19 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 obs_scratch="$(mktemp -d)"
 trap 'rm -rf "${obs_scratch}"' EXIT
 LWMPI_BENCH_DIR="${obs_scratch}" "${BUILD_DIR}/bench/bench_obs_overhead"
-"${BUILD_DIR}/tools/bench_check" --promlint "${obs_scratch}/telemetry.prom"
-"${BUILD_DIR}/tools/bench_check" --profcheck "${obs_scratch}/profile.json"
+"${BUILD_DIR}/tools/lwmpi" check --promlint "${obs_scratch}/telemetry.prom"
+"${BUILD_DIR}/tools/lwmpi" check --profcheck "${obs_scratch}/profile.json"
 
 # Trace replay: re-execute the committed bundles on both netmods (the bench's
 # own exit code enforces engine-exact fidelity and zero timeouts), then
 # validate the emitted BENCH_replay.json artifact schema.
 LWMPI_BENCH_DIR="${obs_scratch}" "${BUILD_DIR}/bench/bench_replay" bench/traces
-"${BUILD_DIR}/tools/bench_check" --replaycheck "${obs_scratch}/BENCH_replay.json"
+"${BUILD_DIR}/tools/lwmpi" check --replaycheck "${obs_scratch}/BENCH_replay.json"
 
 # Causal-tier golden trace: the committed injected-delay timeline must still
 # analyze to a late_sender-dominated critical path (format + analyzer drift
 # guard; also covered by the ctest critpath_golden case, repeated here so the
 # tier-1 log shows the actual Table-1-style report).
-CRITPATH_OUT="$("${BUILD_DIR}/tools/critpath" bench/baselines/causal_golden.jsonl)"
+CRITPATH_OUT="$("${BUILD_DIR}/tools/lwmpi" critpath bench/baselines/causal_golden.jsonl)"
 echo "${CRITPATH_OUT}"
 grep -q "late_sender" <<<"${CRITPATH_OUT}"

@@ -226,7 +226,7 @@ class RdmaNetmod final : public Netmod {
         return rs.stall_ns_total.load(std::memory_order_relaxed);
       case NetStat::RingCredits: {
         // Free credits on one lane, or the scarcest lane when vci is -1 --
-        // hangdump wants "how close to credit exhaustion is this rank".
+        // a hang report wants "how close to credit exhaustion is this rank".
         if (vci >= 0 && vci < lanes_) {
           const int c = rings_[index(self, vci)]->credits.load(std::memory_order_relaxed);
           return c < 0 ? 0 : static_cast<std::uint64_t>(c);

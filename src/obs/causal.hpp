@@ -34,7 +34,7 @@
 //     "previous event on this rank" and, for deliveries, "the matching
 //     inject on the peer"), and reports the end-to-end critical path as a
 //     Table-1-style cost breakdown: per-category totals, top-k edges, and
-//     per-rank slack. tools/critpath is the CLI over this analysis.
+//     per-rank slack. `lwmpi critpath` is the CLI over this analysis.
 #pragma once
 
 #include <array>
@@ -135,7 +135,7 @@ std::string render_json(const Analysis& a, std::size_t top_k = 10);
 
 // Merged-timeline persistence: one JSON object per line per event, ordered by
 // (lclock, ts). This is the format World teardown / the watchdog write and
-// tools/critpath reads back.
+// `lwmpi critpath` reads back.
 void export_jsonl(std::ostream& os, std::span<const trace::Event> events);
 // Strict reader of that format (obs/json.hpp). A complete line that does not
 // parse, lacks a field, or names an unknown kind or wait state fails the

@@ -105,7 +105,7 @@ bool cvar_overridden(Cv v) noexcept;
 std::string cvar_env_name(Cv v);
 
 // One-line-per-cvar dump (name, scope, value, overridden flag); the text form
-// lwmpi_top and stats tooling print.
+// stats tooling prints.
 std::string cvar_report();
 
 namespace detail {

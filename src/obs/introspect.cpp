@@ -3,9 +3,9 @@
 // Two layers: Vci::snapshot_into copies one channel's queues while the caller
 // holds the channel lock; Engine::snapshot orchestrates the walk across every
 // channel, resolves matcher context ids back to communicator handles, finds
-// the oldest incomplete request, and captures each window's epoch state. The
-// renderers emit the per-rank dump the watchdog embeds in its hang report and
-// tools/hangdump pretty-prints.
+// the oldest incomplete request, and captures each window's epoch state.
+// render_json emits the per-rank object the watchdog embeds in its hang
+// report; the text form is that object through obs/text.hpp.
 #include "obs/introspect.hpp"
 
 #include <sstream>
@@ -13,6 +13,7 @@
 #include "core/engine.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
+#include "obs/text.hpp"
 
 namespace lwmpi {
 
@@ -45,7 +46,6 @@ void Vci::snapshot_into(obs::VciSnapshot& out, std::uint64_t now) const {
     e.ctx = r.ctx;
     e.src = r.src;
     e.tag = r.tag;
-    e.req = request_idx(r.req);
     e.arrival_order = r.mode == rt::MatchMode::ArrivalOrder;
     if (const RequestSlot* s = pool.slots.at(request_idx(r.req))) {
       e.bytes = s->bytes_expected;
@@ -198,41 +198,11 @@ namespace lwmpi::obs {
 
 namespace {
 
-std::string fmt_age(std::uint64_t ns) {
-  if (ns == 0) return "?";
-  std::ostringstream o;
-  o.setf(std::ios::fixed);
-  const double ms = static_cast<double>(ns) / 1e6;
-  if (ms < 1000.0) {
-    o.precision(1);
-    o << ms << "ms";
-  } else {
-    o.precision(2);
-    o << ms / 1000.0 << "s";
-  }
-  return o.str();
-}
-
 std::string comm_name(Comm c) {
   if (c == kCommWorld) return "WORLD";
   if (c == kCommSelf) return "SELF";
   if (c == kCommNull) return "?";
   return "comm#" + std::to_string(handle_payload(c));
-}
-
-std::string rank_name(Rank r) {
-  return r == kAnySource ? "*" : std::to_string(r);
-}
-
-std::string tag_name(Tag t) {
-  return t == kAnyTag ? "*" : std::to_string(t);
-}
-
-void entry_text(std::ostringstream& o, const char* label, const QueueEntrySnap& e) {
-  o << "    " << label << " comm=" << comm_name(e.comm) << " src=" << rank_name(e.src)
-    << " tag=" << tag_name(e.tag) << " bytes=" << e.bytes << " age=" << fmt_age(e.age_ns);
-  if (e.arrival_order) o << " [arrival-order]";
-  o << '\n';
 }
 
 void entry_json(std::ostringstream& o, const QueueEntrySnap& e) {
@@ -245,50 +215,8 @@ void entry_json(std::ostringstream& o, const QueueEntrySnap& e) {
 }  // namespace
 
 std::string render_text(const RankSnapshot& s) {
-  std::ostringstream o;
-  o << "rank " << s.rank << ": ";
-  if (s.blocking_call != nullptr) {
-    o << "blocked in " << s.blocking_call << " for " << fmt_age(s.blocked_ns);
-  } else {
-    o << "not in a blocking call";
-  }
-  o << " (" << s.live_requests << " live request" << (s.live_requests == 1 ? "" : "s")
-    << ")";
-  if (!s.phase.empty()) o << " [phase " << s.phase << ']';
-  o << '\n';
-  if (s.oldest.valid) {
-    o << "  oldest: " << s.oldest.kind << " comm=" << comm_name(s.oldest.comm)
-      << " peer=" << rank_name(s.oldest.peer) << " tag=" << tag_name(s.oldest.tag)
-      << " bytes=" << s.oldest.bytes << " age=" << fmt_age(s.oldest.age_ns) << '\n';
-  }
-  for (const VciSnapshot& v : s.vcis) {
-    if (v.posted.empty() && v.unexpected.empty() && v.send_queue.empty()) continue;
-    o << "  vci " << v.vci << ": posted=" << v.posted.size()
-      << " unexpected=" << v.unexpected.size() << " sendq=" << v.send_queue.size() << '\n';
-    for (const QueueEntrySnap& e : v.posted) entry_text(o, "posted:    ", e);
-    for (const QueueEntrySnap& e : v.unexpected) entry_text(o, "unexpected:", e);
-    for (const SendQueueSnap& e : v.send_queue) {
-      o << "    sendq:      dst=" << e.dst_world << " tag=" << e.tag << " bytes=" << e.bytes
-        << " age=" << fmt_age(e.age_ns) << '\n';
-    }
-  }
-  for (const WinSnapshot& w : s.windows) {
-    o << "  win " << w.win_id << ": epoch=" << w.epoch << " acks=" << w.outstanding_acks
-      << " deferred=" << w.pending_lock_ops << '\n';
-  }
-  if (s.rdma.valid) {
-    o << "  rdma: reg_cache=" << s.rdma.reg_cache_size << " (hits=" << s.rdma.reg_hits
-      << " misses=" << s.rdma.reg_misses << " evictions=" << s.rdma.reg_evictions
-      << ") ring_stalls=" << s.rdma.ring_stalls << " (" << fmt_age(s.rdma.ring_stall_ns)
-      << ")\n";
-    for (const RdmaLaneSnap& l : s.rdma.lanes) {
-      o << "    ring vci=" << l.vci << ": credits=" << l.credits_free << "/"
-        << l.ring_depth << " occupancy_hwm=" << l.occupancy_hwm;
-      if (l.credits_free == 0) o << " [EXHAUSTED]";
-      o << '\n';
-    }
-  }
-  return o.str();
+  json::Value v;
+  return json::parse(render_json(s), &v) ? render_snapshot_text(v) : std::string();
 }
 
 std::string render_json(const RankSnapshot& s) {

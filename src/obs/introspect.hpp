@@ -9,7 +9,7 @@
 // queue, software send queue, and RMA epoch state under the channel locks and
 // returns a plain-data picture -- per entry: communicator, tag, source, size,
 // and age. The watchdog (obs/watchdog.hpp) embeds these snapshots in its hang
-// diagnosis; tools/hangdump pretty-prints them.
+// diagnosis; `lwmpi hang` prints a saved one.
 //
 // Snapshots are diagnostic, not transactional: each VCI is captured
 // atomically (under its lock), but the rank keeps running between channels,
@@ -37,7 +37,6 @@ struct QueueEntrySnap {
   Tag tag = kAnyTag;            // may be kAnyTag for posted entries
   std::uint64_t bytes = 0;      // posted: receive capacity; unexpected: payload
   std::uint64_t age_ns = 0;     // time since post/arrival (0 if unstamped)
-  std::uint32_t req = 0;        // posted: owning request slot index (raw)
   bool arrival_order = false;   // _NOMATCH entry (context-only matching)
 };
 
@@ -111,7 +110,8 @@ struct RankSnapshot {
   RdmaSnapshot rdma;
 };
 
-// Human-readable multi-line dump ("rank 1: blocked in Wait for 1.2s ...").
+// Human-readable multi-line dump ("rank 1: blocked in Wait for 1.20s ..."):
+// render_json's object through obs::render_snapshot_text (obs/text.hpp).
 std::string render_text(const RankSnapshot& s);
 
 // JSON object (no trailing newline), same shape stats_report uses.

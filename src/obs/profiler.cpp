@@ -1,12 +1,9 @@
 // Aggregate profiler implementation (obs/profiler.hpp): accumulator storage,
-// phase interning, and the two renderers -- the merged cross-rank report and
-// the versioned profile artifact consumed by tools/lwmpi_prof and
-// bench_check --profcheck.
+// phase interning, and the versioned profile artifact (read back by
+// obs/profile_load.hpp).
 #include "obs/profiler.hpp"
 
-#include <algorithm>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
 #include "obs/json.hpp"
@@ -81,25 +78,6 @@ std::string_view to_string(MsgClass c) noexcept {
   }
   return "?";
 }
-
-namespace {
-
-std::string human_bytes(std::uint64_t b) {
-  std::ostringstream o;
-  o << std::fixed << std::setprecision(1);
-  if (b >= (1ull << 30)) {
-    o << static_cast<double>(b) / (1ull << 30) << "GiB";
-  } else if (b >= (1ull << 20)) {
-    o << static_cast<double>(b) / (1ull << 20) << "MiB";
-  } else if (b >= (1ull << 10)) {
-    o << static_cast<double>(b) / (1ull << 10) << "KiB";
-  } else {
-    o << b << "B";
-  }
-  return o.str();
-}
-
-}  // namespace
 
 // --- CommMatrix -------------------------------------------------------------
 
@@ -366,123 +344,6 @@ std::string Profiler::phase_name(int id) const {
   std::lock_guard<std::mutex> lk(phase_mu_);
   if (id < 0 || id >= static_cast<int>(phases_.size())) return "?";
   return phases_[static_cast<std::size_t>(id)];
-}
-
-std::string Profiler::report(std::string_view netmod, bool as_json) const {
-  const int np = num_phases();
-  std::ostringstream o;
-  if (as_json) {
-    o << "{\"nranks\":" << nranks_ << ",\"netmod\":" << json::quote(netmod) << ",\"phases\":[";
-  } else {
-    o << "=== lwmpi profile: " << nranks_ << " rank(s), netmod " << netmod << " ===\n";
-  }
-
-  for (int ph = 0; ph < np; ++ph) {
-    // Load-imbalance metrics: max/mean MPI time across ranks for this phase.
-    std::uint64_t max_ns = 0;
-    std::uint64_t sum_ns = 0;
-    int max_rank = 0;
-    for (int r = 0; r < nranks_; ++r) {
-      const std::uint64_t t = rank(r).phase_time_ns(ph);
-      sum_ns += t;
-      if (t > max_ns) {
-        max_ns = t;
-        max_rank = r;
-      }
-    }
-    const double mean_ns =
-        nranks_ > 0 ? static_cast<double>(sum_ns) / nranks_ : 0.0;
-    const double imbalance = mean_ns > 0.0 ? static_cast<double>(max_ns) / mean_ns : 1.0;
-    if (sum_ns == 0 && ph != 0) continue;  // phase named but never used
-
-    // Top callsites by total time across ranks.
-    struct SiteAgg {
-      Callsite site;
-      std::uint64_t count, bytes, time_ns;
-    };
-    std::vector<SiteAgg> sites;
-    for (std::size_t s = 0; s < kNumCallsites; ++s) {
-      SiteAgg a{static_cast<Callsite>(s), 0, 0, 0};
-      for (int r = 0; r < nranks_; ++r) {
-        const RankProf& rp = rank(r);
-        a.count += rp.site_count(ph, a.site);
-        a.bytes += rp.site_bytes(ph, a.site);
-        for (int v = 0; v < nvcis_; ++v) {
-          if (const CallCell* c = rp.peek(ph, a.site, v)) {
-            a.time_ns += c->time_ns.load(std::memory_order_relaxed);
-          }
-        }
-      }
-      if (a.count != 0) sites.push_back(a);
-    }
-    std::sort(sites.begin(), sites.end(),
-              [](const SiteAgg& a, const SiteAgg& b) { return a.time_ns > b.time_ns; });
-    constexpr std::size_t kTopK = 5;
-    if (sites.size() > kTopK) sites.resize(kTopK);
-
-    if (as_json) {
-      o << (ph == 0 ? "" : ",") << "{\"phase\":" << json::quote(phase_name(ph))
-        << ",\"max_ns\":" << max_ns << ",\"mean_ns\":" << static_cast<std::uint64_t>(mean_ns)
-        << ",\"imbalance\":" << std::fixed << std::setprecision(3) << imbalance
-        << ",\"max_rank\":" << max_rank << ",\"top_callsites\":[";
-      for (std::size_t i = 0; i < sites.size(); ++i) {
-        o << (i == 0 ? "" : ",") << "{\"site\":\"" << to_string(sites[i].site)
-          << "\",\"count\":" << sites[i].count << ",\"bytes\":" << sites[i].bytes
-          << ",\"time_ns\":" << sites[i].time_ns << '}';
-      }
-      o << "]}";
-    } else {
-      o << "phase \"" << phase_name(ph) << "\": mpi time max=" << max_ns / 1000
-        << "us (rank " << max_rank << ") mean=" << static_cast<std::uint64_t>(mean_ns) / 1000
-        << "us imbalance=" << std::fixed << std::setprecision(2) << imbalance << "x\n";
-      for (const auto& s : sites) {
-        o << "  " << to_string(s.site);
-        for (std::size_t pad = to_string(s.site).size(); pad < 22; ++pad) o << ' ';
-        o << " count=" << s.count << " bytes=" << human_bytes(s.bytes)
-          << " time=" << s.time_ns / 1000 << "us\n";
-      }
-    }
-  }
-
-  // Matrix hot spots: the heaviest (src, dst) pairs by bytes, all classes.
-  struct Hot {
-    Rank src, dst;
-    std::uint64_t bytes;
-  };
-  std::vector<Hot> hot;
-  for (Rank s = 0; s < nranks_; ++s) {
-    for (Rank d = 0; d < nranks_; ++d) {
-      std::uint64_t b = 0;
-      for (std::size_t c = 0; c < kNumMsgClasses; ++c) {
-        b += matrix_.bytes(s, d, static_cast<MsgClass>(c));
-      }
-      if (b != 0) hot.push_back(Hot{s, d, b});
-    }
-  }
-  std::sort(hot.begin(), hot.end(),
-            [](const Hot& a, const Hot& b) { return a.bytes > b.bytes; });
-  constexpr std::size_t kHotK = 3;
-  if (hot.size() > kHotK) hot.resize(kHotK);
-
-  if (as_json) {
-    o << "],\"hot_pairs\":[";
-    for (std::size_t i = 0; i < hot.size(); ++i) {
-      o << (i == 0 ? "" : ",") << "{\"src\":" << hot[i].src << ",\"dst\":" << hot[i].dst
-        << ",\"bytes\":" << hot[i].bytes << '}';
-    }
-    o << "],\"total_packet_bytes\":" << matrix_.total_packet_bytes()
-      << ",\"total_zcopy_bytes\":" << matrix_.total_zcopy_bytes() << '}';
-  } else {
-    if (!hot.empty()) {
-      o << "comm matrix hot spots:\n";
-      for (const auto& h : hot) {
-        o << "  " << h.src << " -> " << h.dst << "  " << human_bytes(h.bytes) << '\n';
-      }
-    }
-    o << "matrix totals: packet=" << human_bytes(matrix_.total_packet_bytes())
-      << " zcopy=" << human_bytes(matrix_.total_zcopy_bytes()) << '\n';
-  }
-  return o.str();
 }
 
 std::string Profiler::artifact_json(std::string_view netmod) const {

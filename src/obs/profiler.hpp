@@ -370,11 +370,8 @@ class Profiler {
   }
 
   // --- reporting -------------------------------------------------------------
-  // Merged cross-rank report: per-phase max/mean MPI time + imbalance, top-k
-  // callsites, matrix hot spots. Text or a compact JSON summary.
-  std::string report(std::string_view netmod, bool as_json = false) const;
-  // The versioned profile artifact (the lwmpi_prof / bench_check --profcheck
-  // input format): {"lwmpi_profile":1, ranks:[...], matrix:[...]}.
+  // The versioned profile artifact (read back by obs/profile_load.hpp, whose
+  // renderer is its text form): {"lwmpi_profile":1, ranks:[...], matrix:[...]}.
   std::string artifact_json(std::string_view netmod) const;
   // Write artifact_json to `path` (World teardown; no-op on open failure).
   void write_artifact(const std::string& path, std::string_view netmod) const;

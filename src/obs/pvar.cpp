@@ -291,7 +291,7 @@ const Entry kRegistry[] = {
     {lat_level("wait_reg_cache_miss_max_ns", "reg-cache-miss wait max (ns)"),
      &read_wait_max<Wait::RegCacheMiss>},
     // rdma credit state (satellite of the causal tier): live ring credits and
-    // registration-cache size, so hangdump can show credit exhaustion.
+    // registration-cache size, so a hang report can show credit exhaustion.
     {{"rdma_ring_credits", "free eager-ring credits (scarcest lane)", PvarClass::Level,
       PvarBind::Vci},
      +[](Engine& e, int vci) {

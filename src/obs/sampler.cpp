@@ -306,22 +306,21 @@ void Sampler::evaluate_slo(RankSample* s) {
     a.seq = s->seq;
     s->alerts.push_back(a);
     alerts_fired_.fetch_add(1, std::memory_order_release);
-    if (opts_.emit_trace_alerts) {
-      // Structured alert event into the World's alert ring: seq 0 keeps it
-      // out of message chains; tag carries the rule index, bytes the
-      // observed value, wait_ns the threshold -- all integers by contract.
-      world_.trace_alert(trace::Event{.ts_ns = rt::now_ns(),
-                                      .seq = 0,
-                                      .bytes = static_cast<std::uint64_t>(value),
-                                      .lclock = world_.fabric().lclock(s->rank),
-                                      .wait_ns = static_cast<std::uint64_t>(thr),
-                                      .rank = s->rank,
-                                      .peer = -1,
-                                      .tag = i,
-                                      .vci = 0,
-                                      .wait = 0,
-                                      .kind = trace::Ev::Alert});
-    }
+    // Structured alert event into the World's alert ring (a no-op unless
+    // the world was built with BuildConfig::trace): seq 0 keeps it out of
+    // message chains; tag carries the rule index, bytes the observed value,
+    // wait_ns the threshold -- all integers by contract.
+    world_.trace_alert(trace::Event{.ts_ns = rt::now_ns(),
+                                    .seq = 0,
+                                    .bytes = static_cast<std::uint64_t>(value),
+                                    .lclock = world_.fabric().lclock(s->rank),
+                                    .wait_ns = static_cast<std::uint64_t>(thr),
+                                    .rank = s->rank,
+                                    .peer = -1,
+                                    .tag = i,
+                                    .vci = 0,
+                                    .wait = 0,
+                                    .kind = trace::Ev::Alert});
   }
 }
 

@@ -64,9 +64,6 @@ struct SamplerOptions {
   std::string jsonl_path;
   // When non-empty, the destructor writes a final Prometheus exposition here.
   std::string prom_path;
-  // Record an Ev::Alert trace event per fired SLO rule (only when the world
-  // was built with BuildConfig::trace).
-  bool emit_trace_alerts = true;
 };
 
 // One fired SLO rule instance.
@@ -113,7 +110,8 @@ struct RankSample {
   std::vector<Alert> alerts;  // SLO rules fired on this interval
 };
 
-// Render one sample as a single-line JSON object (the JSONL record shape).
+// Render one sample as a single-line JSON object (the JSONL record shape;
+// obs::sample_row in obs/text.hpp is its text form).
 std::string render_json(const RankSample& s);
 
 class Sampler {
@@ -146,7 +144,7 @@ class Sampler {
 
   // Compact JSON array of every rank's last `last_n` samples (merged,
   // oldest first) -- the block WatchdogOptions::sampler embeds in HangReport
-  // JSON and `hangdump --timeline` pretty-prints.
+  // JSON and `lwmpi hang --timeline` prints.
   std::string timeline_json(std::size_t last_n) const;
 
  private:

@@ -203,11 +203,6 @@ std::string table_report(std::span<const AttributionRow> rows, bool as_json) {
   return out.str();
 }
 
-std::string table_report(bool as_json) {
-  const std::vector<AttributionRow> rows = collect_attribution();
-  return table_report(rows, as_json);
-}
-
 std::string attribution_report(DeviceKind device, BuildConfig build, bool as_json) {
   const AttributionRow rows[] = {
       attribution_row("isend", device, build),

@@ -53,9 +53,6 @@ std::vector<AttributionRow> collect_attribution();
 //     "groups":{...},"categories":{...},"modeled_total":...,"model_ok":...}]}
 std::string table_report(std::span<const AttributionRow> rows, bool as_json);
 
-// collect_attribution() + render.
-std::string table_report(bool as_json);
-
 // Both operations for a single (device, build): the slice World::stats_report
 // embeds for the world's own configuration.
 std::string attribution_report(DeviceKind device, BuildConfig build, bool as_json);

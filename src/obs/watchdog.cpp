@@ -11,18 +11,22 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
-#include <iostream>
 #include <sstream>
 
 #include "obs/causal.hpp"
 #include "obs/cvar.hpp"
 #include "obs/json.hpp"
 #include "obs/sampler.hpp"
+#include "obs/text.hpp"
 #include "runtime/world.hpp"
 
 namespace lwmpi::obs {
 
 namespace {
+
+// How many of a stalled rank's most recent flight-recorder ops a diagnosis
+// embeds as StuckRank::last_moves.
+constexpr std::size_t kLastMovesDepth = 16;
 
 // Resolve the 0-means-default fields against the cvar registry, so
 // LWMPI_CVAR_WATCHDOG_STALL_MS / _POLL_MS retune every watchdog that did not
@@ -44,26 +48,10 @@ WatchdogOptions apply_cvar_defaults(WatchdogOptions opts) {
 }  // namespace
 
 std::string render_text(const HangReport& r) {
-  std::ostringstream o;
-  o << "=== lwmpi hang diagnosis: " << r.stuck.size() << " of " << r.nranks
-    << " rank(s) stuck ===\n";
-  for (const StuckRank& s : r.stuck) {
-    o << "rank " << s.rank << " stuck in " << s.call << " (blocked "
-      << s.blocked_ns / 1'000'000 << "ms, no progress for " << s.stalled_ns / 1'000'000
-      << "ms)\n";
-    o << render_text(s.snap);
-    if (!s.last_moves.empty()) {
-      o << "  last moves (oldest first):\n";
-      for (const auto& [idx, op] : s.last_moves) {
-        o << "    #" << idx << ' ' << rec_kind_name(op.kind) << " peer=" << op.peer
-          << " tag=" << op.tag << " vci=" << static_cast<int>(op.vci)
-          << " bytes=" << op.bytes;
-        if (op.link != 0) o << " link=-" << op.link;
-        o << '\n';
-      }
-    }
-  }
-  return o.str();
+  json::Value v;
+  std::string out;
+  if (json::parse(render_json(r), &v)) render_hang_text(v, /*with_timeline=*/false, &out);
+  return out;
 }
 
 std::string render_json(const HangReport& r) {
@@ -172,7 +160,7 @@ void Watchdog::run() {
       s.stalled_ns = now - state[static_cast<std::size_t>(r)].last_change_ns;
       if (Recorder* rec = world_.recorder(); rec != nullptr) {
         std::uint64_t i = 0;
-        for (const RecOp& op : rec->rank(r).ops().last(opts_.last_moves_depth, &i)) {
+        for (const RecOp& op : rec->rank(r).ops().last(kLastMovesDepth, &i)) {
           s.last_moves.emplace_back(i++, op);
         }
       }
@@ -199,7 +187,6 @@ void Watchdog::run() {
     // A hung run may never reach World teardown; flush the trace bundle now
     // so the stall is replayable postmortem (teardown re-flushes harmlessly).
     if (!world_.options().record_path.empty()) world_.flush_recording();
-    if (opts_.announce) std::cerr << render_text(report);
     if (opts_.on_hang) opts_.on_hang(report);
     // Counted last: a caller that sees fires() > 0 finds the report file
     // closed, the causal export and bundle flush written, and on_hang returned.

@@ -17,8 +17,9 @@
 //     for `stall_ns`, the rank is declared stuck and a HangReport is emitted:
 //     each stuck rank's current blocking call, its oldest pending request's
 //     (comm, tag, peer, age), and the full queue snapshot
-//     (obs/introspect.hpp). The report renders as text or JSON; the JSON form
-//     is what tools/hangdump pretty-prints.
+//     (obs/introspect.hpp). The report renders as JSON; its text form is
+//     that JSON through obs::render_hang_text, which `lwmpi hang` also uses
+//     on a saved report.
 //
 // The watchdog fires once per stall episode and re-arms when any stuck rank
 // makes progress again. It must be destroyed before the World it observes.
@@ -78,9 +79,11 @@ struct StuckRank {
   std::uint64_t blocked_ns = 0;               // time inside that call
   std::uint64_t stalled_ns = 0;               // time since last observed progress
   RankSnapshot snap;
-  // When the world has a flight recorder, the stalled rank's last N surface
+  // When the world has a flight recorder, the stalled rank's last 16 surface
   // calls (oldest first) as (absolute op index, record) pairs -- the "last
-  // moves" leading into the hang. Empty when recording is off.
+  // moves" leading into the hang. Empty when recording is off. On fire the
+  // watchdog also flushes the trace bundle mid-run if the world has a
+  // record_path, so a hung job still yields a replayable trace.
   std::vector<std::pair<std::uint64_t, RecOp>> last_moves;
 };
 
@@ -94,6 +97,7 @@ struct HangReport {
   std::string timeline_json;
 };
 
+// render_json's document through obs::render_hang_text (obs/text.hpp).
 std::string render_text(const HangReport& r);
 std::string render_json(const HangReport& r);
 
@@ -106,27 +110,20 @@ struct WatchdogOptions {
   // Invoked (from the watchdog thread) with each new hang diagnosis.
   std::function<void(const HangReport&)> on_hang;
   // When non-empty, each diagnosis is also written here as JSON (the format
-  // tools/hangdump consumes). Overwritten per episode.
+  // `lwmpi hang` reads). Overwritten per episode.
   std::string report_path;
   // When non-empty, each diagnosis also dumps the merged causal trace (the
   // World's trace rings, globally ordered) here as JSONL -- the format
-  // tools/critpath consumes. Requires the world to be built with
+  // `lwmpi critpath` reads. Requires the world to be built with
   // BuildConfig::trace; written per episode so a hung run still yields a
   // critical-path-analyzable timeline.
   std::string causal_trace_path;
   // When non-null, each diagnosis embeds the sampler's last `timeline_depth`
   // intervals as HangReport::timeline_json (rendered into the JSON report and
-  // pretty-printed by `hangdump --timeline`). The sampler must outlive the
+  // printed by `lwmpi hang --timeline`). The sampler must outlive the
   // watchdog.
   const Sampler* sampler = nullptr;
   std::size_t timeline_depth = 16;
-  // How many of the stalled rank's most recent flight-recorder ops to embed
-  // as StuckRank::last_moves (when the world records). On fire the watchdog
-  // also flushes the trace bundle mid-run if the world has a record_path, so
-  // a hung job still yields a replayable trace.
-  std::size_t last_moves_depth = 16;
-  // Also print the text rendering to stderr when firing.
-  bool announce = false;
 };
 
 class Watchdog {

@@ -10,6 +10,7 @@
 #include "obs/cvar.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
+#include "obs/profile_load.hpp"
 #include "obs/pvar.hpp"
 #include "obs/recorder.hpp"
 #include "obs/table.hpp"
@@ -161,9 +162,15 @@ void World::phase_pop() {
   for (int r = 0; r < nranks_; ++r) profiler_->rank(r).phase_pop();
 }
 
-std::string World::profile_report(bool as_json) {
+std::string World::profile_report() {
   if (profiler_ == nullptr) return {};
-  return profiler_->report(fabric_.backend_name(), as_json);
+  obs::Profile p;
+  std::string err;
+  // The artifact as write_artifact puts it on disk: one terminated line.
+  if (!obs::parse_profile(profiler_->artifact_json(fabric_.backend_name()) + '\n', &p, &err)) {
+    return "profile artifact unreadable: " + err + '\n';
+  }
+  return obs::render_text(p, /*color=*/false);
 }
 
 Engine& World::engine(Rank r) { return *engines_.at(static_cast<std::size_t>(r)); }

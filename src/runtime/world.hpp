@@ -50,7 +50,7 @@ struct WorldOptions {
   // When non-empty (and the build has tracing on), World teardown stitches
   // this World's trace rings (trace_events()) into one globally-ordered
   // timeline and writes it here as JSONL -- the input format of
-  // tools/critpath. The watchdog can dump the same file mid-run on a hang
+  // `lwmpi critpath`. The watchdog can dump the same file mid-run on a hang
   // (WatchdogOptions::causal_trace_path).
   std::string causal_trace_path;
   // When > 0, the engine busy-waits `modeled instructions x this` per
@@ -66,7 +66,7 @@ struct WorldOptions {
   bool prof = false;
   std::string prof_default_phase = "main";  // name of phase 0
   // When profiling is on and this is non-empty, World teardown writes the
-  // versioned profile JSON artifact here (tools/lwmpi_prof input).
+  // versioned profile JSON artifact here (`lwmpi prof` input).
   std::string prof_path;
   // Flight recorder (obs/recorder.hpp): per-rank DXT-style op rings, flushed
   // as a `.lwtrace` trace bundle at teardown (or by the watchdog on a hang).
@@ -113,9 +113,11 @@ class World {
   // when profiling is off.
   void phase_push(std::string_view name);
   void phase_pop();
-  // Merged cross-rank profile report: per-phase max/mean MPI time and
-  // imbalance, top-k callsites, matrix hot spots. Empty when profiling is off.
-  std::string profile_report(bool as_json = false);
+  // Merged cross-rank profile report: artifact_json() through the profile's
+  // one text renderer (obs/profile_load.hpp) -- per-phase max/mean MPI time
+  // and imbalance, top callsites, the heatmap, matrix hot spots and totals.
+  // Empty when profiling is off.
+  std::string profile_report();
 
   // --- flight recorder (obs/recorder.hpp) ------------------------------------
   // Null when WorldOptions::record is off.

@@ -1,14 +1,17 @@
 // Live queue introspection (obs/introspect.hpp): Engine::snapshot() walks the
 // posted/unexpected/send queues and RMA epoch state; render_text/render_json
-// turn a snapshot into the dump tools/hangdump consumes. All tests drive the
+// turn a snapshot into the dump `lwmpi hang` prints. All tests drive the
 // engines single-threaded so the queues hold exactly what the test staged.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
 #include "obs/introspect.hpp"
 #include "obs/json.hpp"
+#include "obs/text.hpp"
 #include "obs/watchdog.hpp"
 #include "util.hpp"
 
@@ -249,7 +252,7 @@ TEST(Introspect, PhaseNameIsEscapedInSnapshotAndHangReport) {
 
 TEST(Introspect, RdmaSnapshotCarriesCreditAndRegCacheState) {
   // On the rdma backend the snapshot must expose the two backend-specific
-  // stall sources -- ring credits and the registration cache -- so a hangdump
+  // stall sources -- ring credits and the registration cache -- so a hang report
   // shows whether a stuck sender is out of credits.
   WorldOptions o = test::fast_opts();
   o.netmod = "rdma";
@@ -340,6 +343,69 @@ TEST(Introspect, WildcardReceiveRendersStars) {
   e1.progress();
   ASSERT_EQ(e1.wait(&rr, nullptr), Err::Success);
   EXPECT_EQ(buf, 'w');
+}
+
+TEST(Introspect, SavedHangReportRendersLikeTheLiveOne) {
+  // A hang report read back from the file the watchdog writes must print the
+  // same lines as the in-memory report: wildcards as '*', the live-request
+  // count, the phase, and the rdma credit block.
+  WorldOptions o = test::fast_opts();
+  o.netmod = "rdma";
+  o.ranks_per_node = 1;
+  o.profile.rdma_ring_depth = 4;
+  o.prof = true;  // the snapshot names the profiler phase
+  World w(2, o);
+  Engine& e0 = w.engine(0);
+  Engine& e1 = w.engine(1);
+
+  // Rank 0 fills rank 1's eager ring; rank 1 then posts a wildcard receive
+  // without progressing, so the ring stays exhausted.
+  char c = 'x';
+  for (int i = 0; i < 4; ++i) {
+    Request sr = kRequestNull;
+    ASSERT_EQ(e0.isend(&c, 1, kChar, 1, i, kCommWorld, &sr), Err::Success);
+    ASSERT_EQ(e0.wait(&sr, nullptr), Err::Success);
+  }
+  char in = 0;
+  Request rr = kRequestNull;
+  ASSERT_EQ(e1.irecv(&in, 1, kChar, kAnySource, kAnyTag, kCommWorld, &rr), Err::Success);
+  e1.phase_push("drain");
+
+  obs::HangReport live;
+  live.nranks = 2;
+  obs::StuckRank stuck;
+  stuck.rank = 1;
+  stuck.call = "Wait";
+  stuck.snap = e1.snapshot();
+  live.stuck.push_back(stuck);
+
+  // Written as the watchdog writes report_path, read as `lwmpi hang` reads it.
+  const std::string path = ::testing::TempDir() + "lwmpi_saved_hang_report.json";
+  {
+    std::ofstream f(path, std::ios::trunc);
+    f << obs::render_json(live) << '\n';
+  }
+  std::string file;
+  ASSERT_TRUE(obs::json::read_file(path, &file));
+  std::remove(path.c_str());
+  obs::json::Value root;
+  std::string err;
+  ASSERT_TRUE(obs::json::parse_one_line(file, &root, &err)) << err;
+  std::string saved;
+  ASSERT_TRUE(obs::render_hang_text(root, /*with_timeline=*/false, &saved));
+
+  EXPECT_EQ(saved, obs::render_text(live));
+  for (const char* want : {"posted:     comm=WORLD src=* tag=*", "peer=* tag=*",
+                           "(1 live request) [phase drain]", "credits=0/4", "[EXHAUSTED]"}) {
+    EXPECT_NE(saved.find(want), std::string::npos) << want << "\n" << saved;
+  }
+
+  // Drain: the wildcard takes the first arrival, then the rest by tag.
+  e1.phase_pop();
+  ASSERT_EQ(e1.wait(&rr, nullptr), Err::Success);
+  for (int i = 1; i < 4; ++i) {
+    ASSERT_EQ(e1.recv(&in, 1, kChar, 0, i, kCommWorld, nullptr), Err::Success);
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The one JSON reader and string escaper (obs/json.hpp) and every artifact
 // loader built on it: causal::parse_jsonl, tools::parse_bench_json and the
-// profile.json loader (tools/profile_load.hpp).
+// profile.json loader (obs/profile_load.hpp).
 //
 // The hostile-input cases feed each loader every truncation point and a
 // fixed, seeded set of single-byte flips of a real artifact. Every mutant
@@ -26,8 +26,8 @@
 #include "apps/replay.hpp"
 #include "obs/causal.hpp"
 #include "obs/json.hpp"
+#include "obs/profile_load.hpp"
 #include "tools/check_core.hpp"
-#include "tools/profile_load.hpp"
 #include "util.hpp"
 
 namespace lwmpi {
@@ -337,15 +337,15 @@ TEST(JsonHostile, ProfileArtifactMutants) {
   }
   const std::string artifact = read_all(path);
   std::remove(path.c_str());
-  tools::Profile p;
+  obs::Profile p;
   std::string err;
-  ASSERT_TRUE(tools::parse_profile(artifact, &p, &err)) << err;
+  ASSERT_TRUE(obs::parse_profile(artifact, &p, &err)) << err;
   EXPECT_EQ(p.nranks, 2);
   EXPECT_EQ(p.phases.back(), "halo \"x\"");
   ASSERT_GT(p.matrix_cells, 0u);
 
   for_each_mutant(artifact, [&](const std::string& m, bool truncated) {
-    const bool ok = tools::parse_profile(m, &p, &err);
+    const bool ok = obs::parse_profile(m, &p, &err);
     if (truncated) {
       // One newline-terminated line: any cut leaves no complete document.
       ASSERT_FALSE(ok);

@@ -14,6 +14,7 @@
 
 #include "net/netmod.hpp"
 #include "obs/histogram.hpp"
+#include "obs/profile_load.hpp"
 #include "obs/profiler.hpp"
 #include "obs/pvar.hpp"
 #include "util.hpp"
@@ -244,19 +245,33 @@ TEST(Profiler, ImbalanceMathOnSkewedWorkload) {
   const int ph = p.intern_phase("solve");
   p.rank(0).cell(ph, obs::Callsite::Allreduce, 0).add(64, 3000);
   p.rank(1).cell(ph, obs::Callsite::Allreduce, 0).add(64, 1000);
+  p.rank(0).cell(0, obs::Callsite::Send, 0).add(8, 500);  // phase "main"
 
   EXPECT_EQ(p.rank(0).phase_time_ns(ph), 3000u);
   EXPECT_EQ(p.rank(1).phase_time_ns(ph), 1000u);
 
-  const std::string json = p.report("mailbox", /*as_json=*/true);
-  EXPECT_NE(json.find("\"phase\":\"solve\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"max_ns\":3000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"mean_ns\":2000"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"imbalance\":1.500"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"max_rank\":0"), std::string::npos) << json;
-
-  const std::string text = p.report("mailbox", /*as_json=*/false);
-  EXPECT_NE(text.find("imbalance=1.50x"), std::string::npos) << text;
+  // Through the one profile renderer, on the artifact line the profiler writes.
+  obs::Profile prof;
+  std::string err;
+  ASSERT_TRUE(obs::parse_profile(p.artifact_json("mailbox") + '\n', &prof, &err)) << err;
+  const std::string text = obs::render_text(prof, /*color=*/false);
+  EXPECT_NE(text.find("phase \"solve\": mpi time max=3.0us (rank 0) mean=2.0us"
+                      " imbalance=1.50x"),
+            std::string::npos)
+      << text;
+  // Each phase line is followed by that phase's own callsites.
+  const std::size_t main_at = text.find("phase \"main\"");
+  const std::size_t solve_at = text.find("phase \"solve\"");
+  const std::size_t all_at = text.find("top callsites");
+  ASSERT_LT(main_at, solve_at) << text;
+  ASSERT_LT(solve_at, all_at) << text;
+  const std::string main_lines = text.substr(main_at, solve_at - main_at);
+  const std::string solve_lines = text.substr(solve_at, all_at - solve_at);
+  EXPECT_NE(main_lines.find("\n  send "), std::string::npos) << text;
+  EXPECT_EQ(main_lines.find("allreduce"), std::string::npos) << text;
+  EXPECT_NE(solve_lines.find("\n  allreduce "), std::string::npos) << text;
+  EXPECT_NE(solve_lines.find("time=4.0us"), std::string::npos) << text;
+  EXPECT_EQ(solve_lines.find("send"), std::string::npos) << text;
 }
 
 TEST(Profiler, ReportOnSkewedTraffic) {
@@ -273,14 +288,14 @@ TEST(Profiler, ReportOnSkewedTraffic) {
       for (int i = 0; i < 2; ++i) e.send(buf, 16, kUint64, 0, 4, kCommWorld);
     }
   });
-  const std::string text = w.profile_report(false);
+  const std::string text = w.profile_report();
   EXPECT_NE(text.find("phase \"main\""), std::string::npos) << text;
   EXPECT_NE(text.find("comm matrix hot spots"), std::string::npos) << text;
   EXPECT_NE(text.find("0 -> 1"), std::string::npos) << text;
   // Profiling off -> empty report, null profiler.
   World off(1, test::fast_opts());
   EXPECT_EQ(off.profiler(), nullptr);
-  EXPECT_TRUE(off.profile_report(false).empty());
+  EXPECT_TRUE(off.profile_report().empty());
 }
 
 // --- artifact ---------------------------------------------------------------

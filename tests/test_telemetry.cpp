@@ -12,7 +12,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
@@ -21,6 +23,7 @@
 
 #include "obs/cvar.hpp"
 #include "obs/histogram.hpp"
+#include "obs/json.hpp"
 #include "obs/pvar.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
@@ -381,6 +384,73 @@ TEST(Sampler, PrometheusExpositionShape) {
   EXPECT_EQ(helps, 1u);
 }
 
+TEST(Sampler, TeardownWritesJsonlAndPrometheusFiles) {
+  // SamplerOptions::jsonl_path is the file `lwmpi top --follow` reads, and
+  // prom_path the exposition a scraper picks up; the destructor writes both
+  // after its final sample.
+  CvarGuard g(obs::Cv::SamplerIntervalMs);
+  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);
+  obs::SamplerOptions so;
+  so.jsonl_path = ::testing::TempDir() + "lwmpi_sampler_teardown.jsonl";
+  so.prom_path = ::testing::TempDir() + "lwmpi_sampler_teardown.prom";
+  {
+    World w(2, test::fast_opts());
+    obs::Sampler sampler(w, so);
+    w.run([&](Engine& e) {
+      int v = 1;
+      for (int i = 0; i < 20; ++i) {
+        if (e.world_rank() == 0) {
+          ASSERT_EQ(e.send(&v, 1, kInt, 1, i, kCommWorld), Err::Success);
+        } else {
+          ASSERT_EQ(e.recv(&v, 1, kInt, 0, i, kCommWorld, nullptr), Err::Success);
+        }
+      }
+    });
+    sampler.sample_now();
+  }
+
+  // Every JSONL line parses and carries what `lwmpi top` requires; there is
+  // one line per (rank, interval), and both ranks cover the same intervals.
+  std::string text;
+  ASSERT_TRUE(obs::json::read_file(so.jsonl_path, &text));
+  std::remove(so.jsonl_path.c_str());
+  const obs::json::Lines file = obs::json::split_lines(text);
+  EXPECT_FALSE(file.truncated_tail);
+  std::map<std::uint64_t, std::set<std::uint64_t>> seqs_by_rank;
+  for (const std::string& line : file.lines) {
+    obs::json::Value v;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(line, &v, &err)) << err << ": " << line;
+    obs::json::Fields f(v, &err);
+    const std::uint64_t rank = f.u64("rank");
+    const std::uint64_t seq = f.u64("seq");
+    f.arr("alerts");
+    ASSERT_TRUE(f.ok()) << err << ": " << line;
+    EXPECT_TRUE(seqs_by_rank[rank].insert(seq).second) << "rank " << rank << " seq " << seq;
+  }
+  ASSERT_EQ(seqs_by_rank.size(), 2u);
+  EXPECT_GE(seqs_by_rank[0].size(), 2u);  // sample_now plus the final sample
+  EXPECT_EQ(seqs_by_rank[0], seqs_by_rank[1]);
+  EXPECT_EQ(file.lines.size(), 2 * seqs_by_rank[0].size());
+
+  // Each metric family's # TYPE line comes before its samples.
+  ASSERT_TRUE(obs::json::read_file(so.prom_path, &text));
+  std::remove(so.prom_path.c_str());
+  std::set<std::string> typed;
+  std::size_t samples = 0;
+  std::istringstream prom(text);
+  for (std::string line; std::getline(prom, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      typed.insert(line.substr(7, line.find(' ', 7) - 7));
+    } else if (!line.empty() && line[0] != '#') {
+      const std::string family = line.substr(0, line.find_first_of("{ "));
+      EXPECT_EQ(typed.count(family), 1u) << "sample before its # TYPE: " << line;
+      ++samples;
+    }
+  }
+  EXPECT_GT(samples, 0u);
+}
+
 TEST(Sampler, WatchdogEmbedsTimeline) {
   CvarGuard g(obs::Cv::SamplerIntervalMs);
   obs::cvar_set(obs::Cv::SamplerIntervalMs, 20);
@@ -419,7 +489,7 @@ TEST(Sampler, WatchdogEmbedsTimeline) {
   EXPECT_EQ(r.timeline_json.front(), '[');
   EXPECT_EQ(r.timeline_json.back(), ']');
   EXPECT_NE(r.timeline_json.find("\"unexpected_depth\""), std::string::npos);
-  // The hang JSON report carries it under "timeline" (hangdump --timeline).
+  // The hang JSON report carries it under "timeline" (`lwmpi hang --timeline`).
   const std::string json = obs::render_json(r);
   EXPECT_NE(json.find("\"timeline\":["), std::string::npos);
 }

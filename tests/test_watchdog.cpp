@@ -93,7 +93,7 @@ TEST(Watchdog, DiagnosesTagMismatchDeadlock) {
   EXPECT_NE(text.find("Wait"), std::string::npos);
   EXPECT_NE(text.find("tag=42"), std::string::npos);
 
-  // The report file (what tools/hangdump reads) carries the same diagnosis.
+  // The report file (what `lwmpi hang` reads) carries the same diagnosis.
   std::ifstream f(wo.report_path);
   ASSERT_TRUE(f.good());
   std::stringstream buf;

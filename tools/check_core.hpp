@@ -9,7 +9,7 @@
 //     they are compared within a configurable relative tolerance, or merely
 //     reported when the tolerance is negative (report-only mode).
 // Missing or extra labels fail in either regime: a schema change must be
-// acknowledged by refreshing the baseline (tools/bench_check --update).
+// acknowledged by refreshing the baseline (`lwmpi check --update`).
 //
 // Header-only so tests/test_bench_check.cpp can exercise it directly.
 #pragma once
@@ -87,6 +87,13 @@ struct CompareResult {
 
 inline bool is_failure(DiffKind k) { return k != DiffKind::Drift; }
 
+inline const Entry* find_entry(const BenchFile& f, const std::string& label) {
+  for (const Entry& e : f.entries) {
+    if (e.label == label) return &e;
+  }
+  return nullptr;
+}
+
 inline double rel_delta(double baseline, double current) {
   if (baseline == 0.0) return current == 0.0 ? 0.0 : HUGE_VAL;
   return std::fabs(current - baseline) / std::fabs(baseline);
@@ -97,14 +104,8 @@ inline double rel_delta(double baseline, double current) {
 inline CompareResult compare(const BenchFile& baseline, const BenchFile& current,
                              double tolerance) {
   CompareResult out;
-  auto find = [](const BenchFile& f, const std::string& label) -> const Entry* {
-    for (const Entry& e : f.entries) {
-      if (e.label == label) return &e;
-    }
-    return nullptr;
-  };
   for (const Entry& b : baseline.entries) {
-    const Entry* c = find(current, b.label);
+    const Entry* c = find_entry(current, b.label);
     if (c == nullptr) {
       out.diffs.push_back({DiffKind::Missing, b.label, b.unit, b.value, 0.0});
       continue;
@@ -127,7 +128,7 @@ inline CompareResult compare(const BenchFile& baseline, const BenchFile& current
     }
   }
   for (const Entry& c : current.entries) {
-    if (find(baseline, c.label) == nullptr) {
+    if (find_entry(baseline, c.label) == nullptr) {
       out.diffs.push_back({DiffKind::Extra, c.label, c.unit, 0.0, c.value});
     }
   }

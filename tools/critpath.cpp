@@ -1,5 +1,5 @@
-// critpath: "why was this message slow?" -- the CLI over the causal tier
-// (src/obs/causal.hpp).
+// lwmpi critpath: "why was this message slow?" -- the CLI over the causal
+// tier (src/obs/causal.hpp).
 //
 // A World built with BuildConfig::trace and a causal_trace_path writes its
 // merged cross-rank timeline as JSONL at teardown (the watchdog writes the
@@ -8,16 +8,16 @@
 // wait-state categories the end-to-end path spent its time in, the top
 // contributing edges, and per-rank slack.
 //
-//   critpath trace.jsonl [--json] [--top N]
+//   lwmpi critpath trace.jsonl [--json] [--top N]
 //       analyze a saved causal trace
-//   critpath --demo [--netmod mailbox|rdma] [--delay sender|receiver|credits]
-//            [--export trace.jsonl] [--json]
+//   lwmpi critpath --demo [--netmod mailbox|rdma] [--delay sender|receiver|credits]
+//                  [--export trace.jsonl] [--json]
 //       run a live 2-rank world with one injected delay and analyze it; the
 //       injected delay should surface as the top cost category
 //       (late_sender / late_receiver / credit_stalled respectively).
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -27,24 +27,16 @@
 #include "obs/causal.hpp"
 #include "obs/trace.hpp"
 #include "runtime/world.hpp"
+#include "tools/cli.hpp"
+
+namespace lwmpi::cli {
 
 namespace {
-
-using namespace lwmpi;
-
-int usage() {
-  std::fprintf(stderr,
-               "usage: critpath <trace.jsonl> [--json] [--top N]\n"
-               "       critpath --demo [--netmod mailbox|rdma]\n"
-               "                [--delay sender|receiver|credits]\n"
-               "                [--export <trace.jsonl>] [--json]\n");
-  return 2;
-}
 
 int analyze_and_print(const std::vector<obs::trace::Event>& events, bool json,
                       std::size_t top_k) {
   if (events.empty()) {
-    std::fprintf(stderr, "critpath: no events (was the world built with trace on?)\n");
+    std::fprintf(stderr, "lwmpi critpath: no events (was the world built with trace on?)\n");
     return 1;
   }
   const obs::causal::Analysis a = obs::causal::analyze(events);
@@ -70,7 +62,7 @@ int run_demo(const std::string& netmod, const std::string& delay,
   o.build.lat_sample_shift = 0;  // stamp every message so every match classifies
   if (delay == "credits") {
     if (netmod != "rdma") {
-      std::fprintf(stderr, "critpath: --delay credits requires --netmod rdma\n");
+      std::fprintf(stderr, "lwmpi critpath: --delay credits requires --netmod rdma\n");
       return 2;
     }
     o.profile.rdma_ring_depth = 2;  // exhaust the eager ring after two messages
@@ -131,11 +123,11 @@ int run_demo(const std::string& netmod, const std::string& delay,
   if (!export_path.empty()) {
     std::ofstream f(export_path, std::ios::trunc);
     if (!f) {
-      std::fprintf(stderr, "critpath: cannot write %s\n", export_path.c_str());
+      std::fprintf(stderr, "lwmpi critpath: cannot write %s\n", export_path.c_str());
       return 1;
     }
     obs::causal::export_jsonl(f, events);
-    std::fprintf(stderr, "critpath: wrote %zu events to %s\n", events.size(),
+    std::fprintf(stderr, "lwmpi critpath: wrote %zu events to %s\n", events.size(),
                  export_path.c_str());
   }
   return analyze_and_print(events, json, top_k);
@@ -143,69 +135,40 @@ int run_demo(const std::string& netmod, const std::string& delay,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bool demo = false;
-  bool json = false;
-  std::size_t top_k = 10;
-  std::string netmod = "mailbox";
-  std::string delay = "sender";
-  std::string export_path;
-  std::string trace_file;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "critpath: %s needs a value\n", flag);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (std::strcmp(a, "--demo") == 0) {
-      demo = true;
-    } else if (std::strcmp(a, "--json") == 0) {
-      json = true;
-    } else if (std::strcmp(a, "--top") == 0) {
-      const char* v = next("--top");
-      if (v == nullptr) return 2;
-      top_k = static_cast<std::size_t>(std::strtoul(v, nullptr, 10));
-    } else if (std::strcmp(a, "--netmod") == 0) {
-      const char* v = next("--netmod");
-      if (v == nullptr) return 2;
-      netmod = v;
-    } else if (std::strcmp(a, "--delay") == 0) {
-      const char* v = next("--delay");
-      if (v == nullptr) return 2;
-      delay = v;
-    } else if (std::strcmp(a, "--export") == 0) {
-      const char* v = next("--export");
-      if (v == nullptr) return 2;
-      export_path = v;
-    } else if (a[0] == '-') {
-      return usage();
-    } else if (trace_file.empty()) {
-      trace_file = a;
-    } else {
-      return usage();
-    }
+int critpath_main(int argc, char** argv) {
+  const Args args(argc, argv, {"--demo", "--json"},
+                  {"--top", "--netmod", "--delay", "--export"});
+  const bool json = args.has("--json");
+  const auto top_k =
+      static_cast<std::size_t>(std::strtoul(args.get("--top", "10").c_str(), nullptr, 10));
+  const std::string delay = args.get("--delay", "sender");
+  const bool demo = args.has("--demo");
+  const std::size_t want_files = demo ? 0 : 1;
+  if (!args.ok || args.positional.size() != want_files ||
+      (delay != "sender" && delay != "receiver" && delay != "credits")) {
+    return usage(
+        "usage: lwmpi critpath <trace.jsonl> [--json] [--top N]\n"
+        "       lwmpi critpath --demo [--netmod mailbox|rdma]\n"
+        "                      [--delay sender|receiver|credits]\n"
+        "                      [--export <trace.jsonl>] [--json]\n");
   }
-
   if (demo) {
-    if (delay != "sender" && delay != "receiver" && delay != "credits") return usage();
-    return run_demo(netmod, delay, export_path, json, top_k);
+    return run_demo(args.get("--netmod", "mailbox"), delay, args.get("--export"), json, top_k);
   }
-  if (trace_file.empty()) return usage();
 
+  const std::string& trace_file = args.positional[0];
   std::ifstream f(trace_file);
   if (!f) {
-    std::fprintf(stderr, "critpath: cannot open %s\n", trace_file.c_str());
+    std::fprintf(stderr, "lwmpi critpath: cannot open %s\n", trace_file.c_str());
     return 1;
   }
   std::vector<obs::trace::Event> events;
   std::string err;
   if (!obs::causal::parse_jsonl(f, &events, &err)) {
-    std::fprintf(stderr, "critpath: %s: %s\n", trace_file.c_str(), err.c_str());
+    std::fprintf(stderr, "lwmpi critpath: %s: %s\n", trace_file.c_str(), err.c_str());
     return 1;
   }
   return analyze_and_print(events, json, top_k);
 }
+
+}  // namespace lwmpi::cli
