@@ -41,9 +41,7 @@
 // attached sampler at the default cadence costs the hot path *nothing
 // structural* (its reads share no locks with the engine), so its gate is
 // tighter: the sampled configuration must stay within 1% of the plain one.
-// The telemetry pass emits its own BENCH_telemetry.json plus a Prometheus
-// text-exposition artifact that scripts/run_tier1.sh lints with
-// `lwmpi check --promlint`.
+// The telemetry pass emits its own BENCH_telemetry.json.
 // Every top-level MPI entry point opens one obs::SurfaceScope (obs/recorder.hpp),
 // which feeds both the aggregate profiler and the flight recorder -- one
 // branch when neither is attached. With a profiler attached the scope pays a
@@ -63,14 +61,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
-#include "obs/cvar.hpp"
 #include "obs/profiler.hpp"
 #include "obs/pvar.hpp"
 #include "obs/sampler.hpp"
@@ -205,44 +201,6 @@ Measured measure(Pair pair) {
   return m;
 }
 
-// Telemetry-plane example artifact: a short 2-rank sampled run whose
-// Prometheus exposition is written next to the bench JSON (tier-1 lints it
-// with `lwmpi check --promlint`). Reports the run's tick count through the
-// JSON result and returns a line naming the exposition path.
-std::string write_prom_artifact(bench::JsonResult& jr) {
-  const std::int64_t saved_interval = obs::cvar(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 5);
-  WorldOptions o;
-  o.profile = net::loopback();
-  o.device = DeviceKind::Ch4;
-  o.ranks_per_node = 1;
-  World w(2, o);
-  std::uint64_t ticks = 0;
-  {
-    obs::Sampler sampler(w);
-    w.run([&](Engine& e) {
-      char b = 1;
-      if (e.world_rank() == 0) {
-        for (int i = 0; i < 2000; ++i) e.send(&b, 1, kChar, 1, i % 64, kCommWorld);
-      } else {
-        for (int i = 0; i < 2000; ++i) e.recv(&b, 1, kChar, 0, i % 64, kCommWorld, nullptr);
-      }
-    });
-    sampler.sample_now();
-    ticks = sampler.ticks();
-
-    std::string path = "telemetry.prom";
-    if (const char* dir = std::getenv("LWMPI_BENCH_DIR"); dir != nullptr && *dir != '\0') {
-      path = std::string(dir) + "/" + path;
-    }
-    std::ofstream f(path, std::ios::trunc);
-    if (f) f << sampler.prometheus();
-    jr.add("prom_sample_ticks", static_cast<double>(ticks), "count");
-    obs::cvar_set(obs::Cv::SamplerIntervalMs, saved_interval);
-    return "prometheus exposition: " + path;
-  }
-}
-
 // Profiler-tier example artifact: a short phased 2-rank profiled run whose
 // profile.json lands next to the bench JSON (tier-1 validates it with
 // `lwmpi check --profcheck`). Reports the run's aggregate counts through the
@@ -305,7 +263,7 @@ constexpr Pass kPasses[] = {
      "counters off", "counters on", 3.0, 2, "obs", "counters", "", add_stats_report},
     {Pair::Sampler, "telemetry sampler overhead (counters on, sampler attached vs not)",
      "sampler detached", "sampler attached", 1.0, 2, "telemetry", "sampler", "sampler_",
-     write_prom_artifact},
+     nullptr},
     {Pair::Prof, "aggregate profiler overhead (counters on, profiler attached vs not)",
      "profiler detached", "profiler attached", 2.0, 2, "prof", "prof", "prof_",
      write_profile_artifact},

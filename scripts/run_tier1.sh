@@ -19,12 +19,10 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # attached aggregate profiler within 2% (timing bench -- runs after ctest so
 # it gets a quiet machine; its own exit code is the acceptance check).
 # Artifacts go to a scratch dir so the repo root stays clean; the emitted
-# Prometheus exposition must pass the promtool-style lint and the emitted
-# profile artifact the profile-JSON schema check.
+# profile artifact must pass the profile-JSON schema check.
 obs_scratch="$(mktemp -d)"
 trap 'rm -rf "${obs_scratch}"' EXIT
 LWMPI_BENCH_DIR="${obs_scratch}" "${BUILD_DIR}/bench/bench_obs_overhead"
-"${BUILD_DIR}/tools/lwmpi" check --promlint "${obs_scratch}/telemetry.prom"
 "${BUILD_DIR}/tools/lwmpi" check --profcheck "${obs_scratch}/profile.json"
 
 # Trace replay: re-execute the committed bundles on both netmods (the bench's

@@ -458,8 +458,12 @@ bool load_trace(const std::string& prefix, TraceBundle* out, std::string* err) {
   if (!read_rank_file(rank0, &first)) return fail("cannot read " + rank0);
   const obs::LwtraceHeader& h0 = first.header;
   // The header sizes the replay World: nranks rank threads, nvcis channels.
-  if (h0.rank != 0 || h0.nranks == 0 || h0.nranks > static_cast<std::uint32_t>(INT32_MAX) ||
-      h0.nvcis == 0 || h0.nvcis > static_cast<std::uint32_t>(kMaxVcis)) {
+  if (h0.nranks > static_cast<std::uint32_t>(kMaxTraceRanks)) {
+    return fail(rank0 + ": header names " + std::to_string(h0.nranks) +
+                " ranks, above the cap kMaxTraceRanks = " + std::to_string(kMaxTraceRanks));
+  }
+  if (h0.rank != 0 || h0.nranks == 0 || h0.nvcis == 0 ||
+      h0.nvcis > static_cast<std::uint32_t>(kMaxVcis)) {
     return fail(rank0 + ": header names rank " + std::to_string(h0.rank) + " of " +
                 std::to_string(h0.nranks) + " with " + std::to_string(h0.nvcis) + " vcis");
   }

@@ -62,12 +62,18 @@ struct TraceBundle {
   bool complete() const noexcept;
 };
 
+// The most ranks a bundle may name. Each replayed rank is a thread, and a
+// missing rank file loads as an empty slice, so rank 0's header alone would
+// otherwise size both. The committed bundles have 4 and 8 ranks.
+inline constexpr int kMaxTraceRanks = 1024;
+
 // Load `<prefix>.rank<r>.lwtrace` for every rank named by rank 0's header,
 // plus the sidecar when present. Returns false (with a message in *err) when
 // no usable trace exists or the headers are not one bundle's: rank 0 names
-// no ranks or an nvcis outside 1..kMaxVcis, or a rank file names another
-// rank, nranks or nvcis. Per-rank truncation, a missing rank file, and an
-// nrecords beyond the bytes present are tolerated and flagged.
+// no ranks, more than kMaxTraceRanks, or an nvcis outside 1..kMaxVcis, or a
+// rank file names another rank, nranks or nvcis. Per-rank truncation, a
+// missing rank file, and an nrecords beyond the bytes present are tolerated
+// and flagged.
 bool load_trace(const std::string& prefix, TraceBundle* out, std::string* err);
 
 struct ReplayOptions {

@@ -39,8 +39,7 @@ class Fabric {
   // `netmod` selects the backend ("mailbox" or "rdma"); unknown names throw
   // std::invalid_argument (see make_netmod). `lamport` turns on the causal
   // clock and the send stamp on every packet; World passes
-  // BuildConfig::trace, because trace events (and the sampler's trace
-  // alerts) are the clock's only readers.
+  // BuildConfig::trace, because trace events are the clock's only readers.
   Fabric(int nranks, int ranks_per_node, Profile profile, int lanes_per_rank = 1,
          std::string_view netmod = "mailbox", bool lamport = false);
   ~Fabric();  // the backend reclaims undelivered packets
@@ -67,8 +66,8 @@ class Fabric {
   // stamps every packet:
   //   L := ++clock[src];  hdr.lclock = L;  hdr.send_ns = lat_now_ns().
   // The tick is a locked read-modify-write on rank-global state, and trace
-  // events (with the sampler's trace alerts) are the clock's only readers, so
-  // untraced packets keep lclock = 0, which also makes poll() skip its merge.
+  // events are the clock's only readers, so untraced packets keep
+  // lclock = 0, which also makes poll() skip its merge.
   // An untraced world stamps send_ns only on a packet the sender marked
   // `sampled`: the latency tier samples both ends of a (channel, peer) stream
   // at the same messages (obs/histogram.hpp VciLatency), and only a sampled

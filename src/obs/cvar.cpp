@@ -42,16 +42,6 @@ constexpr CvarInfo kInfo[kNumCvars] = {
      CvarScope::Startup, false, 20},
     {"netmod_default", "default WorldOptions::netmod backend name",
      CvarScope::Startup, true, 0, "mailbox"},
-    {"slo_credit_stall_pct", "alert when interval credit-stall ratio exceeds (%; 0 = off)",
-     CvarScope::Runtime, false, 0},
-    {"slo_unexpected_depth", "alert when unexpected-queue depth exceeds (0 = off)",
-     CvarScope::Runtime, false, 0},
-    {"slo_unexpected_growth",
-     "alert when unexpected depth grows by more than this per interval (0 = off)",
-     CvarScope::Runtime, false, 0},
-    {"slo_progress_idle_pct",
-     "alert when interval progress-idle fraction exceeds (%; 0 = off)",
-     CvarScope::Runtime, false, 0},
     {"prof", "enable the aggregate profiler (WorldOptions::prof default)",
      CvarScope::Startup, false, 0},
     {"prof_default_phase", "name of the profiler's default phase (phase 0)",

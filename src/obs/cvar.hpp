@@ -14,8 +14,8 @@
 //       - Startup:  consumed at World/Watchdog construction; writing later
 //                   affects only objects built afterwards.
 //       - Runtime:  consumers re-read continuously (the telemetry sampler's
-//                   interval, the SLO thresholds), so a write takes effect on
-//                   the next tick of whatever reads it.
+//                   interval), so a write takes effect on the next tick of
+//                   whatever reads it.
 //       - Constant: informational echo; writes are rejected (Err::Arg).
 //   * every variable is env-bound: LWMPI_CVAR_<UPPER_NAME> seeds the value at
 //     first registry access, so a run can be re-tuned without recompiling --
@@ -52,11 +52,6 @@ enum class Cv : std::uint8_t {
   WatchdogStallMs,        // Startup: WatchdogOptions::stall_ns default
   WatchdogPollMs,         // Startup: WatchdogOptions::poll_ns default
   NetmodDefault,          // Startup (string): WorldOptions::netmod default
-  SloCreditStallPct,      // Runtime: alert when credit-stall ratio exceeds (%; 0 = off)
-  SloUnexpectedDepth,     // Runtime: alert when unexpected-queue depth exceeds (0 = off)
-  SloUnexpectedGrowth,    // Runtime: alert when unexpected depth grows by more
-                          //          than this per interval (0 = off)
-  SloProgressIdlePct,     // Runtime: alert when progress idle fraction exceeds (%; 0 = off)
   Prof,                   // Startup: enable the aggregate profiler (WorldOptions::prof)
   ProfDefaultPhase,       // Startup (string): name of phase 0 (default "main")
   ProfPath,               // Startup (string): World-teardown profile JSON path

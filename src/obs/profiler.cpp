@@ -217,15 +217,17 @@ namespace {
 struct ProfSample {
   CallCell* cell = nullptr;
   std::uint64_t t0 = 0;
+  int weight_shift = 0;
   bool metered = false;
   cost::Meter::Snapshot m0;
 };
 thread_local ProfSample tl_sample;
 }  // namespace
 
-void prof_arm(CallCell* cell) noexcept {
+void prof_arm(CallCell* cell, std::uint64_t count) noexcept {
   ProfSample& s = tl_sample;
   s.cell = cell;
+  s.weight_shift = count < (std::uint64_t{1} << kProfSampleShift) ? 0 : kProfSampleShift;
   s.t0 = lat_now_ns();
   s.metered = false;
   if (const cost::Meter* m = cost::tl_meter()) {
@@ -238,7 +240,7 @@ void prof_finish() noexcept {
   const ProfSample& s = tl_sample;
   CallCell* cell = s.cell;
   cell->time_ns.store(cell->time_ns.load(std::memory_order_relaxed) +
-                          ((lat_now_ns() - s.t0) << kProfSampleShift),
+                          ((lat_now_ns() - s.t0) << s.weight_shift),
                       std::memory_order_relaxed);
   if (s.metered) {
     if (const cost::Meter* m = cost::tl_meter()) {
@@ -253,7 +255,7 @@ void prof_finish() noexcept {
       }
       for (std::size_t g = 0; g < cost::kNumGroups; ++g) {
         auto& slot = cell->instr[g];
-        slot.store(slot.load(std::memory_order_relaxed) + (by_group[g] << kProfSampleShift),
+        slot.store(slot.load(std::memory_order_relaxed) + (by_group[g] << s.weight_shift),
                    std::memory_order_relaxed);
       }
     }

@@ -23,14 +23,14 @@
 //     wait, testall -> waitall, ...) are handled by its outermost-wins
 //     thread-local depth guard, so one user call is counted exactly once.
 //     Counts and bytes are exact on every call; the *timed* fields
-//     (time_ns, instr) follow the histogram tier's sampling discipline
-//     (obs/histogram.hpp VciLatency::arm): a TSC stamp costs ~15-25ns where
-//     the TSC is virtualized, which would dwarf the hook itself, so only 1 in
-//     2^kProfSampleShift calls per cell is stamped and its elapsed/instr
-//     deltas are scaled back up -- an unbiased estimate whose error the <2%
+//     (time_ns, instr) are sampled: a TSC stamp costs ~15-25ns where the TSC
+//     is virtualized, which would dwarf the hook itself on a hot cell. A
+//     cell's first 2^kProfSampleShift calls are each stamped, so a cell with
+//     fewer calls reports exact totals; after that 1 in 2^kProfSampleShift is,
+//     and its elapsed/instr deltas are weighted by the 2^kProfSampleShift
+//     calls it stands for -- an unbiased estimate whose error the <2%
 //     overhead gate (bench_obs_overhead) trades for staying invisible on a
-//     sub-microsecond call path. Each cell's first call is always sampled, so
-//     any (phase, callsite) that ran at all reports nonzero time.
+//     sub-microsecond call path.
 //   * The communication matrix is stamped in the net::Fabric facade at the
 //     injection boundary, exactly like the causal header, so both netmods are
 //     covered without transport changes. Packet traffic splits into eager /
@@ -160,11 +160,13 @@ constexpr MsgClass msg_class_of(rt::PacketKind k) noexcept {
 inline constexpr int kMaxPhases = 32;
 inline constexpr int kMaxPhaseDepth = 16;
 
-// Time-sampling gate: 1 in 2^kProfSampleShift outermost calls per cell (the
-// cell's own count is the sampling clock -- no extra TLS state) pays the two
-// TSC stamps (and the meter snapshot when armed); its elapsed and instruction
-// deltas are scaled by 2^kProfSampleShift so accumulated totals stay
-// unbiased. Counts and bytes are never sampled.
+// Time-sampling gate: a cell's first 2^kProfSampleShift outermost calls, then
+// 1 in 2^kProfSampleShift (the cell's own count is the sampling clock -- no
+// extra TLS state), pay the two TSC stamps (and the meter snapshot when
+// armed). Each stamp's elapsed and instruction deltas are weighted by the
+// number of calls it stands for -- 1 while every call is stamped, then
+// 2^kProfSampleShift -- so accumulated totals stay unbiased. Counts and bytes
+// are never sampled.
 inline constexpr int kProfSampleShift = 10;
 
 // One (phase, callsite, vci) accumulator. Relaxed load+store (see header
@@ -386,15 +388,16 @@ class Profiler {
   std::atomic<std::uint64_t> phase_overflows_{0};
 };
 
-// The 1-in-2^kProfSampleShift stamped path of a profiled surface call
-// (obs::SurfaceScope, obs/recorder.hpp), out of line because it is cold. The
-// scope has already counted the call in `cell`; prof_arm takes the TSC stamp
-// and, when a cost::Meter is armed on this thread, its baseline, and
-// prof_finish adds the elapsed time and Table-1 instruction-group deltas,
-// scaled by 2^kProfSampleShift, to that cell. The armed state lives in a
-// thread-local slot (only the outermost call on a thread is ever armed), so
-// the scope carries nothing of it across the call.
-void prof_arm(CallCell* cell) noexcept;
+// The stamped path of a profiled surface call (obs::SurfaceScope,
+// obs/recorder.hpp), out of line because it is cold on a hot cell. The scope
+// has already counted the call in `cell`, which held `count` calls before
+// it; prof_arm takes the TSC stamp and, when a cost::Meter is armed on this
+// thread, its baseline, and prof_finish adds the elapsed time and Table-1
+// instruction-group deltas to that cell, weighted by the calls the stamp
+// stands for (1 below 2^kProfSampleShift calls, 2^kProfSampleShift after).
+// The armed state lives in a thread-local slot (only the outermost call on a
+// thread is ever armed), so the scope carries nothing of it across the call.
+void prof_arm(CallCell* cell, std::uint64_t count) noexcept;
 void prof_finish() noexcept;
 
 }  // namespace lwmpi::obs

@@ -321,11 +321,11 @@ inline constexpr DeferRecord kDeferRecord{};
 // its Surface callable never runs -- no comm lookup, no datatype walk. A
 // nested scope bumps the depth and skips the callable too. The outermost
 // scope evaluates it once, then pays per attached tier, all at entry:
-//   * profiler: one cell bump; counts and bytes are exact on every call. 1 in
-//     2^kProfSampleShift calls per cell is armed for the out-of-line
-//     prof_arm/prof_finish TSC and cost-meter path. The cell's own count is
-//     the sampling clock (the bump reads it anyway), so a cell's first call is
-//     always stamped.
+//   * profiler: one cell bump; counts and bytes are exact on every call. A
+//     cell's first 2^kProfSampleShift calls, then 1 in 2^kProfSampleShift,
+//     are armed for the out-of-line prof_arm/prof_finish TSC and cost-meter
+//     path. The cell's own count is the sampling clock (the bump reads it
+//     anyway).
 //   * recorder: one 16-byte ring store; 1 in 2^sample_shift ops (the ring
 //     head is the clock) is armed for a TSC stamp pair into the anchor ring.
 // Armed calls park their stamps in thread-local slots, so across the call the
@@ -420,8 +420,9 @@ class SurfaceScope {
       // CallCell::bump, with the count loaded once for the sampling test too.
       CallCell& cell = p->cur_cell(site, s.vci);
       const std::uint64_t n = cell.count.load(std::memory_order_relaxed);
-      if ((n & ((1u << kProfSampleShift) - 1)) == 0) [[unlikely]] {
-        prof_arm(&cell);
+      constexpr std::uint64_t kMask = (std::uint64_t{1} << kProfSampleShift) - 1;
+      if (n <= kMask || (n & kMask) == 0) [[unlikely]] {
+        prof_arm(&cell, n);
         state_ |= kProfArmed;
       }
       cell.count.store(n + 1, std::memory_order_relaxed);

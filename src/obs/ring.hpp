@@ -1,12 +1,12 @@
 // The one event ring of the observability plane: fixed power-of-two capacity,
 // overwrite-oldest, single writer.
 //
-// The trace tier keeps one per channel (core/vci.hpp) plus the World's alert
-// ring; the flight recorder keeps an op ring and an anchor ring per rank
-// (obs/recorder.hpp). push() is one slot store plus a release store of the
-// head: it never blocks or allocates, so a ring cannot perturb the code it
-// observes. One thread pushes at a time; whoever owns the ring says which
-// (the channel lock, the rank thread, a mutex). Readers acquire the head and
+// The trace tier keeps one per channel (core/vci.hpp); the flight recorder
+// keeps an op ring and an anchor ring per rank (obs/recorder.hpp). push() is
+// one slot store plus a release store of the head: it never blocks or
+// allocates, so a ring cannot perturb the code it observes. One thread pushes
+// at a time; whoever owns the ring says which (the channel lock, the rank
+// thread). Readers acquire the head and
 // copy the slots it covers. They are exact once the writer is quiescent
 // (after World::run joins its rank threads); a mid-run read, as the watchdog
 // takes of a stalled rank, may see a slot the writer is overwriting.

@@ -20,17 +20,10 @@
 //   * The sampling interval is the *runtime-scope* cvar sampler_interval_ms
 //     (obs/cvar.hpp), re-read every tick, so a tool can retune the cadence of
 //     a live run and see it take effect in the next exported interval.
-//   * An SLO rule engine evaluates threshold predicates (cvar-configured)
-//     over the derived rates each tick; a fired rule becomes a structured
-//     Alert on the sample and -- when the world was built with tracing -- an
-//     Ev::Alert event in the World's alert ring (World::trace_alert),
-//     timestamped into the same causal timeline as the messages that caused
-//     it.
-//   * Export: Prometheus text-exposition format (prometheus()), JSONL time
-//     series (export_jsonl()), and a compact JSON timeline block
-//     (timeline_json()) the watchdog embeds in HangReports so a hang carries
-//     its last N intervals of history. The destructor takes a final sample
-//     and writes the configured teardown files.
+//   * Export: JSONL time series (export_jsonl()) and a compact JSON timeline
+//     block (timeline_json()) the watchdog embeds in HangReports so a hang
+//     carries its last N intervals of history. The destructor takes a final
+//     sample and writes the configured JSONL file.
 //
 // All reads are relaxed atomics or lock-free accessors -- the sampler never
 // takes an engine or channel lock, so it cannot perturb or deadlock the
@@ -62,19 +55,6 @@ namespace lwmpi::obs {
 struct SamplerOptions {
   // When non-empty, the destructor writes the full JSONL time series here.
   std::string jsonl_path;
-  // When non-empty, the destructor writes a final Prometheus exposition here.
-  std::string prom_path;
-};
-
-// One fired SLO rule instance.
-struct Alert {
-  const char* rule = "";  // rule name (stable string literal)
-  int rule_index = 0;
-  Rank rank = 0;
-  double value = 0.0;      // the derived rate that tripped
-  double threshold = 0.0;  // the cvar threshold at fire time
-  std::uint64_t t_ns = 0;
-  std::uint64_t seq = 0;  // sample sequence number that fired it
 };
 
 // Interval rates for one (rank, vci) lane.
@@ -107,7 +87,6 @@ struct RankSample {
   double idle_pct = 0.0;          // idle progress calls / all progress calls
   // Interval wait-state counts, indexed by Wait - 1 (late_sender first).
   std::array<std::uint64_t, kNumWaitStates> wait_delta{};
-  std::vector<Alert> alerts;  // SLO rules fired on this interval
 };
 
 // Render one sample as a single-line JSON object (the JSONL record shape;
@@ -117,7 +96,7 @@ std::string render_json(const RankSample& s);
 class Sampler {
  public:
   explicit Sampler(World& world, SamplerOptions opts = {});
-  ~Sampler();  // stops the thread, takes a final sample, writes teardown files
+  ~Sampler();  // stops the thread, takes a final sample, writes the JSONL file
   Sampler(const Sampler&) = delete;
   Sampler& operator=(const Sampler&) = delete;
 
@@ -126,17 +105,10 @@ class Sampler {
   void sample_now();
 
   std::uint64_t ticks() const noexcept { return ticks_.load(std::memory_order_acquire); }
-  std::uint64_t alerts_fired() const noexcept {
-    return alerts_fired_.load(std::memory_order_acquire);
-  }
   std::size_t ring_depth() const noexcept { return ring_depth_; }
 
   // Copy of one rank's ring, oldest first.
   std::vector<RankSample> history(Rank r) const;
-
-  // Prometheus text exposition: latest-interval gauges (rates, depths,
-  // ratios) plus cumulative counters (wait classes, traffic, alerts).
-  std::string prometheus() const;
 
   // The whole retained time series as JSONL: one line per (rank, interval),
   // rank-major, oldest first.
@@ -155,12 +127,14 @@ class Sampler {
     std::vector<std::uint64_t> lane_delivered;
     std::vector<std::uint64_t> lane_deliver_bytes;
     std::vector<std::uint64_t> lane_inject_bytes;
+    std::vector<std::uint64_t> lane_posted;  // depth levels, read once per tick
+    std::vector<std::uint64_t> lane_unexpected;
     std::uint64_t sends = 0;
     std::uint64_t recvs = 0;
     std::uint64_t idle = 0;
     std::uint64_t swept = 0;
     std::uint64_t stall_ns = 0;
-    std::uint64_t posted_depth = 0;
+    std::uint64_t posted_depth = 0;  // sums of the lane levels
     std::uint64_t unexpected_depth = 0;
     std::array<std::uint64_t, kNumWaitStates> waits{};
     LatSnapshot send_lat;  // cumulative SendEager+SendRdv fold
@@ -170,14 +144,12 @@ class Sampler {
   void run();
   void collect(Engine& e, RawRank* out) const;  // lock-free cumulative read
   void tick();                                  // one sample of every rank
-  void evaluate_slo(RankSample* s);
 
   World& world_;
   const SamplerOptions opts_;
   const std::size_t ring_depth_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> ticks_{0};
-  std::atomic<std::uint64_t> alerts_fired_{0};
   mutable std::mutex mu_;  // serializes ticks and guards raw_/rings_
   std::uint64_t seq_ = 0;  // under mu_
   std::vector<RawRank> raw_;

@@ -188,24 +188,18 @@ bool render_hang_text(const Value& r, bool with_timeline, std::string* out) {
 
 std::string sample_header() {
   std::string o;
-  put(o, "%5s %4s %8s %9s %9s %9s %9s %5s %6s %7s %6s  %s\n", "SEQ", "RANK", "DT", "SENDS/s",
-      "RECVS/s", "P99send", "P99recv", "UEXQ", "+UEXQ", "STALL%", "IDLE%", "ALERTS");
+  put(o, "%5s %4s %8s %9s %9s %9s %9s %5s %6s %7s %6s\n", "SEQ", "RANK", "DT", "SENDS/s",
+      "RECVS/s", "P99send", "P99recv", "UEXQ", "+UEXQ", "STALL%", "IDLE%");
   return o;
 }
 
 std::string sample_row(const Value& s) {
-  std::string fired;
-  for (const Value& a : s["alerts"].arr) {
-    put(fired, "%s%s(%.3g>%.3g)", fired.empty() ? "" : " ", text(a["rule"]), a["value"].num,
-        a["threshold"].num);
-  }
   std::string o;
-  put(o, "%5llu %4lld %8s %9s %9s %9s %9s %5llu %+6lld %6.1f%% %5.1f%%  %s\n", ull(s["seq"]),
+  put(o, "%5llu %4lld %8s %9s %9s %9s %9s %5llu %+6lld %6.1f%% %5.1f%%\n", ull(s["seq"]),
       ll(s["rank"]), fmt_ns(s["dt_ns"].num).c_str(), fmt_rate(s["sends_per_s"].num).c_str(),
       fmt_rate(s["recvs_per_s"].num).c_str(), fmt_ns(s["send_p99_ns"].num).c_str(),
       fmt_ns(s["recv_p99_ns"].num).c_str(), ull(s["unexpected_depth"]),
-      ll(s["unexpected_growth"]), s["credit_stall_pct"].num, s["idle_pct"].num,
-      fired.empty() ? "-" : fired.c_str());
+      ll(s["unexpected_growth"]), s["credit_stall_pct"].num, s["idle_pct"].num);
   return o;
 }
 

@@ -15,14 +15,13 @@ const char* to_string(Ev e) noexcept {
     case Ev::Deliver: return "deliver";
     case Ev::Complete: return "complete";
     case Ev::ZcopyWrite: return "zcopy-write";
-    case Ev::Alert: return "alert";
   }
   return "?";
 }
 
 std::optional<Ev> ev_from_string(std::string_view s) noexcept {
   for (Ev e : {Ev::SendPost, Ev::RecvPost, Ev::Match, Ev::Inject, Ev::Deliver,
-               Ev::Complete, Ev::ZcopyWrite, Ev::Alert}) {
+               Ev::Complete, Ev::ZcopyWrite}) {
     if (s == to_string(e)) return e;
   }
   return std::nullopt;

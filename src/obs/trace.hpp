@@ -6,10 +6,10 @@
 // deliver, complete -- keyed by a sequence id (World::next_trace_seq) carried
 // in the packet header so the origin- and target-side halves of one message
 // chain back together. Events land in the obs::Ring of the channel whose lock
-// the recording thread holds (core/vci.hpp); the sampler's alerts land in a
-// ring of the World's own. A full ring overwrites its oldest events rather
-// than blocking or allocating, so tracing never perturbs the progress engine
-// it is observing. World::trace_events() merges a World's rings.
+// the recording thread holds (core/vci.hpp). A full ring overwrites its
+// oldest events rather than blocking or allocating, so tracing never perturbs
+// the progress engine it is observing. World::trace_events() merges a World's
+// rings.
 //
 // export_chrome_json() renders collected events as a Chrome about:tracing /
 // Perfetto-loadable timeline: one instant event per lifecycle step (pid =
@@ -34,9 +34,6 @@ enum class Ev : std::uint8_t {
   Deliver,       // target: packet surfaced by the fabric poll
   Complete,      // either side: request observable-complete
   ZcopyWrite,    // origin: one-sided rdma_write landed the rendezvous payload
-  Alert,         // telemetry sampler: an SLO rule fired (obs/sampler.hpp);
-                 // seq = 0 (not message-associated), tag = rule index,
-                 // bytes = observed value, wait_ns = threshold
 };
 
 const char* to_string(Ev e) noexcept;
@@ -54,7 +51,6 @@ constexpr int stage_order(Ev e) noexcept {
     case Ev::ZcopyWrite: return 2;
     case Ev::Match: return 3;
     case Ev::Complete: return 4;
-    case Ev::Alert: return 5;
   }
   return 5;
 }
@@ -73,7 +69,7 @@ struct Event {
   Ev kind = Ev::SendPost;
 };
 
-// Capacity of each channel's event ring and of the World's alert ring.
+// Capacity of each channel's event ring.
 inline constexpr std::size_t kRingCapacity = 1 << 16;
 
 // Write `events` as a Chrome about:tracing / Perfetto JSON document. Events

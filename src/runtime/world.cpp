@@ -70,8 +70,7 @@ World::World(int nranks, WorldOptions opts)
       opts_(apply_cvars(std::move(opts))),
       fabric_(nranks, opts_.ranks_per_node, opts_.profile, opts_.build.vcis(),
               opts_.netmod, opts_.build.trace),
-      next_ctx_(kFirstDynamicCtx),
-      alert_ring_(opts_.build.trace ? obs::trace::kRingCapacity : 0) {
+      next_ctx_(kFirstDynamicCtx) {
   // The TSC calibration spins about 1 ms once per process; pay it here, in
   // setup, rather than in the first sampled message of a timed run.
   obs::lat_calibrate();
@@ -127,22 +126,15 @@ bool World::flush_recording(const std::string& prefix) {
   return recorder_->flush(out, totals, prov.str());
 }
 
-void World::trace_alert(const obs::trace::Event& e) {
-  std::lock_guard<std::mutex> lk(alert_mu_);
-  if (alert_ring_.capacity() != 0) alert_ring_.push(e);
-}
-
 std::vector<const obs::Ring<obs::trace::Event>*> World::trace_rings() const {
   std::vector<const obs::Ring<obs::trace::Event>*> rings;
   for (const auto& e : engines_) {
     for (int v = 0; v < e->num_vcis(); ++v) rings.push_back(&e->vci_trace(v));
   }
-  rings.push_back(&alert_ring_);
   return rings;
 }
 
 std::vector<obs::trace::Event> World::trace_events() const {
-  std::lock_guard<std::mutex> lk(alert_mu_);
   std::vector<obs::trace::Event> out;
   for (const obs::Ring<obs::trace::Event>* ring : trace_rings()) {
     const std::vector<obs::trace::Event> part = ring->collect();

@@ -133,12 +133,8 @@ class World {
   std::uint64_t next_trace_seq() noexcept {
     return next_trace_seq_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Record a sampler alert (obs/sampler.hpp). The sampler holds no channel
-  // lock, so alerts get a ring of their own, behind a mutex. No-op when the
-  // build does not trace.
-  void trace_alert(const obs::trace::Event& e);
-  // Every trace ring of this World: one per (rank, channel), rank-major, then
-  // the alert ring. Untraced worlds' rings hold nothing.
+  // Every trace ring of this World: one per (rank, channel), rank-major.
+  // Untraced worlds' rings hold nothing.
   std::vector<const obs::Ring<obs::trace::Event>*> trace_rings() const;
   // The events held in those rings, grouped by ring, oldest first within
   // each. Exact once the ranks are quiescent (after run() returns).
@@ -175,8 +171,6 @@ class World {
   std::atomic<std::uint32_t> next_ctx_;
   std::atomic<std::uint32_t> next_win_{1};
   std::atomic<std::uint64_t> next_trace_seq_{1};
-  mutable std::mutex alert_mu_;
-  obs::Ring<obs::trace::Event> alert_ring_;  // guarded by alert_mu_
   std::mutex win_mu_;
   std::unordered_map<std::uint32_t, std::shared_ptr<rma::WindowGlobal>> win_registry_;
 };

@@ -493,9 +493,10 @@ TEST(LwtraceHostile, Storm4Mutants) { expect_lwtrace_mutants_load_or_fail("storm
 
 TEST(LwtraceHostile, Stencil4Mutants) { expect_lwtrace_mutants_load_or_fail("stencil4"); }
 
-// The headers that used to load: a rank-0 claim of 1,000,000 ranks beside
-// rank files that say 4, an nvcis past kMaxVcis, and an nrecords of 2^40 on
-// a file holding a few records.
+// The headers that used to load: a rank-0 claim of more ranks than the rank
+// files say (8 beside files that say 4; 1,000,000 is past the rank cap), an
+// nvcis past kMaxVcis, and an nrecords of 2^40 on a file holding a few
+// records.
 TEST(LwtraceHostile, ContradictoryHeadersAreErrors) {
   const std::string src = std::string(LWMPI_SOURCE_DIR) + "/bench/traces/storm4";
   const std::string prefix = ::testing::TempDir() + "lwmpi_lwtrace_headers";
@@ -519,8 +520,10 @@ TEST(LwtraceHostile, ContradictoryHeadersAreErrors) {
   };
   apps::TraceBundle b;
   std::string why;
-  EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nranks = 1'000'000; }, &b, &why));
+  EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nranks = 8; }, &b, &why));
   EXPECT_NE(why.find("contradicts"), std::string::npos) << why;
+  EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nranks = 1'000'000; }, &b, &why));
+  EXPECT_NE(why.find("kMaxTraceRanks"), std::string::npos) << why;
   EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nvcis = kMaxVcis + 1; }, &b, &why));
   EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nvcis = 0; }, &b, &why));
   EXPECT_FALSE(load_with_rank0([](obs::LwtraceHeader& h) { h.nranks = 0; }, &b, &why));
@@ -531,6 +534,44 @@ TEST(LwtraceHostile, ContradictoryHeadersAreErrors) {
     EXPECT_EQ(b.ranks[0].records.size(),
               (files[0].size() - sizeof(obs::LwtraceHeader)) / sizeof(obs::DiskRec));
   }
+}
+
+// A lone rank-0 file is a partial bundle (the other ranks' files load as
+// empty slices), so its header alone would size the replay. Past
+// kMaxTraceRanks it is an error naming the cap, raised before any slice is
+// built; at the cap it still loads. Only load_trace runs: a replay would
+// start a thread per rank.
+TEST(LwtraceHostile, LoneRankZeroAboveRankCapIsAnError) {
+  const std::string rank0 =
+      read_bytes(std::string(LWMPI_SOURCE_DIR) + "/bench/traces/storm4.rank0.lwtrace");
+  const std::string prefix = ::testing::TempDir() + "lwmpi_lwtrace_rank_cap";
+  const auto load_claiming = [&](std::uint32_t nranks, apps::TraceBundle* b, std::string* why) {
+    std::string bytes = rank0;
+    obs::LwtraceHeader h;
+    std::memcpy(&h, bytes.data(), sizeof(h));
+    h.nranks = nranks;
+    std::memcpy(bytes.data(), &h, sizeof(h));
+    write_bytes(prefix + ".rank0.lwtrace", bytes);
+    return apps::load_trace(prefix, b, why);
+  };
+  for (const std::uint32_t claim :
+       {1'000'000u, static_cast<std::uint32_t>(apps::kMaxTraceRanks) + 1}) {
+    SCOPED_TRACE(claim);
+    apps::TraceBundle b;
+    std::string why;
+    EXPECT_FALSE(load_claiming(claim, &b, &why));
+    EXPECT_NE(why.find("kMaxTraceRanks = " + std::to_string(apps::kMaxTraceRanks)),
+              std::string::npos)
+        << why;
+    EXPECT_TRUE(b.ranks.empty());
+  }
+  apps::TraceBundle b;
+  std::string why;
+  ASSERT_TRUE(load_claiming(apps::kMaxTraceRanks, &b, &why)) << why;
+  EXPECT_EQ(b.nranks, apps::kMaxTraceRanks);
+  EXPECT_EQ(b.ranks.size(), static_cast<std::size_t>(apps::kMaxTraceRanks));
+  EXPECT_TRUE(b.ranks.back().truncated);
+  std::remove((prefix + ".rank0.lwtrace").c_str());
 }
 
 }  // namespace

@@ -689,13 +689,13 @@ TEST(Trace, SecondWorldExportsOnlyItsOwnEvents) {
 }
 
 // Two run() calls on one World write into the same rings, one per (rank,
-// channel) plus the alert ring, and are collected together.
+// channel), and are collected together.
 TEST(Trace, RunsOfOneWorldShareItsRings) {
   WorldOptions o = test::fast_opts();
   o.build.trace = true;
   World w(4, o);
   const std::vector<const obs::Ring<obs::trace::Event>*> rings = w.trace_rings();
-  ASSERT_EQ(rings.size(), static_cast<std::size_t>(4 * o.build.vcis() + 1));
+  ASSERT_EQ(rings.size(), static_cast<std::size_t>(4 * o.build.vcis()));
   ring_pass(w, 1);
   const std::size_t after_one = w.trace_events().size();
   ring_pass(w, 2);

@@ -6,10 +6,12 @@
 // sampler and profiler both lean on, and the artifact/report renderers.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/netmod.hpp"
@@ -173,6 +175,54 @@ void exercise_callsites(const std::string& netmod) {
 
 TEST(Profiler, CallsiteStatsMailbox) { exercise_callsites("mailbox"); }
 TEST(Profiler, CallsiteStatsRdma) { exercise_callsites("rdma"); }
+
+// A cell's time total is exact below 2^kProfSampleShift calls: 200 blocking
+// sends on rank 0 and 200 blocking recvs on rank 1 each add up to about the
+// wall time of the loop that made them (the loop body is the call alone),
+// not to 2^kProfSampleShift times the cell's first call.
+TEST(Profiler, ShortRunSiteTimesMatchWallClock) {
+  constexpr int kMsgs = 200;
+  static_assert(kMsgs < (1 << obs::kProfSampleShift));
+  World w(2, prof_opts());
+  std::uint64_t loop_ns[2] = {0, 0};
+  w.run([&](Engine& e) {
+    std::uint64_t buf = 0;
+    const Rank me = e.world_rank();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kMsgs; ++i) {
+      if (me == 0) {
+        ASSERT_EQ(e.send(&buf, 1, kUint64, 1, 3, kCommWorld), Err::Success);
+      } else {
+        ASSERT_EQ(e.recv(&buf, 1, kUint64, 0, 3, kCommWorld, nullptr), Err::Success);
+      }
+    }
+    loop_ns[me] = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(std::chrono::steady_clock::now() -
+                                                             t0)
+            .count());
+  });
+  const obs::Profiler* p = w.profiler();
+  ASSERT_NE(p, nullptr);
+  const auto site_ns = [p](Rank r, obs::Callsite site) {
+    std::uint64_t t = 0;
+    for (int v = 0; v < p->rank(r).nvcis(); ++v) {
+      if (const obs::CallCell* c = p->rank(r).peek(0, site, v)) {
+        t += c->time_ns.load(std::memory_order_relaxed);
+      }
+    }
+    return t;
+  };
+  const std::pair<Rank, obs::Callsite> cells[] = {{0, obs::Callsite::Send},
+                                                  {1, obs::Callsite::Recv}};
+  for (const auto& [r, site] : cells) {
+    SCOPED_TRACE(std::string(obs::to_string(site)));
+    ASSERT_EQ(p->rank(r).site_count(0, site), static_cast<std::uint64_t>(kMsgs));
+    const double ratio =
+        static_cast<double>(site_ns(r, site)) / static_cast<double>(loop_ns[r]);
+    EXPECT_GE(ratio, 0.5) << site_ns(r, site) << " ns in calls, " << loop_ns[r] << " ns loop";
+    EXPECT_LE(ratio, 2.0) << site_ns(r, site) << " ns in calls, " << loop_ns[r] << " ns loop";
+  }
+}
 
 // --- communication matrix ---------------------------------------------------
 

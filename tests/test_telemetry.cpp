@@ -1,15 +1,15 @@
 // Telemetry plane (obs/cvar.hpp + obs/sampler.hpp): cvar registry semantics
 // (enumeration, scope enforcement, env binding), histogram snapshot/delta
-// boundary behavior, the sampler time series and its exports, SLO alerting
-// into the trace ring, the watchdog timeline embed, and -- under the
-// "telemetry" label the TSan preset includes -- the races that matter:
-// sampler start/stop against hot rank threads, ring overwrite under a 4-VCI
-// send loop, and cvar mutation mid-run.
+// boundary behavior, the sampler time series and its JSONL export, the
+// watchdog timeline embed, and -- under the "telemetry" label the TSan preset
+// includes -- the races that matter: sampler start/stop against hot rank
+// threads, ring overwrite under a 4-VCI send loop, and cvar mutation mid-run.
 //
 // Cvars are process-global, so every test that writes one saves and restores
 // it; the env-binding test ends with a reload that re-seeds pure defaults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -26,7 +26,6 @@
 #include "obs/json.hpp"
 #include "obs/pvar.hpp"
 #include "obs/sampler.hpp"
-#include "obs/trace.hpp"
 #include "obs/watchdog.hpp"
 #include "util.hpp"
 
@@ -65,7 +64,11 @@ TEST(Cvar, RegistryEnumerates) {
   }
   EXPECT_TRUE(names.count("sampler_interval_ms"));
   EXPECT_TRUE(names.count("netmod_default"));
-  EXPECT_TRUE(names.count("slo_credit_stall_pct"));
+  // The SLO thresholds are gone with the rule engine that read them.
+  for (const char* gone : {"slo_credit_stall_pct", "slo_unexpected_depth",
+                           "slo_unexpected_growth", "slo_progress_idle_pct"}) {
+    EXPECT_EQ(obs::LWMPI_T_cvar_index(gone), -1) << gone;
+  }
 
   obs::CvarInfo info;
   EXPECT_EQ(obs::LWMPI_T_cvar_get_info(-1, &info), Err::Arg);
@@ -123,15 +126,15 @@ TEST(Cvar, EnvBinding) {
             "LWMPI_CVAR_SAMPLER_INTERVAL_MS");
 
   ::setenv("LWMPI_CVAR_SAMPLER_INTERVAL_MS", "37", 1);
-  ::setenv("LWMPI_CVAR_SLO_UNEXPECTED_DEPTH", "junk", 1);  // ignored: not numeric
+  ::setenv("LWMPI_CVAR_RECORD_RING_DEPTH", "junk", 1);    // ignored: not numeric
   ::setenv("LWMPI_CVAR_WATCHDOG_POLL_MS", "12x", 1);       // ignored: trailing junk
   ::setenv("LWMPI_CVAR_MAX_VCIS", "99", 1);                // ignored: Constant scope
   obs::detail::cvar_reload_env_for_testing();
 
   EXPECT_EQ(obs::cvar(obs::Cv::SamplerIntervalMs), 37);
   EXPECT_TRUE(obs::cvar_overridden(obs::Cv::SamplerIntervalMs));
-  EXPECT_EQ(obs::cvar(obs::Cv::SloUnexpectedDepth), 0);
-  EXPECT_FALSE(obs::cvar_overridden(obs::Cv::SloUnexpectedDepth));
+  EXPECT_EQ(obs::cvar(obs::Cv::RecordRingDepth), 1024);
+  EXPECT_FALSE(obs::cvar_overridden(obs::Cv::RecordRingDepth));
   EXPECT_EQ(obs::cvar(obs::Cv::WatchdogPollMs), 20);
   EXPECT_FALSE(obs::cvar_overridden(obs::Cv::WatchdogPollMs));
   EXPECT_EQ(obs::cvar(obs::Cv::MaxVcis), kMaxVcis);
@@ -140,7 +143,7 @@ TEST(Cvar, EnvBinding) {
   // Dropping the binding restores the default on the next reload (and wipes
   // any overridden flags earlier tests left behind -- deliberate hygiene).
   ::unsetenv("LWMPI_CVAR_SAMPLER_INTERVAL_MS");
-  ::unsetenv("LWMPI_CVAR_SLO_UNEXPECTED_DEPTH");
+  ::unsetenv("LWMPI_CVAR_RECORD_RING_DEPTH");
   ::unsetenv("LWMPI_CVAR_WATCHDOG_POLL_MS");
   ::unsetenv("LWMPI_CVAR_MAX_VCIS");
   obs::detail::cvar_reload_env_for_testing();
@@ -270,15 +273,22 @@ TEST(Sampler, RuntimeIntervalChangeVisibleInJsonl) {
   EXPECT_GE(n, 2u);
 }
 
-TEST(Sampler, SloAlertFiresAndLandsInTraceRing) {
-  CvarGuard gi(obs::Cv::SamplerIntervalMs);
-  CvarGuard gd(obs::Cv::SloUnexpectedDepth);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);
-  obs::cvar_set(obs::Cv::SloUnexpectedDepth, 2);  // fire when depth > 2
+// A sample's rank-level queue depths are the sums of its lanes' depths.
+void expect_lanes_sum_to_rank(const obs::RankSample& s) {
+  std::uint64_t posted = 0;
+  std::uint64_t unexpected = 0;
+  for (const obs::LaneSample& l : s.lanes) {
+    posted += l.posted_depth;
+    unexpected += l.unexpected_depth;
+  }
+  EXPECT_EQ(posted, s.posted_depth) << "rank " << s.rank << " seq " << s.seq;
+  EXPECT_EQ(unexpected, s.unexpected_depth) << "rank " << s.rank << " seq " << s.seq;
+}
 
-  WorldOptions o = test::fast_opts();
-  o.build.trace = true;
-  World w(2, o);
+TEST(Sampler, SampleShowsUnmatchedMessages) {
+  CvarGuard g(obs::Cv::SamplerIntervalMs);
+  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);
+  World w(2, test::fast_opts());
   obs::Sampler sampler(w);
 
   w.run([&](Engine& e) {
@@ -296,7 +306,7 @@ TEST(Sampler, SloAlertFiresAndLandsInTraceRing) {
         ASSERT_EQ(e.iprobe(0, 9, kCommWorld, &flag, nullptr), Err::Success);
         if (!flag) std::this_thread::yield();
       }
-      sampler.sample_now();  // unexpected_depth == 3 > threshold 2
+      sampler.sample_now();  // three messages wait on the unexpected queue
       ASSERT_EQ(e.recv(&v, 1, kUint64, 0, 5, kCommWorld, nullptr), Err::Success);
       ASSERT_EQ(e.recv(&v, 1, kUint64, 0, 5, kCommWorld, nullptr), Err::Success);
       ASSERT_EQ(e.recv(&v, 1, kUint64, 0, 9, kCommWorld, nullptr), Err::Success);
@@ -304,95 +314,37 @@ TEST(Sampler, SloAlertFiresAndLandsInTraceRing) {
     e.barrier(kCommWorld);
   });
 
-  EXPECT_GE(sampler.alerts_fired(), 1u);
+  // Rank 1's retained sample shows the queue, and its lanes add up to it...
+  const std::vector<obs::RankSample> hist = sampler.history(1);
+  const auto hit = std::find_if(hist.begin(), hist.end(), [](const obs::RankSample& s) {
+    return s.unexpected_depth >= 3;
+  });
+  ASSERT_NE(hit, hist.end());
+  expect_lanes_sum_to_rank(*hit);
 
-  // The alert must appear in rank 1's retained sample...
-  bool in_history = false;
-  for (const obs::RankSample& s : sampler.history(1)) {
-    for (const obs::Alert& a : s.alerts) {
-      if (std::string(a.rule) == "unexpected_depth") {
-        in_history = true;
-        EXPECT_GE(a.value, 3.0);
-        EXPECT_EQ(a.threshold, 2.0);
-        EXPECT_EQ(a.rank, 1);
-      }
-    }
-  }
-  EXPECT_TRUE(in_history);
-
-  // ...in the JSONL record shape...
+  // ...and its JSONL line carries the same depth.
   std::ostringstream os;
   sampler.export_jsonl(os);
-  EXPECT_NE(os.str().find("\"rule\":\"unexpected_depth\""), std::string::npos);
-
-  // ...and as a structured Ev::Alert in the trace ring, timestamped into the
-  // same timeline as the messages that caused it.
-  bool in_trace = false;
-  for (const obs::trace::Event& ev : w.trace_events()) {
-    if (ev.kind == obs::trace::Ev::Alert && ev.rank == 1) {
-      in_trace = true;
-      EXPECT_EQ(ev.seq, 0u);         // not message-associated
-      EXPECT_EQ(ev.tag, 1);          // rule index: unexpected_depth
-      EXPECT_GE(ev.bytes, 3u);       // observed value
-      EXPECT_EQ(ev.wait_ns, 2u);     // threshold at fire time
-    }
+  std::istringstream lines(os.str());
+  bool in_jsonl = false;
+  for (std::string line; std::getline(lines, line);) {
+    obs::json::Value v;
+    std::string err;
+    ASSERT_TRUE(obs::json::parse(line, &v, &err)) << err << ": " << line;
+    if (v["rank"].u64() != 1 || v["seq"].u64() != hit->seq) continue;
+    in_jsonl = true;
+    EXPECT_EQ(v["unexpected_depth"].u64(), hit->unexpected_depth) << line;
   }
-  EXPECT_TRUE(in_trace);
+  EXPECT_TRUE(in_jsonl);
 }
 
-TEST(Sampler, PrometheusExpositionShape) {
-  CvarGuard g(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);
-  World w(2, test::fast_opts());
-  obs::Sampler sampler(w);
-
-  w.run([&](Engine& e) {
-    int v = 1;
-    if (e.world_rank() == 0) {
-      for (int i = 0; i < 20; ++i) {
-        ASSERT_EQ(e.send(&v, 1, kInt, 1, i, kCommWorld), Err::Success);
-      }
-    } else {
-      for (int i = 0; i < 20; ++i) {
-        ASSERT_EQ(e.recv(&v, 1, kInt, 0, i, kCommWorld, nullptr), Err::Success);
-      }
-    }
-  });
-  sampler.sample_now();
-
-  const std::string prom = sampler.prometheus();
-  // Scalar gauges/counters.
-  EXPECT_NE(prom.find("# HELP lwmpi_sampler_interval_seconds"), std::string::npos);
-  EXPECT_NE(prom.find("# TYPE lwmpi_sampler_ticks_total counter"), std::string::npos);
-  EXPECT_NE(prom.find("lwmpi_alerts_total 0"), std::string::npos);
-  // Per-rank series for both ranks.
-  EXPECT_NE(prom.find("lwmpi_sends_per_second{rank=\"0\"}"), std::string::npos);
-  EXPECT_NE(prom.find("lwmpi_sends_per_second{rank=\"1\"}"), std::string::npos);
-  // Per-lane series carry both labels.
-  EXPECT_NE(prom.find("lwmpi_lane_unexpected_depth{rank=\"0\",vci=\"0\"}"),
-            std::string::npos);
-  // Cumulative wait-class counter with its class label.
-  EXPECT_NE(prom.find("lwmpi_wait_events_total{rank=\"0\",class=\""),
-            std::string::npos);
-  // Exactly one HELP line per metric name (promlint's duplicate-metadata rule).
-  std::size_t pos = 0, helps = 0;
-  const std::string key = "# HELP lwmpi_sends_per_second";
-  while ((pos = prom.find(key, pos)) != std::string::npos) {
-    ++helps;
-    pos += key.size();
-  }
-  EXPECT_EQ(helps, 1u);
-}
-
-TEST(Sampler, TeardownWritesJsonlAndPrometheusFiles) {
-  // SamplerOptions::jsonl_path is the file `lwmpi top --follow` reads, and
-  // prom_path the exposition a scraper picks up; the destructor writes both
-  // after its final sample.
+TEST(Sampler, TeardownWritesJsonl) {
+  // SamplerOptions::jsonl_path is the file `lwmpi top` reads; the destructor
+  // writes it after its final sample.
   CvarGuard g(obs::Cv::SamplerIntervalMs);
   obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);
   obs::SamplerOptions so;
   so.jsonl_path = ::testing::TempDir() + "lwmpi_sampler_teardown.jsonl";
-  so.prom_path = ::testing::TempDir() + "lwmpi_sampler_teardown.prom";
   {
     World w(2, test::fast_opts());
     obs::Sampler sampler(w, so);
@@ -424,7 +376,6 @@ TEST(Sampler, TeardownWritesJsonlAndPrometheusFiles) {
     obs::json::Fields f(v, &err);
     const std::uint64_t rank = f.u64("rank");
     const std::uint64_t seq = f.u64("seq");
-    f.arr("alerts");
     ASSERT_TRUE(f.ok()) << err << ": " << line;
     EXPECT_TRUE(seqs_by_rank[rank].insert(seq).second) << "rank " << rank << " seq " << seq;
   }
@@ -432,23 +383,6 @@ TEST(Sampler, TeardownWritesJsonlAndPrometheusFiles) {
   EXPECT_GE(seqs_by_rank[0].size(), 2u);  // sample_now plus the final sample
   EXPECT_EQ(seqs_by_rank[0], seqs_by_rank[1]);
   EXPECT_EQ(file.lines.size(), 2 * seqs_by_rank[0].size());
-
-  // Each metric family's # TYPE line comes before its samples.
-  ASSERT_TRUE(obs::json::read_file(so.prom_path, &text));
-  std::remove(so.prom_path.c_str());
-  std::set<std::string> typed;
-  std::size_t samples = 0;
-  std::istringstream prom(text);
-  for (std::string line; std::getline(prom, line);) {
-    if (line.rfind("# TYPE ", 0) == 0) {
-      typed.insert(line.substr(7, line.find(' ', 7) - 7));
-    } else if (!line.empty() && line[0] != '#') {
-      const std::string family = line.substr(0, line.find_first_of("{ "));
-      EXPECT_EQ(typed.count(family), 1u) << "sample before its # TYPE: " << line;
-      ++samples;
-    }
-  }
-  EXPECT_GT(samples, 0u);
 }
 
 TEST(Sampler, WatchdogEmbedsTimeline) {
@@ -581,22 +515,23 @@ TEST(SamplerRace, RingOverwriteUnderHotVciLoad) {
     for (std::size_t i = 1; i < hist.size(); ++i) {
       EXPECT_EQ(hist[i].seq, hist[i - 1].seq + 1);
     }
+    // Each lane's depths are read once per tick, so the rank totals of a
+    // sample taken under traffic are exactly its lanes' sums.
+    for (const obs::RankSample& s : hist) expect_lanes_sum_to_rank(s);
   }
 }
 
 TEST(SamplerRace, CvarMutationMidRun) {
   CvarGuard gi(obs::Cv::SamplerIntervalMs);
-  CvarGuard gs(obs::Cv::SloUnexpectedGrowth);
   obs::cvar_set(obs::Cv::SamplerIntervalMs, 1);
 
   World w(2, test::fast_opts());
   obs::Sampler sampler(w);
 
-  // Rank 0 retunes the sampler's runtime cvars from inside the run while the
-  // sampling thread re-reads them every tick: interval cadence flapping
-  // between 1ms and 5ms, an SLO rule toggling on and off. 300 rounds can
-  // finish before the first tick on a fast host, so the batches repeat until
-  // the sampler has ticked.
+  // Rank 0 retunes the sampler's runtime cvar from inside the run while the
+  // sampling thread re-reads it every tick: the interval cadence flaps
+  // between 1ms and 5ms. 300 rounds can finish before the first tick on a
+  // fast host, so the batches repeat until the sampler has ticked.
   w.run([&](Engine& e) {
     const bool mutate = e.world_rank() == 0;
     hot_vci_loop(
@@ -604,7 +539,6 @@ TEST(SamplerRace, CvarMutationMidRun) {
         [&](int i) {
           if (!mutate) return;
           obs::cvar_set(obs::Cv::SamplerIntervalMs, (i & 1) != 0 ? 5 : 1);
-          obs::cvar_set(obs::Cv::SloUnexpectedGrowth, (i & 2) != 0 ? 1 : 0);
         });
   });
 

@@ -1,7 +1,6 @@
-// lwmpi check: the bench regression sentinel and the artifact linters.
+// lwmpi check: the bench regression sentinel and the artifact checkers.
 //
 //   lwmpi check [--tolerance <frac>] [--update] <baseline-dir> <current-dir> [name...]
-//   lwmpi check --promlint <exposition.prom>
 //   lwmpi check --profcheck <profile.json>
 //   lwmpi check --replaycheck <BENCH_replay.json>
 //
@@ -27,20 +26,10 @@
 // writes the artifact, the sentinel refuses to bless a run whose replays
 // were not bit-exact against their recordings.
 //
-// --promlint validates a Prometheus text-exposition file (the telemetry
-// sampler's export format) against the format rules promtool enforces:
-// metric/label name charsets, HELP/TYPE comment shape, TYPE before samples
-// and at most one per metric, parseable sample values, and no duplicate
-// (name, label-set) series.
-//
-// Exit status: 0 clean, 1 regression/lint errors found, 2 usage/io error.
-#include <algorithm>
-#include <cctype>
+// Exit status: 0 clean, 1 regression/schema errors found, 2 usage/io error.
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,184 +42,6 @@ namespace lwmpi::cli {
 namespace {
 
 using obs::json::read_file;
-
-// ---------------------------------------------------------------------------
-// --promlint: Prometheus text-exposition linter
-// ---------------------------------------------------------------------------
-
-bool valid_metric_name(const std::string& s) {
-  if (s.empty()) return false;
-  if (!(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_' || s[0] == ':')) {
-    return false;
-  }
-  for (char c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':')) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool valid_label_name(const std::string& s) {
-  if (s.empty()) return false;
-  if (!(std::isalpha(static_cast<unsigned char>(s[0])) || s[0] == '_')) return false;
-  for (char c : s) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_')) return false;
-  }
-  return true;
-}
-
-bool valid_sample_value(const std::string& s) {
-  if (s.empty()) return false;
-  if (s == "NaN" || s == "+Inf" || s == "-Inf") return true;
-  char* end = nullptr;
-  std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-struct PromLinter {
-  int errors = 0;
-  int samples = 0;
-  std::set<std::string> helped;
-  std::set<std::string> typed;
-  std::set<std::string> sampled;  // metrics that have emitted a sample
-  std::set<std::string> series;   // name + canonical label set
-
-  void fail(int line, const char* what, const std::string& detail) {
-    std::fprintf(stderr, "promlint:%d: %s: %s\n", line, what, detail.c_str());
-    ++errors;
-  }
-
-  void comment(int lineno, const std::string& line) {
-    // "# HELP <name> <text>" / "# TYPE <name> <type>"; any other comment is
-    // fine and ignored.
-    std::istringstream is(line);
-    std::string hash, kw, name;
-    is >> hash >> kw >> name;
-    if (kw != "HELP" && kw != "TYPE") return;
-    if (!valid_metric_name(name)) {
-      fail(lineno, "bad metric name in comment", name);
-      return;
-    }
-    if (kw == "HELP") {
-      if (!helped.insert(name).second) fail(lineno, "duplicate HELP", name);
-      return;
-    }
-    std::string type;
-    is >> type;
-    if (type != "counter" && type != "gauge" && type != "histogram" &&
-        type != "summary" && type != "untyped") {
-      fail(lineno, "unknown TYPE", name + " " + type);
-    }
-    if (!typed.insert(name).second) fail(lineno, "duplicate TYPE", name);
-    if (sampled.count(name) != 0) fail(lineno, "TYPE after samples", name);
-  }
-
-  void sample(int lineno, const std::string& line) {
-    // <name>[{label="value",...}] <value> [<timestamp>]
-    std::size_t i = 0;
-    while (i < line.size() && line[i] != '{' && line[i] != ' ' && line[i] != '\t') ++i;
-    const std::string name = line.substr(0, i);
-    if (!valid_metric_name(name)) {
-      fail(lineno, "bad metric name", name);
-      return;
-    }
-    std::vector<std::string> labels;
-    if (i < line.size() && line[i] == '{') {
-      ++i;
-      while (i < line.size() && line[i] != '}') {
-        std::size_t eq = line.find('=', i);
-        if (eq == std::string::npos) {
-          fail(lineno, "unterminated label pair", line.substr(i));
-          return;
-        }
-        const std::string lname = line.substr(i, eq - i);
-        if (!valid_label_name(lname)) {
-          fail(lineno, "bad label name", lname);
-          return;
-        }
-        if (eq + 1 >= line.size() || line[eq + 1] != '"') {
-          fail(lineno, "unquoted label value", lname);
-          return;
-        }
-        std::size_t j = eq + 2;
-        std::string lvalue;
-        while (j < line.size() && line[j] != '"') {
-          if (line[j] == '\\' && j + 1 < line.size()) {
-            lvalue += line[j + 1];
-            j += 2;
-          } else {
-            lvalue += line[j++];
-          }
-        }
-        if (j >= line.size()) {
-          fail(lineno, "unterminated label value", lname);
-          return;
-        }
-        labels.push_back(lname + "=" + lvalue);
-        i = j + 1;
-        if (i < line.size() && line[i] == ',') ++i;
-      }
-      if (i >= line.size()) {
-        fail(lineno, "unterminated label set", name);
-        return;
-      }
-      ++i;  // '}'
-    }
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-    std::size_t vend = i;
-    while (vend < line.size() && line[vend] != ' ' && line[vend] != '\t') ++vend;
-    const std::string value = line.substr(i, vend - i);
-    if (!valid_sample_value(value)) {
-      fail(lineno, "unparseable sample value", name + " '" + value + "'");
-      return;
-    }
-    // Canonical series key: sorted labels make duplicate detection
-    // order-insensitive (promtool treats reordered labels as the same series).
-    std::sort(labels.begin(), labels.end());
-    std::string key = name + "{";
-    for (const std::string& l : labels) key += l + ",";
-    key += "}";
-    if (!series.insert(key).second) fail(lineno, "duplicate series", key);
-    sampled.insert(name);
-    ++samples;
-  }
-};
-
-int run_promlint(const char* path) {
-  std::string body;
-  if (!read_file(path, &body)) {
-    std::fprintf(stderr, "lwmpi check: cannot read %s\n", path);
-    return 2;
-  }
-  PromLinter lint;
-  std::istringstream is(body);
-  std::string line;
-  int lineno = 0;
-  while (std::getline(is, line)) {
-    ++lineno;
-    if (line.empty()) continue;
-    if (line[0] == '#') {
-      lint.comment(lineno, line);
-    } else {
-      lint.sample(lineno, line);
-    }
-  }
-  // Every sampled metric should carry HELP and TYPE metadata: this is what
-  // keeps the exporter self-describing, and it is the lint promtool's
-  // "no help text" / "no type hint" warnings enforce.
-  for (const std::string& name : lint.sampled) {
-    if (lint.helped.count(name) == 0) lint.fail(0, "metric without HELP", name);
-    if (lint.typed.count(name) == 0) lint.fail(0, "metric without TYPE", name);
-  }
-  if (lint.errors != 0) {
-    std::fprintf(stderr, "promlint: %d error(s) in %s\n", lint.errors, path);
-    return 1;
-  }
-  std::printf("promlint: %s OK (%d samples, %zu series, %zu metrics)\n", path,
-              lint.samples, lint.series.size(), lint.typed.size());
-  return 0;
-}
 
 // ---------------------------------------------------------------------------
 // --profcheck: aggregate-profiler artifact schema validator
@@ -338,9 +149,8 @@ int run_replaycheck(const char* path) {
 
 int check_main(int argc, char** argv) {
   const Args args(argc, argv, {"--update"},
-                  {"--tolerance", "--promlint", "--profcheck", "--replaycheck"});
+                  {"--tolerance", "--profcheck", "--replaycheck"});
   const std::vector<std::string>& pos = args.positional;
-  if (args.ok && args.has("--promlint")) return run_promlint(args.get("--promlint").c_str());
   if (args.ok && args.has("--profcheck")) return run_profcheck(args.get("--profcheck").c_str());
   if (args.ok && args.has("--replaycheck")) {
     return run_replaycheck(args.get("--replaycheck").c_str());
@@ -349,7 +159,6 @@ int check_main(int argc, char** argv) {
     return usage(
         "usage: lwmpi check [--tolerance <frac>] [--update] <baseline-dir> <current-dir>"
         " [name...]\n"
-        "       lwmpi check --promlint <exposition.prom>\n"
         "       lwmpi check --profcheck <profile.json>\n"
         "       lwmpi check --replaycheck <BENCH_replay.json>\n");
   }

@@ -15,7 +15,7 @@ struct Sub {
 };
 
 constexpr Sub kSubs[] = {
-    {"check", lwmpi::cli::check_main, "compare bench artifacts; lint .prom, profile, replay"},
+    {"check", lwmpi::cli::check_main, "compare bench artifacts; check profile, replay"},
     {"critpath", lwmpi::cli::critpath_main, "critical path of a causal trace"},
     {"hang", lwmpi::cli::hang_main, "print a watchdog hang report"},
     {"prof", lwmpi::cli::prof_main, "render or diff profiler artifacts"},

@@ -1,24 +1,24 @@
-// lwmpi top: live terminal dashboard over the telemetry sampler's time
-// series -- `top` for a simulated MPI job.
+// lwmpi top: terminal dashboard over the telemetry sampler's time series --
+// `top` for a simulated MPI job.
 //
 // The sampler (src/obs/sampler.hpp) derives interval rates per rank and per
 // VCI lane and exports them as JSONL. This subcommand renders that series as
-// a refreshing table: the latest interval of each rank as one sampler row
+// a table: the latest interval of each rank as one sampler row
 // (obs::sample_row -- rates, interval-local p99 latency, queue depth and
-// growth, credit-stall and progress-idle ratios, SLO alerts), plus a
-// per-(rank, vci) lane breakdown.
+// growth, credit-stall and progress-idle ratios), plus a per-(rank, vci) lane
+// breakdown.
 //
 //   lwmpi top telemetry.jsonl             render the latest interval per rank
-//   lwmpi top --follow telemetry.jsonl    re-read and re-render until ^C
 //   lwmpi top --demo [--seconds N]        run a live 2-rank rdma scenario with
-//                                         a deliberately starved receiver and
-//                                         watch the credit-stall SLO fire
+//                                         a deliberately starved receiver
 //
 // The demo is the acceptance check for the telemetry plane: a sender streams
-// eager messages into an 8-deep credit ring while the receiver polls slowly,
-// so credit stalls and unexpected-queue growth climb until the SLO rules
-// (set via cvars at startup) fire. Exit status 0 means the dashboard
-// rendered live per-VCI rates AND at least one alert fired.
+// eager messages into a 2-deep credit ring while the receiver polls slowly,
+// so credit stalls and unexpected-queue depth climb. Exit status 0 means the
+// dashboard rendered live per-VCI rates AND at least one sampled interval --
+// a drawn frame or any interval the sampler still retains after the run --
+// crossed one of the scenario's thresholds: credit stall above 10% of the
+// interval, or more than 4 unmatched messages.
 #include <unistd.h>
 
 #include <algorithm>
@@ -47,7 +47,7 @@ using obs::json::Value;
 
 // Draw one frame from the latest sample per rank. Returns the number of
 // nonzero per-VCI lane rates drawn (the demo's liveness check).
-int draw(const std::vector<Value>& latest, std::uint64_t alerts_total, bool clear_screen) {
+int draw(const std::vector<Value>& latest, bool clear_screen) {
   if (clear_screen) std::fputs("\x1b[H\x1b[2J", stdout);
   std::uint64_t seq = 0;
   double interval_ms = 0.0;
@@ -55,9 +55,8 @@ int draw(const std::vector<Value>& latest, std::uint64_t alerts_total, bool clea
     seq = std::max(seq, s["seq"].u64());
     interval_ms = s["interval_ns"].num / 1e6;
   }
-  std::printf("lwmpi-top  |  interval %.0fms  seq %llu  ranks %zu  |  alerts fired: %llu\n",
-              interval_ms, static_cast<unsigned long long>(seq), latest.size(),
-              static_cast<unsigned long long>(alerts_total));
+  std::printf("lwmpi-top  |  interval %.0fms  seq %llu  ranks %zu\n", interval_ms,
+              static_cast<unsigned long long>(seq), latest.size());
   std::fputs(obs::sample_header().c_str(), stdout);
   for (const Value& s : latest) std::fputs(obs::sample_row(s).c_str(), stdout);
   // Per-(rank, vci) lane breakdown: only lanes with any activity this
@@ -85,15 +84,11 @@ int draw(const std::vector<Value>& latest, std::uint64_t alerts_total, bool clea
   return live_lanes;
 }
 
-// Parse a JSONL telemetry file and keep the newest sample per rank (by seq)
-// plus the total alert count across all retained records.
-//
-// The sampler appends records while we read, so the final line may be cut
-// mid-append; obs/json.hpp hands over only complete lines, and the finished
-// line shows up on the next tick's re-read. A complete line that does not
-// parse, or lacks its rank, seq or alerts, is an error.
-bool load_jsonl(const char* path, std::vector<Value>* latest, std::uint64_t* alerts_total,
-                std::string* err) {
+// Parse a JSONL telemetry file and keep the newest sample per rank (by seq).
+// obs/json.hpp hands over only complete lines, so a final line cut by a
+// killed writer is skipped. A complete line that does not parse, or lacks its
+// rank or seq, is an error.
+bool load_jsonl(const char* path, std::vector<Value>* latest, std::string* err) {
   std::string text;
   if (!obs::json::read_file(path, &text)) {
     *err = "cannot open";
@@ -102,7 +97,6 @@ bool load_jsonl(const char* path, std::vector<Value>* latest, std::uint64_t* ale
   const obs::json::Lines file = obs::json::split_lines(text);
   err->clear();
   std::map<std::uint64_t, Value> by_rank;
-  *alerts_total = 0;
   for (std::size_t i = 0; i < file.lines.size(); ++i) {
     Value v;
     std::uint64_t rank = 0;
@@ -111,7 +105,6 @@ bool load_jsonl(const char* path, std::vector<Value>* latest, std::uint64_t* ale
       obs::json::Fields f(v, err);
       rank = f.u64("rank");
       seq = f.u64("seq");
-      *alerts_total += f.arr("alerts").size();
     }
     if (!err->empty()) {
       *err = "record " + std::to_string(i + 1) + ": " + *err;
@@ -129,14 +122,25 @@ bool load_jsonl(const char* path, std::vector<Value>* latest, std::uint64_t* ale
 // --demo: injected credit-stall scenario
 // ---------------------------------------------------------------------------
 
+// The scenario's thresholds, judged against sample fields every row prints.
+constexpr double kStallPct = 10.0;         // STALL%: >10% of the interval stalled
+constexpr std::uint64_t kUexqDepth = 4;    // UEXQ: >4 unmatched messages
+
+// Counts the samples in `samples` that cross a demo threshold.
+int over_threshold(const std::vector<Value>& samples) {
+  int n = 0;
+  for (const Value& s : samples) {
+    if (s["credit_stall_pct"].num > kStallPct || s["unexpected_depth"].u64() > kUexqDepth) ++n;
+  }
+  return n;
+}
+
 int run_demo(int seconds) {
   const bool tty = isatty(STDOUT_FILENO) != 0;
 
-  // SLO thresholds and cadence for the scenario. cvar writes here model an
-  // operator tuning LWMPI_CVAR_* before launch.
+  // Cadence for the scenario: 50 ms intervals. The default 120-interval
+  // ring then retains the last 6 s, the whole of a short run.
   obs::cvar_set(obs::Cv::SamplerIntervalMs, 50);
-  obs::cvar_set(obs::Cv::SloCreditStallPct, 10);   // >10% of interval stalled
-  obs::cvar_set(obs::Cv::SloUnexpectedDepth, 4);   // >4 unmatched messages
 
   // A deliberately starved rdma transport: 2 eager credits per lane, so a
   // sender that outpaces its receiver hits acquire_credit busy-waits almost
@@ -154,10 +158,9 @@ int run_demo(int seconds) {
 
   // Receiver paces the whole run: it polls progress only inside brief test()
   // calls 2ms apart (irecv + sleepy test loop, never a spinning blocking
-  // recv), so between polls the 8-credit ring fills and the sender sits in
-  // acquire_credit -- the injected credit-stall the SLO rules are watching
-  // for. Each test() drains whatever matured, so the unexpected queue also
-  // grows in bursts.
+  // recv), so between polls the credit ring fills and the sender sits in
+  // acquire_credit -- the injected credit stall. Each test() drains whatever
+  // matured, so the unexpected queue also grows in bursts.
   const int nmsgs = std::max(100, seconds * 400);
   std::atomic<bool> workload_done{false};
   std::thread workload([&w, &workload_done, nmsgs] {
@@ -183,30 +186,37 @@ int run_demo(int seconds) {
     workload_done.store(true, std::memory_order_release);
   });
 
+  // Render from the sampler's own ring via the JSON round-trip, so the
+  // dashboard exercises exactly what `lwmpi top <file>` reads.
+  const auto samples = [&sampler](std::size_t last_n) {
+    Value v;
+    if (!obs::json::parse(sampler.timeline_json(last_n), &v) || v.kind != Value::Kind::Arr) {
+      return std::vector<Value>{};
+    }
+    return std::move(v.arr);
+  };
   int live_lanes = 0;
+  int frames_over = 0;
   while (!workload_done.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(tty ? 100 : 150));
-    // Render from the sampler's own ring via the JSON round-trip, so the
-    // dashboard exercises exactly what a --follow session would read.
-    Value frame;
-    if (obs::json::parse(sampler.timeline_json(1), &frame) &&
-        frame.kind == Value::Kind::Arr && !frame.arr.empty()) {
-      const int n = draw(frame.arr, sampler.alerts_fired(), tty);
-      if (n > live_lanes) live_lanes = n;
-    }
+    const std::vector<Value> frame = samples(1);
+    if (frame.empty()) continue;
+    live_lanes = std::max(live_lanes, draw(frame, tty));
+    frames_over += over_threshold(frame);
   }
   workload.join();
   sampler.sample_now();
+  // Every retained interval, not only the ones a frame happened to show.
+  const int retained_over = over_threshold(samples(sampler.ring_depth()));
 
-  const std::uint64_t fired = sampler.alerts_fired();
-  std::printf("\ndemo complete: %llu sampling tick(s), %d live lane rate(s), %llu SLO"
-              " alert(s) fired\n",
-              static_cast<unsigned long long>(sampler.ticks()), live_lanes,
-              static_cast<unsigned long long>(fired));
-  if (live_lanes == 0 || fired == 0) {
+  std::printf("\ndemo complete: %llu sampling tick(s), %d live lane rate(s); over a threshold"
+              " (stall > %g%% or unexpected depth > %llu): %d retained sample(s), %d drawn\n",
+              static_cast<unsigned long long>(sampler.ticks()), live_lanes, kStallPct,
+              static_cast<unsigned long long>(kUexqDepth), retained_over, frames_over);
+  if (live_lanes == 0 || retained_over + frames_over == 0) {
     std::fprintf(stderr, "lwmpi top: demo failed (%s)\n",
                  live_lanes == 0 ? "no live per-VCI rates rendered"
-                                 : "no SLO alert fired");
+                                 : "no interval crossed a threshold");
     return 1;
   }
   return 0;
@@ -215,33 +225,25 @@ int run_demo(int seconds) {
 }  // namespace
 
 int top_main(int argc, char** argv) {
-  const Args args(argc, argv, {"--demo", "--follow"}, {"--seconds"});
+  const Args args(argc, argv, {"--demo"}, {"--seconds"});
   if (args.ok && args.has("--demo")) {
     return run_demo(std::max(1, std::atoi(args.get("--seconds", "3").c_str())));
   }
   if (!args.ok || args.positional.size() != 1) {
-    return usage("usage: lwmpi top [--follow] <telemetry.jsonl>\n"
+    return usage("usage: lwmpi top <telemetry.jsonl>\n"
                  "       lwmpi top --demo [--seconds N]\n");
   }
   const char* path = args.positional[0].c_str();
-  const bool follow = args.has("--follow");
-  const bool tty = isatty(STDOUT_FILENO) != 0;
   std::vector<Value> latest;
-  std::uint64_t alerts_total = 0;
-  do {
-    if (std::string err; !load_jsonl(path, &latest, &alerts_total, &err)) {
-      std::fprintf(stderr, "lwmpi top: %s: %s\n", path, err.c_str());
-      return 1;
-    }
-    if (latest.empty() && !follow) {
-      // --follow tolerates an empty read (file exists but no complete record
-      // yet, e.g. the writer is mid-append) and just waits for the next tick.
-      std::fprintf(stderr, "lwmpi top: no telemetry records in %s\n", path);
-      return 1;
-    }
-    if (!latest.empty()) draw(latest, alerts_total, tty && follow);
-    if (follow) std::this_thread::sleep_for(std::chrono::milliseconds(500));
-  } while (follow);
+  if (std::string err; !load_jsonl(path, &latest, &err)) {
+    std::fprintf(stderr, "lwmpi top: %s: %s\n", path, err.c_str());
+    return 1;
+  }
+  if (latest.empty()) {
+    std::fprintf(stderr, "lwmpi top: no telemetry records in %s\n", path);
+    return 1;
+  }
+  draw(latest, false);
   return 0;
 }
 
