@@ -19,10 +19,13 @@ ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "${JOBS}"
 # attached aggregate profiler within 2% (timing bench -- runs after ctest so
 # it gets a quiet machine; its own exit code is the acceptance check).
 # Artifacts go to a scratch dir so the repo root stays clean; the emitted
-# profile artifact must pass the profile-JSON schema check.
+# profile artifact must pass the profile-JSON schema check. The bench writes
+# every artifact even when a gate fails, so its status is held until the
+# deterministic checks below have run.
 obs_scratch="$(mktemp -d)"
 trap 'rm -rf "${obs_scratch}"' EXIT
-LWMPI_BENCH_DIR="${obs_scratch}" "${BUILD_DIR}/bench/bench_obs_overhead"
+obs_status=0
+LWMPI_BENCH_DIR="${obs_scratch}" "${BUILD_DIR}/bench/bench_obs_overhead" || obs_status=$?
 "${BUILD_DIR}/tools/lwmpi" check --profcheck "${obs_scratch}/profile.json"
 
 # Trace replay: re-execute the committed bundles on both netmods (the bench's
@@ -38,3 +41,8 @@ LWMPI_BENCH_DIR="${obs_scratch}" "${BUILD_DIR}/bench/bench_replay" bench/traces
 CRITPATH_OUT="$("${BUILD_DIR}/tools/lwmpi" critpath bench/baselines/causal_golden.jsonl)"
 echo "${CRITPATH_OUT}"
 grep -q "late_sender" <<<"${CRITPATH_OUT}"
+
+if [[ "${obs_status}" -ne 0 ]]; then
+  echo "run_tier1.sh: bench_obs_overhead failed (exit ${obs_status})" >&2
+  exit "${obs_status}"
+fi

@@ -13,9 +13,9 @@
 //   * Phase regions are MPI_Pcontrol-style: World::phase_push/pop (all ranks)
 //     or Engine::phase_push/pop (one rank) bracket application phases; every
 //     statistic below is bucketed under the innermost open phase. Phase 0 is
-//     the default phase (cvar prof_default_phase, default "main") and is
-//     conceptually always at the bottom of the stack, so a pop on an empty
-//     stack cannot crash -- it counts a warning and stays on phase 0.
+//     the default phase (WorldOptions::prof_default_phase, default "main")
+//     and is conceptually always at the bottom of the stack, so a pop on an
+//     empty stack cannot crash -- it counts a warning and stays on phase 0.
 //   * Per-callsite statistics: the obs::SurfaceScope (obs/recorder.hpp) that
 //     each top-level MPI entry point opens accumulates count, bytes, elapsed
 //     wall time, and -- when a cost::Meter is armed -- the Table-1

@@ -17,7 +17,6 @@
 
 #include "core/engine.hpp"
 #include "obs/counters.hpp"
-#include "obs/cvar.hpp"
 #include "runtime/world.hpp"
 
 namespace lwmpi::obs {
@@ -81,10 +80,7 @@ std::string render_json(const RankSample& s) {
 }
 
 Sampler::Sampler(World& world, SamplerOptions opts)
-    : world_(world),
-      opts_(std::move(opts)),
-      ring_depth_(static_cast<std::size_t>(
-          std::clamp<std::int64_t>(cvar(Cv::SamplerRingDepth), 2, 1 << 20))) {
+    : world_(world), opts_(std::move(opts)) {
   const auto n = static_cast<std::size_t>(world_.nranks());
   raw_.resize(n);
   rings_.resize(n);
@@ -110,15 +106,12 @@ Sampler::~Sampler() {
 
 void Sampler::run() {
   // Same sliced-sleep pattern as the watchdog: destruction never waits out a
-  // full interval, and the interval cvar is re-read on every pass so a
-  // runtime write changes the cadence from the next tick on.
+  // full interval.
   constexpr std::uint64_t kSliceNs = 2'000'000;
   while (!stop_.load(std::memory_order_acquire)) {
-    const std::int64_t ms = std::max<std::int64_t>(1, cvar(Cv::SamplerIntervalMs));
-    const auto interval_ns = static_cast<std::uint64_t>(ms) * 1'000'000;
     std::uint64_t slept = 0;
-    while (slept < interval_ns && !stop_.load(std::memory_order_acquire)) {
-      const std::uint64_t chunk = std::min(kSliceNs, interval_ns - slept);
+    while (slept < opts_.interval_ns && !stop_.load(std::memory_order_acquire)) {
+      const std::uint64_t chunk = std::min(kSliceNs, opts_.interval_ns - slept);
       std::this_thread::sleep_for(std::chrono::nanoseconds(chunk));
       slept += chunk;
     }
@@ -178,7 +171,6 @@ void Sampler::collect(Engine& e, RawRank* out) const {
 
 void Sampler::tick() {
   std::lock_guard<std::mutex> lk(mu_);
-  const std::int64_t ms = std::max<std::int64_t>(1, cvar(Cv::SamplerIntervalMs));
   ++seq_;
   const int n = world_.nranks();
   for (int r = 0; r < n; ++r) {
@@ -190,7 +182,7 @@ void Sampler::tick() {
     RankSample s;
     s.t_ns = now.t_ns;
     s.dt_ns = sat_sub(now.t_ns, prev.t_ns);
-    s.interval_ns = static_cast<std::uint64_t>(ms) * 1'000'000;
+    s.interval_ns = opts_.interval_ns;
     s.seq = seq_;
     s.rank = static_cast<Rank>(r);
     const double dt_s =
@@ -242,7 +234,7 @@ void Sampler::tick() {
 
     auto& ring = rings_[ri];
     ring.push_back(std::move(s));
-    while (ring.size() > ring_depth_) ring.pop_front();
+    while (ring.size() > ring_depth()) ring.pop_front();
     raw_[ri] = std::move(now);
   }
   ticks_.fetch_add(1, std::memory_order_release);

@@ -17,9 +17,9 @@
 //   * Each tick derives interval rates -- msgs/sec and bytes/sec per lane,
 //     credit-stall ratio, unexpected/posted queue growth, progress idle
 //     fraction -- into a per-rank overwrite-oldest ring of RankSamples.
-//   * The sampling interval is the *runtime-scope* cvar sampler_interval_ms
-//     (obs/cvar.hpp), re-read every tick, so a tool can retune the cadence of
-//     a live run and see it take effect in the next exported interval.
+//   * The sampling interval is SamplerOptions::interval_ns, fixed for the
+//     Sampler's life and echoed in every sample, so two samplers on one World
+//     can run at different cadences.
 //   * Export: JSONL time series (export_jsonl()) and a compact JSON timeline
 //     block (timeline_json()) the watchdog embeds in HangReports so a hang
 //     carries its last N intervals of history. The destructor takes a final
@@ -53,6 +53,8 @@ class Engine;
 namespace lwmpi::obs {
 
 struct SamplerOptions {
+  // Time between background ticks, fixed for the Sampler's life.
+  std::uint64_t interval_ns = 100'000'000;
   // When non-empty, the destructor writes the full JSONL time series here.
   std::string jsonl_path;
 };
@@ -71,7 +73,7 @@ struct LaneSample {
 struct RankSample {
   std::uint64_t t_ns = 0;        // lat_now_ns() at tick time
   std::uint64_t dt_ns = 0;       // measured elapsed time since previous tick
-  std::uint64_t interval_ns = 0; // configured interval at tick time (cvar echo)
+  std::uint64_t interval_ns = 0; // the sampler's configured interval (echo)
   std::uint64_t seq = 0;         // monotone tick number (shared across ranks)
   Rank rank = 0;
   std::vector<LaneSample> lanes;
@@ -105,7 +107,8 @@ class Sampler {
   void sample_now();
 
   std::uint64_t ticks() const noexcept { return ticks_.load(std::memory_order_acquire); }
-  std::size_t ring_depth() const noexcept { return ring_depth_; }
+  // Samples retained per rank; older ones are overwritten.
+  static constexpr std::size_t ring_depth() noexcept { return 120; }
 
   // Copy of one rank's ring, oldest first.
   std::vector<RankSample> history(Rank r) const;
@@ -147,7 +150,6 @@ class Sampler {
 
   World& world_;
   const SamplerOptions opts_;
-  const std::size_t ring_depth_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> ticks_{0};
   mutable std::mutex mu_;  // serializes ticks and guards raw_/rings_

@@ -14,7 +14,6 @@
 #include <sstream>
 
 #include "obs/causal.hpp"
-#include "obs/cvar.hpp"
 #include "obs/json.hpp"
 #include "obs/sampler.hpp"
 #include "obs/text.hpp"
@@ -28,22 +27,9 @@ namespace {
 // embeds as StuckRank::last_moves.
 constexpr std::size_t kLastMovesDepth = 16;
 
-// Resolve the 0-means-default fields against the cvar registry, so
-// LWMPI_CVAR_WATCHDOG_STALL_MS / _POLL_MS retune every watchdog that did not
-// pin its thresholds explicitly.
-WatchdogOptions apply_cvar_defaults(WatchdogOptions opts) {
-  if (opts.stall_ns == 0) {
-    opts.stall_ns =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(1, cvar(Cv::WatchdogStallMs))) *
-        1'000'000;
-  }
-  if (opts.poll_ns == 0) {
-    opts.poll_ns =
-        static_cast<std::uint64_t>(std::max<std::int64_t>(1, cvar(Cv::WatchdogPollMs))) *
-        1'000'000;
-  }
-  return opts;
-}
+// How many of each rank's most recent sampler intervals a diagnosis embeds as
+// HangReport::timeline_json.
+constexpr std::size_t kTimelineDepth = 16;
 
 }  // namespace
 
@@ -82,7 +68,7 @@ std::string render_json(const HangReport& r) {
 }
 
 Watchdog::Watchdog(World& world, WatchdogOptions opts)
-    : world_(world), opts_(apply_cvar_defaults(std::move(opts))) {
+    : world_(world), opts_(std::move(opts)) {
   thread_ = std::thread([this] { run(); });
 }
 
@@ -167,7 +153,7 @@ void Watchdog::run() {
       report.stuck.push_back(std::move(s));
     }
     if (opts_.sampler != nullptr) {
-      report.timeline_json = opts_.sampler->timeline_json(opts_.timeline_depth);
+      report.timeline_json = opts_.sampler->timeline_json(kTimelineDepth);
     }
     {
       std::lock_guard<std::mutex> lk(report_mu_);

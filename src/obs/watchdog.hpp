@@ -91,7 +91,7 @@ struct HangReport {
   std::vector<StuckRank> stuck;
   int nranks = 0;  // world size, for "1 of 4 ranks stuck" context
   // When a telemetry sampler was attached (WatchdogOptions::sampler), the
-  // last N intervals of its time series as a JSON array (the shape
+  // last 16 intervals per rank of its time series as a JSON array (the shape
   // obs::render_json(RankSample) emits) -- so a hang report carries the rate
   // history leading into the stall. Empty when no sampler was attached.
   std::string timeline_json;
@@ -102,11 +102,8 @@ std::string render_text(const HangReport& r);
 std::string render_json(const HangReport& r);
 
 struct WatchdogOptions {
-  // Defaults come from the watchdog_stall_ms / watchdog_poll_ms cvars
-  // (obs/cvar.hpp; themselves 250ms / 20ms unless LWMPI_CVAR_* overrides):
-  // leave a field at 0 to take the cvar, or set it explicitly to pin it.
-  std::uint64_t stall_ns = 0;  // no-progress window before firing
-  std::uint64_t poll_ns = 0;   // sampling period
+  std::uint64_t stall_ns = 250'000'000;  // no-progress window before firing
+  std::uint64_t poll_ns = 20'000'000;    // sampling period
   // Invoked (from the watchdog thread) with each new hang diagnosis.
   std::function<void(const HangReport&)> on_hang;
   // When non-empty, each diagnosis is also written here as JSON (the format
@@ -118,12 +115,11 @@ struct WatchdogOptions {
   // BuildConfig::trace; written per episode so a hung run still yields a
   // critical-path-analyzable timeline.
   std::string causal_trace_path;
-  // When non-null, each diagnosis embeds the sampler's last `timeline_depth`
-  // intervals as HangReport::timeline_json (rendered into the JSON report and
+  // When non-null, each diagnosis embeds the sampler's last 16 intervals per
+  // rank as HangReport::timeline_json (rendered into the JSON report and
   // printed by `lwmpi hang --timeline`). The sampler must outlive the
   // watchdog.
   const Sampler* sampler = nullptr;
-  std::size_t timeline_depth = 16;
 };
 
 class Watchdog {

@@ -7,7 +7,6 @@
 
 #include "core/engine.hpp"
 #include "obs/causal.hpp"
-#include "obs/cvar.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/profile_load.hpp"
@@ -17,57 +16,9 @@
 
 namespace lwmpi {
 
-namespace {
-
-// Fold the startup-scope cvars (obs/cvar.hpp) into the options a World is
-// constructed with. Only *overridden* cvars (LWMPI_CVAR_* in the environment,
-// or an explicit LWMPI_T_cvar_write before construction) take effect, and
-// only over fields the caller left at their defaults -- so code that pins
-// `opts.netmod = "rdma"` or `build.trace = true` always wins, while a test
-// run under LWMPI_CVAR_TRACE_ENABLE=1 gets tracing everywhere without a
-// recompile.
-WorldOptions apply_cvars(WorldOptions opts) {
-  if (obs::cvar_overridden(obs::Cv::TraceEnable)) {
-    opts.build.trace = obs::cvar(obs::Cv::TraceEnable) != 0;
-  }
-  if (obs::cvar_overridden(obs::Cv::LatSampleShift)) {
-    const auto shift = obs::cvar(obs::Cv::LatSampleShift);
-    if (shift >= 0 && shift <= 63) opts.build.lat_sample_shift = static_cast<int>(shift);
-  }
-  if (obs::cvar_overridden(obs::Cv::NetmodDefault) && opts.netmod == "mailbox") {
-    opts.netmod = obs::cvar_str(obs::Cv::NetmodDefault);
-  }
-  if (obs::cvar_overridden(obs::Cv::Prof)) {
-    opts.prof = obs::cvar(obs::Cv::Prof) != 0;
-  }
-  if (obs::cvar_overridden(obs::Cv::ProfDefaultPhase) && opts.prof_default_phase == "main") {
-    opts.prof_default_phase = obs::cvar_str(obs::Cv::ProfDefaultPhase);
-  }
-  if (obs::cvar_overridden(obs::Cv::ProfPath) && opts.prof_path.empty()) {
-    opts.prof_path = obs::cvar_str(obs::Cv::ProfPath);
-  }
-  if (obs::cvar_overridden(obs::Cv::Record)) {
-    opts.record = obs::cvar(obs::Cv::Record) != 0;
-  }
-  if (obs::cvar_overridden(obs::Cv::RecordPath) && opts.record_path.empty()) {
-    opts.record_path = obs::cvar_str(obs::Cv::RecordPath);
-  }
-  if (obs::cvar_overridden(obs::Cv::RecordRingDepth)) {
-    const auto d = obs::cvar(obs::Cv::RecordRingDepth);
-    if (d > 0) opts.record_ring_depth = static_cast<std::size_t>(d);
-  }
-  if (obs::cvar_overridden(obs::Cv::RecordSampleShift)) {
-    const auto s = obs::cvar(obs::Cv::RecordSampleShift);
-    if (s >= 0 && s <= 32) opts.record_sample_shift = static_cast<int>(s);
-  }
-  return opts;
-}
-
-}  // namespace
-
 World::World(int nranks, WorldOptions opts)
     : nranks_(nranks),
-      opts_(apply_cvars(std::move(opts))),
+      opts_(std::move(opts)),
       fabric_(nranks, opts_.ranks_per_node, opts_.profile, opts_.build.vcis(),
               opts_.netmod, opts_.build.trace),
       next_ctx_(kFirstDynamicCtx) {

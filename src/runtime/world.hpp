@@ -33,16 +33,14 @@ namespace obs {
 class Recorder;  // obs/recorder.hpp
 }
 
+// A World runs with exactly the options its constructor received; nothing in
+// the environment or in process-global state changes them.
 struct WorldOptions {
   int ranks_per_node = 16;
   net::Profile profile = net::loopback();
   // Transport backend behind the Fabric facade: "mailbox" (default, the
   // original simulated transport) or "rdma" (registration cache + eager
   // rings + zero-copy rendezvous). Unknown names throw at World construction.
-  // Startup-scope cvars (obs/cvar.hpp) can override the *defaults* of this
-  // struct: LWMPI_CVAR_NETMOD_DEFAULT retargets a World that left `netmod`
-  // at "mailbox", LWMPI_CVAR_TRACE_ENABLE / LWMPI_CVAR_LAT_SAMPLE_SHIFT
-  // retune `build`. Explicitly-set fields always win.
   std::string netmod = "mailbox";
   DeviceKind device = DeviceKind::Ch4;
   BuildConfig build = {};
@@ -60,9 +58,7 @@ struct WorldOptions {
   // with sub-1 IPC on this branchy code.
   double sim_ns_per_instruction = 0.0;
   // Aggregate profiler (obs/profiler.hpp): phase regions, per-callsite
-  // statistics, and the rank x rank communication matrix. Seeded from the
-  // LWMPI_CVAR_PROF / _PROF_DEFAULT_PHASE / _PROF_PATH cvars when the caller
-  // leaves these at their defaults.
+  // statistics, and the rank x rank communication matrix.
   bool prof = false;
   std::string prof_default_phase = "main";  // name of phase 0
   // When profiling is on and this is non-empty, World teardown writes the
@@ -70,8 +66,6 @@ struct WorldOptions {
   std::string prof_path;
   // Flight recorder (obs/recorder.hpp): per-rank DXT-style op rings, flushed
   // as a `.lwtrace` trace bundle at teardown (or by the watchdog on a hang).
-  // Seeded from LWMPI_CVAR_RECORD / _RECORD_PATH / _RECORD_RING_DEPTH /
-  // _RECORD_SAMPLE_SHIFT when the caller leaves these at their defaults.
   bool record = false;
   std::string record_path;       // bundle prefix; empty = record but never flush
   // 1024 x 16B keeps the always-on ring L1-resident (the <2% overhead gate);

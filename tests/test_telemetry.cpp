@@ -1,19 +1,15 @@
-// Telemetry plane (obs/cvar.hpp + obs/sampler.hpp): cvar registry semantics
-// (enumeration, scope enforcement, env binding), histogram snapshot/delta
-// boundary behavior, the sampler time series and its JSONL export, the
-// watchdog timeline embed, and -- under the "telemetry" label the TSan preset
+// Telemetry plane (obs/sampler.hpp): histogram snapshot/delta boundary
+// behavior, the sampler time series and its JSONL export, the watchdog
+// timeline embed, and -- under the "telemetry" label the TSan preset
 // includes -- the races that matter: sampler start/stop against hot rank
-// threads, ring overwrite under a 4-VCI send loop, and cvar mutation mid-run.
-//
-// Cvars are process-global, so every test that writes one saves and restores
-// it; the env-binding test ends with a reload that re-seeds pure defaults.
+// threads, ring overwrite under a 4-VCI send loop, and two samplers at
+// different intervals on one World.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <sstream>
@@ -21,7 +17,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/cvar.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/pvar.hpp"
@@ -32,123 +27,13 @@
 namespace lwmpi {
 namespace {
 
-// RAII save/restore for one numeric cvar (value only; the overridden flag is
-// sticky by design, and every restore below writes the pre-test value back so
-// later Startup consumers see unchanged numbers).
-class CvarGuard {
- public:
-  explicit CvarGuard(obs::Cv v) : v_(v), saved_(obs::cvar(v)) {}
-  ~CvarGuard() { obs::cvar_set(v_, saved_); }
-
- private:
-  obs::Cv v_;
-  std::int64_t saved_;
-};
-
 using test::read_pvar;
 
-// --- cvar registry ----------------------------------------------------------
-
-TEST(Cvar, RegistryEnumerates) {
-  ASSERT_EQ(obs::LWMPI_T_cvar_num(), obs::kNumCvars);
-  std::set<std::string> names;
-  for (int i = 0; i < obs::kNumCvars; ++i) {
-    obs::CvarInfo info;
-    ASSERT_EQ(obs::LWMPI_T_cvar_get_info(i, &info), Err::Success);
-    EXPECT_FALSE(info.name.empty());
-    EXPECT_FALSE(info.desc.empty());
-    EXPECT_TRUE(names.insert(std::string(info.name)).second)
-        << "duplicate cvar name " << info.name;
-    // Name -> index is the inverse of get_info.
-    EXPECT_EQ(obs::LWMPI_T_cvar_index(info.name), i);
-  }
-  EXPECT_TRUE(names.count("sampler_interval_ms"));
-  EXPECT_TRUE(names.count("netmod_default"));
-  // The SLO thresholds are gone with the rule engine that read them.
-  for (const char* gone : {"slo_credit_stall_pct", "slo_unexpected_depth",
-                           "slo_unexpected_growth", "slo_progress_idle_pct"}) {
-    EXPECT_EQ(obs::LWMPI_T_cvar_index(gone), -1) << gone;
-  }
-
-  obs::CvarInfo info;
-  EXPECT_EQ(obs::LWMPI_T_cvar_get_info(-1, &info), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_get_info(obs::kNumCvars, &info), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_get_info(0, nullptr), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_index("no_such_cvar"), -1);
-
-  std::int64_t v = 0;
-  EXPECT_EQ(obs::LWMPI_T_cvar_read(-1, &v), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_read(obs::kNumCvars, &v), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_read(0, nullptr), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_write(obs::kNumCvars, 1), Err::Arg);
-}
-
-TEST(Cvar, ScopeAndTypeEnforcement) {
-  // Constant scope: readable echo of kMaxVcis, writes rejected.
-  const int max_vcis = obs::LWMPI_T_cvar_index("max_vcis");
-  ASSERT_GE(max_vcis, 0);
-  std::int64_t v = 0;
-  ASSERT_EQ(obs::LWMPI_T_cvar_read(max_vcis, &v), Err::Success);
-  EXPECT_EQ(v, kMaxVcis);
-  EXPECT_EQ(obs::LWMPI_T_cvar_write(max_vcis, 99), Err::Arg);
-  ASSERT_EQ(obs::LWMPI_T_cvar_read(max_vcis, &v), Err::Success);
-  EXPECT_EQ(v, kMaxVcis);
-
-  // String/numeric access must not cross.
-  const int netmod = obs::LWMPI_T_cvar_index("netmod_default");
-  const int interval = obs::LWMPI_T_cvar_index("sampler_interval_ms");
-  ASSERT_GE(netmod, 0);
-  ASSERT_GE(interval, 0);
-  EXPECT_EQ(obs::LWMPI_T_cvar_write(netmod, 3), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_read(netmod, &v), Err::Arg);
-  std::string s;
-  EXPECT_EQ(obs::LWMPI_T_cvar_read_str(interval, &s), Err::Arg);
-  EXPECT_EQ(obs::LWMPI_T_cvar_write_str(interval, "fast"), Err::Arg);
-
-  // String round-trip through the MPI_T-style surface and the typed helper.
-  const std::string saved = obs::cvar_str(obs::Cv::NetmodDefault);
-  ASSERT_EQ(obs::LWMPI_T_cvar_write_str(netmod, "rdma"), Err::Success);
-  ASSERT_EQ(obs::LWMPI_T_cvar_read_str(netmod, &s), Err::Success);
-  EXPECT_EQ(s, "rdma");
-  EXPECT_EQ(obs::cvar_str(obs::Cv::NetmodDefault), "rdma");
-  EXPECT_TRUE(obs::cvar_overridden(obs::Cv::NetmodDefault));
-  ASSERT_EQ(obs::LWMPI_T_cvar_write_str(netmod, saved), Err::Success);
-
-  // The report lists every cvar by name.
-  const std::string report = obs::cvar_report();
-  EXPECT_NE(report.find("sampler_interval_ms"), std::string::npos);
-  EXPECT_NE(report.find("max_vcis"), std::string::npos);
-  EXPECT_NE(report.find("constant"), std::string::npos);
-}
-
-TEST(Cvar, EnvBinding) {
-  EXPECT_EQ(obs::cvar_env_name(obs::Cv::SamplerIntervalMs),
-            "LWMPI_CVAR_SAMPLER_INTERVAL_MS");
-
-  ::setenv("LWMPI_CVAR_SAMPLER_INTERVAL_MS", "37", 1);
-  ::setenv("LWMPI_CVAR_RECORD_RING_DEPTH", "junk", 1);    // ignored: not numeric
-  ::setenv("LWMPI_CVAR_WATCHDOG_POLL_MS", "12x", 1);       // ignored: trailing junk
-  ::setenv("LWMPI_CVAR_MAX_VCIS", "99", 1);                // ignored: Constant scope
-  obs::detail::cvar_reload_env_for_testing();
-
-  EXPECT_EQ(obs::cvar(obs::Cv::SamplerIntervalMs), 37);
-  EXPECT_TRUE(obs::cvar_overridden(obs::Cv::SamplerIntervalMs));
-  EXPECT_EQ(obs::cvar(obs::Cv::RecordRingDepth), 1024);
-  EXPECT_FALSE(obs::cvar_overridden(obs::Cv::RecordRingDepth));
-  EXPECT_EQ(obs::cvar(obs::Cv::WatchdogPollMs), 20);
-  EXPECT_FALSE(obs::cvar_overridden(obs::Cv::WatchdogPollMs));
-  EXPECT_EQ(obs::cvar(obs::Cv::MaxVcis), kMaxVcis);
-  EXPECT_FALSE(obs::cvar_overridden(obs::Cv::MaxVcis));
-
-  // Dropping the binding restores the default on the next reload (and wipes
-  // any overridden flags earlier tests left behind -- deliberate hygiene).
-  ::unsetenv("LWMPI_CVAR_SAMPLER_INTERVAL_MS");
-  ::unsetenv("LWMPI_CVAR_RECORD_RING_DEPTH");
-  ::unsetenv("LWMPI_CVAR_WATCHDOG_POLL_MS");
-  ::unsetenv("LWMPI_CVAR_MAX_VCIS");
-  obs::detail::cvar_reload_env_for_testing();
-  EXPECT_EQ(obs::cvar(obs::Cv::SamplerIntervalMs), 100);
-  EXPECT_FALSE(obs::cvar_overridden(obs::Cv::SamplerIntervalMs));
+// Options for a sampler that ticks every `ms` milliseconds.
+obs::SamplerOptions every_ms(std::uint64_t ms) {
+  obs::SamplerOptions so;
+  so.interval_ns = ms * 1'000'000;
+  return so;
 }
 
 // --- histogram snapshot/delta -----------------------------------------------
@@ -195,10 +80,8 @@ TEST(Histogram, SnapshotDeltaBoundaries) {
 // --- sampler time series ----------------------------------------------------
 
 TEST(Sampler, TicksHistoryAndSequence) {
-  CvarGuard g(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);  // keep the thread quiet
   World w(2, test::fast_opts());
-  obs::Sampler sampler(w);
+  obs::Sampler sampler(w, every_ms(1000));  // keep the thread quiet
 
   w.run([&](Engine& e) {
     int v = e.world_rank();
@@ -240,37 +123,33 @@ TEST(Sampler, TicksHistoryAndSequence) {
   EXPECT_GT(total_rate, 0.0);
 }
 
-TEST(Sampler, RuntimeIntervalChangeVisibleInJsonl) {
-  CvarGuard g(obs::Cv::SamplerIntervalMs);
+TEST(Sampler, IntervalOptionVisibleInJsonl) {
+  // Each sampler echoes its own SamplerOptions::interval_ns in every line it
+  // exports, so two samplers on one World keep their cadences apart.
   World w(1, test::fast_opts());
-  obs::Sampler sampler(w);
+  obs::Sampler fast(w, every_ms(10));
+  obs::Sampler slow(w, every_ms(40));
+  fast.sample_now();
+  slow.sample_now();
 
-  // Acceptance criterion: a runtime cvar write observably changes the
-  // cadence recorded in the exported series. sample_now() echoes the live
-  // cvar into interval_ns, so two writes must yield two distinct echoes.
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 10);
-  sampler.sample_now();
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 40);
-  sampler.sample_now();
-
-  std::ostringstream os;
-  sampler.export_jsonl(os);
-  const std::string jsonl = os.str();
-  EXPECT_NE(jsonl.find("\"interval_ns\":10000000"), std::string::npos) << jsonl;
-  EXPECT_NE(jsonl.find("\"interval_ns\":40000000"), std::string::npos) << jsonl;
-
-  // Every line is one JSON object for one (rank, interval).
-  std::istringstream lines(jsonl);
-  std::string line;
-  std::size_t n = 0;
-  while (std::getline(lines, line)) {
-    if (line.empty()) continue;
-    ++n;
-    EXPECT_EQ(line.front(), '{');
-    EXPECT_EQ(line.back(), '}');
-    EXPECT_NE(line.find("\"rank\":0"), std::string::npos);
-  }
-  EXPECT_GE(n, 2u);
+  const auto expect_echo = [](const obs::Sampler& sampler, const std::string& echo) {
+    std::ostringstream os;
+    sampler.export_jsonl(os);
+    // Every line is one JSON object for one (rank, interval).
+    std::istringstream lines(os.str());
+    std::size_t n = 0;
+    for (std::string line; std::getline(lines, line);) {
+      if (line.empty()) continue;
+      ++n;
+      EXPECT_EQ(line.front(), '{');
+      EXPECT_EQ(line.back(), '}');
+      EXPECT_NE(line.find("\"rank\":0"), std::string::npos);
+      EXPECT_NE(line.find(echo), std::string::npos) << line;
+    }
+    EXPECT_GE(n, 1u);
+  };
+  expect_echo(fast, "\"interval_ns\":10000000");
+  expect_echo(slow, "\"interval_ns\":40000000");
 }
 
 // A sample's rank-level queue depths are the sums of its lanes' depths.
@@ -286,10 +165,8 @@ void expect_lanes_sum_to_rank(const obs::RankSample& s) {
 }
 
 TEST(Sampler, SampleShowsUnmatchedMessages) {
-  CvarGuard g(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);
   World w(2, test::fast_opts());
-  obs::Sampler sampler(w);
+  obs::Sampler sampler(w, every_ms(1000));
 
   w.run([&](Engine& e) {
     std::uint64_t v = 7;
@@ -341,9 +218,7 @@ TEST(Sampler, SampleShowsUnmatchedMessages) {
 TEST(Sampler, TeardownWritesJsonl) {
   // SamplerOptions::jsonl_path is the file `lwmpi top` reads; the destructor
   // writes it after its final sample.
-  CvarGuard g(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1000);
-  obs::SamplerOptions so;
+  obs::SamplerOptions so = every_ms(1000);
   so.jsonl_path = ::testing::TempDir() + "lwmpi_sampler_teardown.jsonl";
   {
     World w(2, test::fast_opts());
@@ -386,20 +261,18 @@ TEST(Sampler, TeardownWritesJsonl) {
 }
 
 TEST(Sampler, WatchdogEmbedsTimeline) {
-  CvarGuard g(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 20);
   WorldOptions o = test::fast_opts();
   o.build.lat_sample_shift = 0;
   World w(2, o);
 
   // Declaration order is the lifetime contract: the sampler must outlive the
-  // watchdog that references it.
-  obs::Sampler sampler(w);
+  // watchdog that references it. At 5 ms the sampler ticks about 30 times in
+  // the stall window, more than the 16 intervals a report embeds per rank.
+  obs::Sampler sampler(w, every_ms(5));
   obs::WatchdogOptions wo;
   wo.stall_ns = 150'000'000;
   wo.poll_ns = 20'000'000;
   wo.sampler = &sampler;
-  wo.timeline_depth = 8;
   obs::Watchdog wd(w, wo);
 
   w.run([&](Engine& e) {
@@ -423,6 +296,13 @@ TEST(Sampler, WatchdogEmbedsTimeline) {
   EXPECT_EQ(r.timeline_json.front(), '[');
   EXPECT_EQ(r.timeline_json.back(), ']');
   EXPECT_NE(r.timeline_json.find("\"unexpected_depth\""), std::string::npos);
+  // At most the last 16 intervals of each rank.
+  obs::json::Value timeline;
+  ASSERT_TRUE(obs::json::parse(r.timeline_json, &timeline));
+  std::map<std::uint64_t, std::size_t> per_rank;
+  for (const obs::json::Value& sample : timeline.arr) ++per_rank[sample["rank"].u64()];
+  ASSERT_FALSE(per_rank.empty());
+  for (const auto& [rank, n] : per_rank) EXPECT_LE(n, 16u) << "rank " << rank;
   // The hang JSON report carries it under "timeline" (`lwmpi hang --timeline`).
   const std::string json = obs::render_json(r);
   EXPECT_NE(json.find("\"timeline\":["), std::string::npos);
@@ -434,9 +314,8 @@ TEST(Sampler, WatchdogEmbedsTimeline) {
 // every lane, the workload the sampler races against in the tests below.
 // After each batch of `iters` rounds rank 0 asks `more()` and broadcasts the
 // answer, so both ranks keep the lanes hot for the same number of batches.
-// `round(i)` runs on every rank before round i of each batch.
-template <class More, class Round>
-void hot_vci_loop(Engine& e, int iters, More more, Round round) {
+template <class More>
+void hot_vci_loop(Engine& e, int iters, More more) {
   const Comm comms[4] = {kComm1, kComm2, kComm3, kComm4};
   for (Comm c : comms) {
     ASSERT_EQ(e.comm_dup_predefined(kCommWorld, c), Err::Success);
@@ -444,7 +323,6 @@ void hot_vci_loop(Engine& e, int iters, More more, Round round) {
   std::uint64_t v = 0;
   for (int go = 1; go != 0;) {
     for (int i = 0; i < iters; ++i) {
-      round(i);
       for (Comm c : comms) {
         if (e.world_rank() == 0) {
           ASSERT_EQ(e.send(&v, 1, kUint64, 1, 3, c), Err::Success);
@@ -460,18 +338,11 @@ void hot_vci_loop(Engine& e, int iters, More more, Round round) {
   }
 }
 
-template <class More>
-void hot_vci_loop(Engine& e, int iters, More more) {
-  hot_vci_loop(e, iters, more, [](int) {});
-}
-
 void hot_vci_loop(Engine& e, int iters) {
   hot_vci_loop(e, iters, [] { return false; });
 }
 
 TEST(SamplerRace, StartStopUnderLoad) {
-  CvarGuard g(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1);
   World w(2, test::fast_opts());
 
   // Construct and destroy samplers continuously while the rank threads are
@@ -480,7 +351,7 @@ TEST(SamplerRace, StartStopUnderLoad) {
   std::atomic<bool> done{false};
   std::thread churn([&] {
     while (!done.load(std::memory_order_acquire)) {
-      obs::Sampler s(w);
+      obs::Sampler s(w, every_ms(1));
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
       s.sample_now();
     }
@@ -492,25 +363,23 @@ TEST(SamplerRace, StartStopUnderLoad) {
 }
 
 TEST(SamplerRace, RingOverwriteUnderHotVciLoad) {
-  CvarGuard gi(obs::Cv::SamplerIntervalMs);
-  CvarGuard gr(obs::Cv::SamplerRingDepth);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1);
-  obs::cvar_set(obs::Cv::SamplerRingDepth, 4);  // Startup: read at construction
-
   World w(2, test::fast_opts());
-  obs::Sampler sampler(w);
-  EXPECT_EQ(sampler.ring_depth(), 4u);
+  obs::Sampler sampler(w, every_ms(1));
+  const std::size_t depth = sampler.ring_depth();
+  EXPECT_EQ(depth, 120u);
 
-  // 400 rounds can finish inside 4ms on a fast host, so the lanes stay hot
-  // in further batches until the sampler has ticked past the ring depth.
-  w.run([&](Engine& e) { hot_vci_loop(e, 400, [&] { return sampler.ticks() <= 4; }); });
+  // The lanes stay hot in further batches until the sampler has ticked past
+  // the ring depth.
+  w.run([&](Engine& e) {
+    hot_vci_loop(e, 400, [&] { return sampler.ticks() <= depth; });
+  });
 
-  // The 1ms cadence must have lapped the 4-deep ring: retention is bounded,
+  // The 1ms cadence must have lapped the ring: retention is bounded,
   // overwrite-oldest, and the survivors are the newest contiguous ticks.
-  EXPECT_GT(sampler.ticks(), 4u);
+  EXPECT_GT(sampler.ticks(), depth);
   for (Rank r = 0; r < 2; ++r) {
     const std::vector<obs::RankSample> hist = sampler.history(r);
-    ASSERT_LE(hist.size(), 4u);
+    ASSERT_LE(hist.size(), depth);
     ASSERT_GE(hist.size(), 1u);
     for (std::size_t i = 1; i < hist.size(); ++i) {
       EXPECT_EQ(hist[i].seq, hist[i - 1].seq + 1);
@@ -521,28 +390,23 @@ TEST(SamplerRace, RingOverwriteUnderHotVciLoad) {
   }
 }
 
-TEST(SamplerRace, CvarMutationMidRun) {
-  CvarGuard gi(obs::Cv::SamplerIntervalMs);
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 1);
-
+TEST(SamplerRace, TwoSamplersOnOneWorld) {
   World w(2, test::fast_opts());
-  obs::Sampler sampler(w);
+  obs::Sampler fast(w, every_ms(1));
+  obs::Sampler slow(w, every_ms(3));
 
-  // Rank 0 retunes the sampler's runtime cvar from inside the run while the
-  // sampling thread re-reads it every tick: the interval cadence flaps
-  // between 1ms and 5ms. 300 rounds can finish before the first tick on a
-  // fast host, so the batches repeat until the sampler has ticked.
+  // Both sampling threads read the same engines while the lanes are hot;
+  // the batches repeat until each has ticked.
   w.run([&](Engine& e) {
-    const bool mutate = e.world_rank() == 0;
-    hot_vci_loop(
-        e, 300, [&] { return sampler.ticks() == 0; },
-        [&](int i) {
-          if (!mutate) return;
-          obs::cvar_set(obs::Cv::SamplerIntervalMs, (i & 1) != 0 ? 5 : 1);
-        });
+    hot_vci_loop(e, 300, [&] { return fast.ticks() == 0 || slow.ticks() == 0; });
   });
 
-  EXPECT_GT(sampler.ticks(), 0u);
+  EXPECT_GT(fast.ticks(), 0u);
+  EXPECT_GT(slow.ticks(), 0u);
+  for (Rank r = 0; r < 2; ++r) {
+    for (const obs::RankSample& s : fast.history(r)) EXPECT_EQ(s.interval_ns, 1'000'000u);
+    for (const obs::RankSample& s : slow.history(r)) EXPECT_EQ(s.interval_ns, 3'000'000u);
+  }
 }
 
 // --- fabric byte pvars -------------------------------------------------------

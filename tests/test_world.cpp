@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util.hpp"
@@ -64,6 +65,50 @@ TEST(World, OptionsReachEngines) {
   EXPECT_FALSE(w.engine(1).config().error_checking);
   EXPECT_FALSE(w.engine(1).config().thread_safety);
   EXPECT_FALSE(w.fabric().same_node(0, 1));
+}
+
+TEST(World, EnvironmentDoesNotChangeOptions) {
+  // A World runs with exactly the options it was given: environment
+  // variables, set here against every option below, change nothing.
+  const char* const kEnv[][2] = {{"LWMPI_CVAR_TRACE_ENABLE", "0"},
+                                 {"LWMPI_CVAR_LAT_SAMPLE_SHIFT", "6"},
+                                 {"LWMPI_CVAR_NETMOD_DEFAULT", "rdma"},
+                                 {"LWMPI_CVAR_PROF", "0"},
+                                 {"LWMPI_CVAR_RECORD", "0"}};
+  for (const auto& [name, value] : kEnv) ::setenv(name, value, 1);
+  WorldOptions o = test::fast_opts();
+  o.build.trace = true;
+  o.build.lat_sample_shift = 0;
+  o.netmod = "mailbox";
+  o.prof = true;
+  o.record = true;
+  {
+    World w(2, o);
+    const WorldOptions& got = w.options();
+    EXPECT_TRUE(got.build.trace);
+    EXPECT_EQ(got.build.lat_sample_shift, 0);
+    EXPECT_EQ(got.netmod, "mailbox");
+    EXPECT_TRUE(got.prof);
+    EXPECT_EQ(got.prof_default_phase, o.prof_default_phase);
+    EXPECT_EQ(got.prof_path, o.prof_path);
+    EXPECT_TRUE(got.record);
+    EXPECT_EQ(got.record_path, o.record_path);
+    EXPECT_EQ(got.record_ring_depth, o.record_ring_depth);
+    EXPECT_EQ(got.record_sample_shift, o.record_sample_shift);
+    EXPECT_EQ(w.fabric().backend_name(), "mailbox");
+    EXPECT_NE(w.profiler(), nullptr);
+    EXPECT_NE(w.recorder(), nullptr);
+    w.run([](Engine& e) {
+      int v = 1;
+      if (e.world_rank() == 0) {
+        ASSERT_EQ(e.send(&v, 1, kInt, 1, 0, kCommWorld), Err::Success);
+      } else {
+        ASSERT_EQ(e.recv(&v, 1, kInt, 0, 0, kCommWorld, nullptr), Err::Success);
+      }
+    });
+    EXPECT_FALSE(w.trace_events().empty());
+  }
+  for (const auto& [name, value] : kEnv) ::unsetenv(name);
 }
 
 TEST(World, EngineAccessorMatchesRank) {

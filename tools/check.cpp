@@ -13,7 +13,7 @@
 // workflow; see README).
 //
 // --profcheck loads an aggregate-profiler artifact (the JSON the World
-// writes at teardown when LWMPI_CVAR_PROF_PATH is set) with the strict
+// writes at teardown when WorldOptions::prof_path is set) with the strict
 // loader `lwmpi prof` uses (obs/profile_load.hpp): version key,
 // rank/phase/callsite structure, and matrix cells with in-range endpoints and
 // known message classes.

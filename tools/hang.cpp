@@ -25,7 +25,6 @@
 #include <thread>
 
 #include "core/engine.hpp"
-#include "obs/cvar.hpp"
 #include "obs/json.hpp"
 #include "obs/sampler.hpp"
 #include "obs/text.hpp"
@@ -47,8 +46,9 @@ int run_demo() {
   World w(2, o);
   // Telemetry sampler, declared before the watchdog so it outlives it; the
   // watchdog embeds its last intervals into the diagnosis.
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 20);
-  obs::Sampler sampler(w);
+  obs::SamplerOptions so;
+  so.interval_ns = 20'000'000;
+  obs::Sampler sampler(w, so);
   obs::WatchdogOptions wo;
   wo.stall_ns = 200'000'000;
   wo.poll_ns = 20'000'000;

@@ -1,9 +1,9 @@
 // lwmpi prof: render and diff the aggregate profiler's JSON artifacts.
 //
 // The profiler (src/obs/profiler.hpp) writes a versioned profile artifact at
-// World teardown (WorldOptions::prof_path / LWMPI_CVAR_PROF_PATH). This
-// subcommand reads it with the strict loader and prints it with the one
-// renderer (obs/profile_load.hpp) that World::profile_report() also uses:
+// World teardown (WorldOptions::prof_path). This subcommand reads it with the
+// strict loader and prints it with the one renderer (obs/profile_load.hpp)
+// that World::profile_report() also uses:
 //
 //   lwmpi prof profile.json            per-phase summary, top callsites, an
 //                                      ANSI rank x rank heatmap of the

@@ -32,7 +32,6 @@
 #include <vector>
 
 #include "core/engine.hpp"
-#include "obs/cvar.hpp"
 #include "obs/json.hpp"
 #include "obs/sampler.hpp"
 #include "obs/text.hpp"
@@ -138,10 +137,6 @@ int over_threshold(const std::vector<Value>& samples) {
 int run_demo(int seconds) {
   const bool tty = isatty(STDOUT_FILENO) != 0;
 
-  // Cadence for the scenario: 50 ms intervals. The default 120-interval
-  // ring then retains the last 6 s, the whole of a short run.
-  obs::cvar_set(obs::Cv::SamplerIntervalMs, 50);
-
   // A deliberately starved rdma transport: 2 eager credits per lane, so a
   // sender that outpaces its receiver hits acquire_credit busy-waits almost
   // immediately. Depth 2 also keeps the sender credit-paced for about half
@@ -154,7 +149,11 @@ int run_demo(int seconds) {
   o.profile = net::loopback();
   o.profile.rdma_ring_depth = 2;
   World w(2, o);
-  obs::Sampler sampler(w);
+  // 50 ms intervals: the 120-interval ring then retains the last 6 s, the
+  // whole of a short run.
+  obs::SamplerOptions so;
+  so.interval_ns = 50'000'000;
+  obs::Sampler sampler(w, so);
 
   // Receiver paces the whole run: it polls progress only inside brief test()
   // calls 2ms apart (irecv + sleepy test loop, never a spinning blocking
