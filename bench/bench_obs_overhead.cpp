@@ -35,24 +35,16 @@
 // deflatable (one off-side slowdown fakes a large negative overhead); the
 // median needs only half the pairs inflated to false-positive. The tercile
 // needs most pairs inflated to trip and several deflated to under-report.
-// Since the telemetry plane (obs/sampler.hpp), a background sampler thread
-// may snapshot every counter this bench instruments at a configurable
-// interval. The sampler reads relaxed atomics only -- the claim is that an
-// attached sampler at the default cadence costs the hot path *nothing
-// structural* (its reads share no locks with the engine), so its gate is
-// tighter: the sampled configuration must stay within 1% of the plain one.
-// The telemetry pass emits its own BENCH_telemetry.json.
 // Every top-level MPI entry point opens one obs::SurfaceScope (obs/recorder.hpp),
 // which feeds both the aggregate profiler and the flight recorder -- one
 // branch when neither is attached. With a profiler attached the scope pays a
 // thread-local depth check and a cell bump (two relaxed counter updates) per
 // user call, plus a TSC stamp pair on 1 in 2^10 calls per cell. The profiler
 // pass pairs counters-on worlds with and without an attached profiler and
-// gates the tax at <2% (between the counter tier's 3% and the passive
-// sampler's 1%: the scope does strictly more work per call than a counter
-// hook but runs only at the user-call boundary, not per packet). It emits
-// BENCH_prof.json plus a profile.json artifact that run_tier1.sh validates
-// with `lwmpi check --profcheck`.
+// gates the tax at <2% (below the counter tier's 3%: the scope does strictly
+// more work per call than a counter hook but runs only at the user-call
+// boundary, not per packet). It emits BENCH_prof.json plus a profile.json
+// artifact that run_tier1.sh validates with `lwmpi check --profcheck`.
 // With the flight recorder attached the same scope pays the depth check plus
 // a 16-byte ring store and -- at the default 1-in-2^8 sampling --
 // occasionally a TSC stamp pair. The record pass gates that tax at <2% (same
@@ -62,14 +54,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/harness.hpp"
 #include "obs/profiler.hpp"
 #include "obs/pvar.hpp"
-#include "obs/sampler.hpp"
 
 using namespace lwmpi;
 
@@ -81,16 +71,13 @@ constexpr int kSlices = 12;  // alternating slices per instance pair
 constexpr int kRounds = 7;   // independently-constructed instance pairs
 
 // A 1-rank world whose engine the bench drives directly (self ping-pong:
-// isend -> recv -> wait, no thread handoff). `sampled` additionally attaches
-// a telemetry sampler at the default cadence for the instance's lifetime;
-// `prof` attaches the aggregate profiler (the surface hook profiles every
-// call).
+// isend -> recv -> wait, no thread handoff). `prof` attaches the aggregate
+// profiler (the surface hook profiles every call), `record` the flight
+// recorder.
 class SelfWorld {
  public:
-  explicit SelfWorld(bool counters, bool sampled = false, bool prof = false,
-                     bool record = false)
+  explicit SelfWorld(bool counters, bool prof = false, bool record = false)
       : w_(1, opts(counters, prof, record)), e_(w_.engine(0)) {
-    if (sampled) sampler_ = std::make_unique<obs::Sampler>(w_);
     for (int i = 0; i < kWarmup; ++i) iter();
   }
 
@@ -123,9 +110,6 @@ class SelfWorld {
   }
 
   World w_;
-  // Declared after w_, destroyed before it (the sampler references the
-  // world; see obs/sampler.hpp).
-  std::unique_ptr<obs::Sampler> sampler_;
   Engine& e_;
   char out_ = 1, in_ = 0;
 };
@@ -166,7 +150,7 @@ std::string add_stats_report(bench::JsonResult& jr) {
 // The instrumentation pairings this bench gates. Counters compares stripped
 // vs counter-instrumented builds; the others run counters on both sides and
 // attach the named subsystem to the "on" side only.
-enum class Pair { Counters, Sampler, Prof, Record };
+enum class Pair { Counters, Prof, Record };
 
 struct Measured {
   double best_off = std::numeric_limits<double>::infinity();  // ns/iter
@@ -182,9 +166,8 @@ Measured measure(Pair pair) {
   std::vector<double> ratios;
   ratios.reserve(kRounds);
   for (int round = 0; round < kRounds; ++round) {
-    SelfWorld off_world(pair != Pair::Counters, false, false);
-    SelfWorld on_world(true, pair == Pair::Sampler, pair == Pair::Prof,
-                       pair == Pair::Record);
+    SelfWorld off_world(pair != Pair::Counters);
+    SelfWorld on_world(true, pair == Pair::Prof, pair == Pair::Record);
     double round_off = std::numeric_limits<double>::infinity();
     double round_on = std::numeric_limits<double>::infinity();
     for (int s = 0; s < kSlices; ++s) {
@@ -261,9 +244,6 @@ struct Pass {
 constexpr Pass kPasses[] = {
     {Pair::Counters, "observability counter + histogram overhead (1-byte ch4 self ping-pong)",
      "counters off", "counters on", 3.0, 2, "obs", "counters", "", add_stats_report},
-    {Pair::Sampler, "telemetry sampler overhead (counters on, sampler attached vs not)",
-     "sampler detached", "sampler attached", 1.0, 2, "telemetry", "sampler", "sampler_",
-     nullptr},
     {Pair::Prof, "aggregate profiler overhead (counters on, profiler attached vs not)",
      "profiler detached", "profiler attached", 2.0, 2, "prof", "prof", "prof_",
      write_profile_artifact},

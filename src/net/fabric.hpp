@@ -159,7 +159,8 @@ class Fabric {
   std::uint64_t delivered(Rank r, int vci) const noexcept {
     return mod_->delivered(r, lane(vci));
   }
-  // Per-lane payload byte counters (telemetry bytes/sec rates).
+  // Per-lane payload byte counters (the fabric_*_bytes pvars; the profiler
+  // checks sum(matrix bytes) == fabric_injected_bytes against them).
   std::uint64_t injected_bytes(Rank r, int vci) const noexcept {
     return mod_->injected_bytes(r, lane(vci));
   }

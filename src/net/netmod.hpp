@@ -87,8 +87,9 @@ class Netmod {
   // Per-lane traffic counters (observability / pvar export).
   virtual std::uint64_t injected(Rank r, int vci) const noexcept = 0;
   virtual std::uint64_t delivered(Rank r, int vci) const noexcept = 0;
-  // Per-lane payload byte counters (telemetry bytes/sec rates). Backends that
-  // predate the telemetry plane may report 0; both in-tree backends count.
+  // Per-lane payload byte counters, read by the fabric_*_bytes pvars and the
+  // profiler invariant sum(matrix bytes) == fabric_injected_bytes. A backend
+  // that does not count may report 0; both in-tree backends count.
   virtual std::uint64_t injected_bytes(Rank r, int vci) const noexcept {
     (void)r;
     (void)vci;

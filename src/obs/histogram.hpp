@@ -123,9 +123,6 @@ struct LatencyHist {
       max_ns.store(ns, std::memory_order_relaxed);
     }
   }
-
-  // Racy-but-untorn point-in-time copy (defined below LatSnapshot).
-  inline struct LatSnapshot snapshot() const noexcept;
 };
 
 // Reader-side fold of one or more LatencyHists (e.g. the same path across
@@ -143,26 +140,6 @@ struct LatSnapshot {
     }
     const std::uint64_t m = h.max_ns.load(std::memory_order_relaxed);
     if (m > max_ns) max_ns = m;
-  }
-
-  // Interval view: the samples this snapshot recorded beyond `older` (an
-  // earlier snapshot of the same distribution). Per-bucket subtraction
-  // saturates at zero so a racy-but-untorn pair can never wrap. `max_ns` is
-  // cumulative in the source histogram, so the delta keeps the newer value --
-  // an upper bound on the interval max, which is exactly how percentile()
-  // uses it (a clamp). The telemetry sampler builds per-interval wait-class
-  // and latency distributions from this.
-  LatSnapshot delta(const LatSnapshot& older) const noexcept {
-    LatSnapshot d;
-    for (int i = 0; i < kLatBuckets; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      const std::uint64_t now = bucket[idx];
-      const std::uint64_t was = older.bucket[idx];
-      d.bucket[idx] = now >= was ? now - was : 0;
-      d.count += d.bucket[idx];
-    }
-    d.max_ns = max_ns;
-    return d;
   }
 
   // Percentile as the *upper bound* of the bucket holding the q-quantile
@@ -186,12 +163,6 @@ struct LatSnapshot {
     return max_ns;
   }
 };
-
-inline LatSnapshot LatencyHist::snapshot() const noexcept {
-  LatSnapshot s;
-  s.merge(*this);
-  return s;
-}
 
 // Per-VCI latency block: one histogram per instrumented path. `enabled`
 // follows BuildConfig::counters and `sample_mask` follows

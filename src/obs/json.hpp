@@ -12,11 +12,11 @@
 // exactly (a double holds only 53 bits). Any other input is an error that
 // names its byte offset.
 //
-// Line-oriented artifacts (the causal timeline, the telemetry series,
-// profile.json, a hang report) are newline-terminated and may be read while
-// or after a writer died mid-append. split_lines() returns only the complete
-// lines and drops an unterminated tail, flagging that it happened. That is
-// the only tolerance: a complete line that does not parse is an error.
+// Line-oriented artifacts (the causal timeline, profile.json, a hang
+// report) are newline-terminated and may be read while or after a writer
+// died mid-append. split_lines() returns only the complete lines and drops
+// an unterminated tail, flagging that it happened. That is the only
+// tolerance: a complete line that does not parse is an error.
 //
 // Loaders read records through Fields, which notes the first missing or
 // mistyped member. A loader rejects such a record whole; it never fills in

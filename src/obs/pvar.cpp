@@ -138,8 +138,8 @@ const Entry kRegistry[] = {
      +[](Engine& e, int vci) { return e.world().fabric().injected(e.world_rank(), vci); }},
     {vci_counter("fabric_delivered", "packets delivered from this rank's fabric lane"),
      +[](Engine& e, int vci) { return e.world().fabric().delivered(e.world_rank(), vci); }},
-    // Per-lane payload byte counters (telemetry bytes/sec rates derive from
-    // deltas of these).
+    // Per-lane payload byte counters; the profiler's comm matrix must sum to
+    // fabric_injected_bytes.
     {vci_counter("fabric_injected_bytes", "payload bytes injected toward this rank's lane"),
      +[](Engine& e, int vci) {
        return e.world().fabric().injected_bytes(e.world_rank(), vci);

@@ -91,10 +91,6 @@ std::string fmt_ns(double ns) {
   return scaled(ns, {{1e9, "%.2fs"}, {1e6, "%.1fms"}, {1e3, "%.1fus"}, {1, "%.0fns"}});
 }
 
-std::string fmt_rate(double per_s) {
-  return scaled(per_s, {{1e6, "%.2fM"}, {1e3, "%.1fk"}, {1, "%.0f"}});
-}
-
 std::string fmt_bytes(double bytes) {
   return scaled(bytes,
                 {{0x1p30, "%.1fGiB"}, {0x1p20, "%.1fMiB"}, {0x1p10, "%.1fKiB"}, {1, "%.0fB"}});
@@ -150,7 +146,7 @@ std::string render_snapshot_text(const Value& s) {
   return o;
 }
 
-bool render_hang_text(const Value& r, bool with_timeline, std::string* out) {
+bool render_hang_text(const Value& r, std::string* out) {
   out->clear();
   const Value& stuck = r["stuck"];
   if (stuck.kind != Value::Kind::Arr || r["nranks"].kind != Value::Kind::Num) return false;
@@ -171,36 +167,7 @@ bool render_hang_text(const Value& r, bool with_timeline, std::string* out) {
       }
     }
   }
-  if (!with_timeline) return true;
-  const std::vector<Value>& timeline = r["timeline"].arr;
-  if (timeline.empty()) {
-    o += "\n(no sampler timeline in this report -- attach a Sampler via"
-         " WatchdogOptions::sampler)\n";
-    return true;
-  }
-  put(o, "\n=== telemetry timeline: last %zu interval-sample(s) ===\n", timeline.size());
-  o += sample_header();
-  for (const Value& s : timeline) o += sample_row(s);
   return true;
-}
-
-// --- sampler rows -----------------------------------------------------------
-
-std::string sample_header() {
-  std::string o;
-  put(o, "%5s %4s %8s %9s %9s %9s %9s %5s %6s %7s %6s\n", "SEQ", "RANK", "DT", "SENDS/s",
-      "RECVS/s", "P99send", "P99recv", "UEXQ", "+UEXQ", "STALL%", "IDLE%");
-  return o;
-}
-
-std::string sample_row(const Value& s) {
-  std::string o;
-  put(o, "%5llu %4lld %8s %9s %9s %9s %9s %5llu %+6lld %6.1f%% %5.1f%%\n", ull(s["seq"]),
-      ll(s["rank"]), fmt_ns(s["dt_ns"].num).c_str(), fmt_rate(s["sends_per_s"].num).c_str(),
-      fmt_rate(s["recvs_per_s"].num).c_str(), fmt_ns(s["send_p99_ns"].num).c_str(),
-      fmt_ns(s["recv_p99_ns"].num).c_str(), ull(s["unexpected_depth"]),
-      ll(s["unexpected_growth"]), s["credit_stall_pct"].num, s["idle_pct"].num);
-  return o;
 }
 
 // --- profile ----------------------------------------------------------------

@@ -2,10 +2,9 @@
 // formatters they share with the `lwmpi` tool.
 //
 // Each artifact has one text form, produced from its JSON: a live object
-// renders its own render_json through these functions, and `lwmpi hang` /
-// `lwmpi top` render a saved file through them, so both print the same
-// lines. (The profile's renderer lives beside its reader in
-// obs/profile_load.hpp.)
+// renders its own render_json through these functions, and `lwmpi hang`
+// renders a saved file through them, so both print the same lines. (The
+// profile's renderer lives beside its reader in obs/profile_load.hpp.)
 #pragma once
 
 #include <string>
@@ -15,22 +14,16 @@
 namespace lwmpi::obs {
 
 // Unit formatters, auto-scaled: "850ns" "12.5us" "250.1ms" "1.25s";
-// "950" "12.5k" "1.25M" (per second); "512B" "1.5KiB" "2.0MiB" "1.1GiB".
+// "512B" "1.5KiB" "2.0MiB" "1.1GiB".
 std::string fmt_ns(double ns);
-std::string fmt_rate(double per_s);
 std::string fmt_bytes(double bytes);
 
 // One rank snapshot: the render_json(RankSnapshot) object.
 std::string render_snapshot_text(const json::Value& snapshot);
 
 // A hang report: render_json(HangReport), or the file a watchdog wrote.
-// `with_timeline` appends the embedded sampler timeline. Returns false,
-// leaving *out empty, when `report` has no stuck array or nranks.
-bool render_hang_text(const json::Value& report, bool with_timeline, std::string* out);
-
-// The telemetry sampler's table: one row per render_json(RankSample)
-// record, under sample_header().
-std::string sample_header();
-std::string sample_row(const json::Value& sample);
+// Returns false, leaving *out empty, when `report` has no stuck array or
+// nranks.
+bool render_hang_text(const json::Value& report, std::string* out);
 
 }  // namespace lwmpi::obs

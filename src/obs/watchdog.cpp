@@ -15,7 +15,6 @@
 
 #include "obs/causal.hpp"
 #include "obs/json.hpp"
-#include "obs/sampler.hpp"
 #include "obs/text.hpp"
 #include "runtime/world.hpp"
 
@@ -27,16 +26,12 @@ namespace {
 // embeds as StuckRank::last_moves.
 constexpr std::size_t kLastMovesDepth = 16;
 
-// How many of each rank's most recent sampler intervals a diagnosis embeds as
-// HangReport::timeline_json.
-constexpr std::size_t kTimelineDepth = 16;
-
 }  // namespace
 
 std::string render_text(const HangReport& r) {
   json::Value v;
   std::string out;
-  if (json::parse(render_json(r), &v)) render_hang_text(v, /*with_timeline=*/false, &out);
+  if (json::parse(render_json(r), &v)) render_hang_text(v, &out);
   return out;
 }
 
@@ -61,9 +56,7 @@ std::string render_json(const HangReport& r) {
     }
     o << '}';
   }
-  o << "]";
-  if (!r.timeline_json.empty()) o << ",\"timeline\":" << r.timeline_json;
-  o << "}";
+  o << "]}";
   return o.str();
 }
 
@@ -151,9 +144,6 @@ void Watchdog::run() {
         }
       }
       report.stuck.push_back(std::move(s));
-    }
-    if (opts_.sampler != nullptr) {
-      report.timeline_json = opts_.sampler->timeline_json(kTimelineDepth);
     }
     {
       std::lock_guard<std::mutex> lk(report_mu_);

@@ -44,8 +44,6 @@ class World;
 
 namespace lwmpi::obs {
 
-class Sampler;  // obs/sampler.hpp
-
 // RAII blocking-call-site annotation. Constructed at the top of a blocking
 // wait loop; nested scopes (a Barrier waiting on its internal receives) keep
 // the outermost name. The annotation costs one relaxed load when nested and
@@ -90,11 +88,6 @@ struct StuckRank {
 struct HangReport {
   std::vector<StuckRank> stuck;
   int nranks = 0;  // world size, for "1 of 4 ranks stuck" context
-  // When a telemetry sampler was attached (WatchdogOptions::sampler), the
-  // last 16 intervals per rank of its time series as a JSON array (the shape
-  // obs::render_json(RankSample) emits) -- so a hang report carries the rate
-  // history leading into the stall. Empty when no sampler was attached.
-  std::string timeline_json;
 };
 
 // render_json's document through obs::render_hang_text (obs/text.hpp).
@@ -115,11 +108,6 @@ struct WatchdogOptions {
   // BuildConfig::trace; written per episode so a hung run still yields a
   // critical-path-analyzable timeline.
   std::string causal_trace_path;
-  // When non-null, each diagnosis embeds the sampler's last 16 intervals per
-  // rank as HangReport::timeline_json (rendered into the JSON report and
-  // printed by `lwmpi hang --timeline`). The sampler must outlive the
-  // watchdog.
-  const Sampler* sampler = nullptr;
 };
 
 class Watchdog {

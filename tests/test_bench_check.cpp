@@ -151,8 +151,12 @@ TEST(BenchCheckBaselines, Table1BaselineMatchesLivePaths) {
   const obs::AttributionRow put =
       obs::attribution_row("put", DeviceKind::Ch4, BuildConfig::dflt());
   for (const tools::Entry& e : base.entries) {
-    if (e.label == "isend_total") EXPECT_EQ(e.value, isend.metered.total);
-    if (e.label == "put_total") EXPECT_EQ(e.value, put.metered.total);
+    if (e.label == "isend_total") {
+      EXPECT_EQ(e.value, isend.metered.total);
+    }
+    if (e.label == "put_total") {
+      EXPECT_EQ(e.value, put.metered.total);
+    }
     if (e.label == "isend_error-checking") {
       EXPECT_EQ(e.value, isend.metered.group(cost::Group::ErrorChecking));
     }

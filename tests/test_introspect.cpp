@@ -392,9 +392,17 @@ TEST(Introspect, SavedHangReportRendersLikeTheLiveOne) {
   std::string err;
   ASSERT_TRUE(obs::json::parse_one_line(file, &root, &err)) << err;
   std::string saved;
-  ASSERT_TRUE(obs::render_hang_text(root, /*with_timeline=*/false, &saved));
+  ASSERT_TRUE(obs::render_hang_text(root, &saved));
 
   EXPECT_EQ(saved, obs::render_text(live));
+  // Reports from watchdogs that embedded a sampler timeline still load, and
+  // the extra member changes nothing printed.
+  const std::string with_timeline =
+      file.substr(0, file.rfind('}')) + R"(,"timeline":[{"seq":1,"rank":1}]})" "\n";
+  std::string old_text;
+  ASSERT_TRUE(obs::json::parse_one_line(with_timeline, &root, &err)) << err;
+  ASSERT_TRUE(obs::render_hang_text(root, &old_text));
+  EXPECT_EQ(old_text, saved);
   for (const char* want : {"posted:     comm=WORLD src=* tag=*", "peer=* tag=*",
                            "(1 live request) [phase drain]", "credits=0/4", "[EXHAUSTED]"}) {
     EXPECT_NE(saved.find(want), std::string::npos) << want << "\n" << saved;

@@ -325,6 +325,34 @@ TEST(Counters, RmaOpsAndFlushes) {
   EXPECT_EQ(read_pvar(w.engine(0), "rma_flushes"), 4u);
 }
 
+TEST(Pvar, FabricByteCounters) {
+  // One rank per node so the pair actually crosses the fabric (same-node
+  // traffic takes shmmod and never touches the netmod byte counters).
+  WorldOptions o = test::fast_opts();
+  o.ranks_per_node = 1;
+  constexpr int kMsgs = 32;
+  constexpr std::uint64_t kBytes = kMsgs * sizeof(std::uint64_t);
+
+  test::spmd(2, [&](Engine& e) {
+    std::uint64_t v = 11;
+    if (e.world_rank() == 0) {
+      for (int i = 0; i < kMsgs; ++i) {
+        ASSERT_EQ(e.send(&v, 1, kUint64, 1, i, kCommWorld), Err::Success);
+      }
+      e.barrier(kCommWorld);
+    } else {
+      for (int i = 0; i < kMsgs; ++i) {
+        ASSERT_EQ(e.recv(&v, 1, kUint64, 0, i, kCommWorld, nullptr), Err::Success);
+      }
+      e.barrier(kCommWorld);
+      // Both counters are indexed by the *destination* lane: bytes injected
+      // toward this rank, and bytes its own polls delivered.
+      EXPECT_GE(read_pvar(e, "fabric_injected_bytes"), kBytes);
+      EXPECT_GE(read_pvar(e, "fabric_delivered_bytes"), kBytes);
+    }
+  }, o);
+}
+
 // --- latency histograms ------------------------------------------------------
 
 TEST(LatencyHist, BucketingAndPercentiles) {
@@ -332,6 +360,7 @@ TEST(LatencyHist, BucketingAndPercentiles) {
   static_assert(obs::LatencyHist::bucket_of(1) == 1);
   static_assert(obs::LatencyHist::bucket_of(255) == 8);
   static_assert(obs::LatencyHist::bucket_of(256) == 9);
+  static_assert(obs::LatencyHist::bucket_of(std::uint64_t{1} << 47) == obs::kLatBuckets - 1);
   static_assert(obs::LatencyHist::bucket_of(~std::uint64_t{0}) == obs::kLatBuckets - 1);
 
   obs::LatencyHist h;
@@ -354,6 +383,19 @@ TEST(LatencyHist, BucketingAndPercentiles) {
 
   const obs::LatSnapshot empty;
   EXPECT_EQ(empty.percentile(0.99), 0u);
+
+  // The extremes: record(0) lands in bucket 1 (the |1 floor, so bucket 0
+  // stays empty), ~0 clamps into the top bucket, and max_ns keeps ~0.
+  obs::LatencyHist edges;
+  edges.record(0);
+  edges.record(~std::uint64_t{0});
+  obs::LatSnapshot e;
+  e.merge(edges);
+  EXPECT_EQ(e.count, 2u);
+  EXPECT_EQ(e.bucket[0], 0u);
+  EXPECT_EQ(e.bucket[1], 1u);
+  EXPECT_EQ(e.bucket[obs::kLatBuckets - 1], 1u);
+  EXPECT_EQ(e.max_ns, ~std::uint64_t{0});
 }
 
 // The acceptance check from the paper's protocol-cost argument: at 1 MiB an

@@ -2,8 +2,7 @@
 // statistics on both netmods, the comm-matrix == fabric-byte-counter
 // invariant, load-imbalance math on a deliberately skewed workload, phase
 // misuse (pop-on-empty, depth and table overflow) staying warnings rather
-// than crashes, the histogram snapshot()/delta() boundary behavior the
-// sampler and profiler both lean on, and the artifact/report renderers.
+// than crashes, and the artifact/report renderers.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -15,7 +14,6 @@
 #include <vector>
 
 #include "net/netmod.hpp"
-#include "obs/histogram.hpp"
 #include "obs/profile_load.hpp"
 #include "obs/profiler.hpp"
 #include "obs/pvar.hpp"
@@ -378,39 +376,6 @@ TEST(Profiler, ArtifactWrittenAtTeardown) {
   EXPECT_NE(s.find("\"site\":\"send\""), std::string::npos);
   EXPECT_NE(s.find("\"matrix\":[{"), std::string::npos);
   std::remove(path.c_str());
-}
-
-// --- histogram snapshot()/delta() boundaries (satellite) --------------------
-
-TEST(ProfilerHist, SnapshotDeltaCountsOnlyNewSamples) {
-  obs::LatencyHist h;
-  for (int i = 0; i < 10; ++i) h.record(100);
-  const obs::LatSnapshot older = h.snapshot();
-  for (int i = 0; i < 7; ++i) h.record(100000);
-  const obs::LatSnapshot newer = h.snapshot();
-  const obs::LatSnapshot d = newer.delta(older);
-  EXPECT_EQ(d.count, 7u);
-  EXPECT_EQ(older.count, 10u);
-  EXPECT_EQ(newer.count, 17u);
-  // The delta's samples all sit in the 100us bucket, so its percentile upper
-  // bound reflects only the new samples.
-  EXPECT_GE(d.percentile(0.99), 100000u - 1);
-}
-
-TEST(ProfilerHist, DeltaSaturatesAcrossOverwriteBoundary) {
-  // A ring overwrite (or histogram reset) can hand the reader an `older`
-  // snapshot with larger per-bucket counts than the current one. The delta
-  // must saturate at zero per bucket -- never wrap to ~2^64.
-  obs::LatencyHist h;
-  for (int i = 0; i < 20; ++i) h.record(500);
-  const obs::LatSnapshot stale = h.snapshot();
-  obs::LatencyHist fresh;  // models the post-overwrite state
-  for (int i = 0; i < 3; ++i) fresh.record(500);
-  const obs::LatSnapshot now = fresh.snapshot();
-  const obs::LatSnapshot d = now.delta(stale);
-  EXPECT_EQ(d.count, 0u);
-  for (std::uint64_t b : d.bucket) EXPECT_EQ(b, 0u);
-  EXPECT_EQ(d.percentile(0.5), 0u);  // empty distribution -> 0, not garbage
 }
 
 }  // namespace

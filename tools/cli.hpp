@@ -19,7 +19,6 @@ int critpath_main(int argc, char** argv);
 int hang_main(int argc, char** argv);
 int prof_main(int argc, char** argv);
 int replay_main(int argc, char** argv);
-int top_main(int argc, char** argv);
 
 // One subcommand's command line: `flags` are switches without a value,
 // `options` switches that take the next argument, and anything not starting

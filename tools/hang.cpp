@@ -6,15 +6,10 @@
 // (obs::render_hang_text) for postmortem reading -- the MPIR
 // message-queue-dump workflow, minus the debugger:
 //
-//   lwmpi hang report.json              print a saved hang report
-//   lwmpi hang --timeline report.json   also print the embedded sampler
-//                                       timeline (the last-N-intervals rate
-//                                       history a telemetry-attached watchdog
-//                                       records leading into the stall)
-//   lwmpi hang --demo                   force a live 2-rank deadlock (with a
-//                                       sampler attached) and print its
-//                                       diagnosis plus timeline; exits 1
-//                                       unless it names rank 1 and tag=42
+//   lwmpi hang report.json   print a saved hang report
+//   lwmpi hang --demo        force a live 2-rank deadlock and print its
+//                            diagnosis; exits 1 unless it names rank 1 and
+//                            tag=42
 //
 // The report is read with the strict obs/json.hpp parser: a file that is not
 // exactly one complete, well-formed JSON line (say, one the watchdog was
@@ -26,7 +21,6 @@
 
 #include "core/engine.hpp"
 #include "obs/json.hpp"
-#include "obs/sampler.hpp"
 #include "obs/text.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/world.hpp"
@@ -44,15 +38,9 @@ int run_demo() {
   o.ranks_per_node = 2;
   o.record = true;  // the diagnosis embeds the stuck rank's last moves
   World w(2, o);
-  // Telemetry sampler, declared before the watchdog so it outlives it; the
-  // watchdog embeds its last intervals into the diagnosis.
-  obs::SamplerOptions so;
-  so.interval_ns = 20'000'000;
-  obs::Sampler sampler(w, so);
   obs::WatchdogOptions wo;
   wo.stall_ns = 200'000'000;
   wo.poll_ns = 20'000'000;
-  wo.sampler = &sampler;
   obs::Watchdog wd(w, wo);
   w.run([&](Engine& e) {
     char b = 1;
@@ -68,10 +56,7 @@ int run_demo() {
       e.recv(&b, 1, kChar, 0, 42, kCommWorld, nullptr);
     }
   });
-  obs::json::Value report;
-  std::string text;
-  obs::json::parse(obs::render_json(wd.last_report()), &report);
-  obs::render_hang_text(report, /*with_timeline=*/true, &text);
+  const std::string text = obs::render_text(wd.last_report());
   std::fputs(text.c_str(), stdout);
   const std::size_t stuck = text.find("rank 1 stuck in");
   if (stuck == std::string::npos || text.find("tag=42", stuck) == std::string::npos) {
@@ -85,10 +70,10 @@ int run_demo() {
 }  // namespace
 
 int hang_main(int argc, char** argv) {
-  const Args args(argc, argv, {"--demo", "--timeline"}, {});
+  const Args args(argc, argv, {"--demo"}, {});
   if (args.ok && args.has("--demo")) return run_demo();
   if (!args.ok || args.positional.size() != 1) {
-    return usage("usage: lwmpi hang [--timeline] <report.json> | lwmpi hang --demo\n");
+    return usage("usage: lwmpi hang <report.json> | lwmpi hang --demo\n");
   }
   const std::string& path = args.positional[0];
   std::string file;
@@ -103,7 +88,7 @@ int hang_main(int argc, char** argv) {
     return 1;
   }
   std::string text;
-  if (!obs::render_hang_text(root, args.has("--timeline"), &text)) {
+  if (!obs::render_hang_text(root, &text)) {
     std::fprintf(stderr, "lwmpi hang: %s: not a watchdog report (missing stuck/nranks)\n",
                  path.c_str());
     return 1;

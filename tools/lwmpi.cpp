@@ -20,7 +20,6 @@ constexpr Sub kSubs[] = {
     {"hang", lwmpi::cli::hang_main, "print a watchdog hang report"},
     {"prof", lwmpi::cli::prof_main, "render or diff profiler artifacts"},
     {"replay", lwmpi::cli::replay_main, "record and replay .lwtrace bundles"},
-    {"top", lwmpi::cli::top_main, "dashboard over the sampler's time series"},
 };
 
 }  // namespace
