@@ -18,7 +18,6 @@
 #include "cost/meter.hpp"
 #include "cost/model.hpp"
 #include "obs/recorder.hpp"
-#include "obs/watchdog.hpp"
 
 namespace lwmpi {
 

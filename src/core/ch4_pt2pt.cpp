@@ -13,7 +13,6 @@
 #include "cost/meter.hpp"
 #include "cost/model.hpp"
 #include "obs/recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "runtime/backoff.hpp"
 #include "runtime/world.hpp"
 
@@ -180,15 +179,10 @@ Err Engine::comm_waitall(Comm comm) {
                        [&] { return obs::Surface{surface_vci(comm)}; });
   CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
-  progress();  // flush the device send queue even if nothing is outstanding
-  if (c->noreq_outstanding.load(std::memory_order_acquire) != 0) {
-    obs::BlockScope block(*this, "Comm_waitall");
-    rt::Backoff backoff;
-    while (c->noreq_outstanding.load(std::memory_order_acquire) != 0) {
-      progress();
-      if (c->noreq_outstanding.load(std::memory_order_acquire) != 0) backoff.pause();
-    }
-  }
+  // Progresses at least once: that flushes the device send queue even when
+  // nothing is outstanding.
+  block_until("Comm_waitall",
+              [c] { return c->noreq_outstanding.load(std::memory_order_acquire) == 0; });
   return Err::Success;
 }
 
@@ -463,7 +457,6 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
     slot->dst_world = dst_world;
     slot->comm = p.comm;
     slot->bytes_expected = bytes;
-    slot->trace_seq = tseq;
     slot->post_ts = lat_t0;
     slot->bound_peer = dst_world;
     slot->bound_tag = p.tag;
@@ -505,11 +498,7 @@ void Engine::inject_or_queue(Vci& v, Rank dst_world, rt::Packet* pkt) {
         QueuedSend{pkt, dst_world, v.lat.arm() ? obs::lat_now_ns() : 0});
     v.send_q_depth.fetch_add(1, std::memory_order_release);
   } else {
-    if (cfg_.trace && pkt->hdr.seq != 0) {
-      trace_msg(v, obs::trace::Ev::Inject, pkt->hdr.seq, pkt->hdr.vci, dst_world,
-                pkt->hdr.tag, pkt->hdr.total_bytes);
-    }
-    fabric_.inject(self_, dst_world, pkt);
+    traced_inject(v, dst_world, pkt, pkt->hdr.total_bytes);
   }
 }
 
@@ -583,23 +572,7 @@ Err Engine::post_recv_common(void* buf, int count, Datatype dt, Rank src, Tag ta
       v.lat.record(obs::LatPath::UnexpectedWait,
                    lat_t0 > arrived_ns ? lat_t0 - arrived_ns : 0);
     }
-    // Causal wait classification at the unexpected-hit site: the match
-    // happens now, at post time, so `now == posted`. The decomposition then
-    // naturally attributes the whole interval since the send stamp to this
-    // receiver being late (unless the sender's credit stall dominates).
-    obs::Wait wait = obs::Wait::None;
-    std::uint64_t wait_ns = 0;
-    if (lat_t0 != 0 && (*pkt)->hdr.send_ns != 0) {
-      wait = obs::classify_wait(lat_t0, (*pkt)->hdr.send_ns, (*pkt)->hdr.stall_ns,
-                                lat_t0, &wait_ns);
-      v.waits.record(wait, wait_ns);
-    }
-    if (cfg_.trace && (*pkt)->hdr.seq != 0) {
-      trace_msg(v, obs::trace::Ev::Match, (*pkt)->hdr.seq, (*pkt)->hdr.vci,
-                (*pkt)->hdr.src_world, (*pkt)->hdr.tag, (*pkt)->hdr.total_bytes, wait,
-                wait_ns);
-    }
-    deliver_match(v, pr, *pkt);
+    deliver_match(v, pr, *pkt, /*at_post=*/true);
   } else {
     v.counters.inc(obs::VciCtr::PostedDepth);
     v.counters.high_water(obs::VciCtr::PostedHwm, v.matcher.posted_depth());

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 namespace lwmpi {
 
@@ -62,11 +63,17 @@ struct BuildConfig {
     return {.error_checking = false, .thread_safety = false, .ipo = true};
   }
 
+  // The build's name: each flag off its default adds its part, in the order
+  // no-err, single, ipo ("no-err-single-ipo"); no part reads "default".
   std::string label() const {
-    if (!error_checking && !thread_safety && ipo) return "no-err-single-ipo";
-    if (!error_checking && !thread_safety) return "no-err-single";
-    if (!error_checking) return "no-err";
-    return "default";
+    std::string s;
+    for (const auto& [on, part] : {std::pair{!error_checking, "no-err"},
+                                   std::pair{!thread_safety, "single"}, std::pair{ipo, "ipo"}}) {
+      if (!on) continue;
+      if (!s.empty()) s += '-';
+      s += part;
+    }
+    return s.empty() ? "default" : s;
   }
 };
 

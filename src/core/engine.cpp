@@ -7,8 +7,6 @@
 #include "cost/meter.hpp"
 #include "cost/model.hpp"
 #include "obs/recorder.hpp"
-#include "obs/watchdog.hpp"
-#include "runtime/backoff.hpp"
 #include "runtime/world.hpp"
 
 namespace lwmpi {
@@ -338,15 +336,11 @@ Err Engine::wait(Request* req, Status* st) {
   return wait_impl(req, st);
 }
 
-Err Engine::wait_impl(Request* req, Status* st) {
-  if (req == nullptr) return Err::Request;
+template <class Done>
+Err Engine::reap(Request* req, Status* st, Done done) {
   if (*req == kRequestNull) {
     if (st != nullptr) *st = Status{};
     return Err::Success;
-  }
-  if (cfg_.error_checking) {
-    cost::charge(cost::Category::ErrCheck, cost::kErrRequestHandle);
-    if (req_slot(*req) == nullptr) return Err::Request;
   }
   RequestSlot* s = req_slot(*req);
   if (s == nullptr) return Err::Request;
@@ -358,22 +352,11 @@ Err Engine::wait_impl(Request* req, Status* st) {
       if (st != nullptr) *st = Status{};  // inactive: trivially complete
       return Err::Success;
     }
-    return wait_impl(&s->inner, st);
+    req = &s->inner;
+    s = req_slot(*req);
+    if (s == nullptr) return Err::Request;
   }
-  // Always advance the engine at least once: on the orig device an eager
-  // send completes locally while its packet still sits in the software send
-  // queue, and progress is what pushes it onto the fabric.
-  progress();
-  if (!s->complete.load(std::memory_order_acquire)) {
-    // Only annotate once we actually block: the common already-complete case
-    // (and the latency-gated ping-pong path) never touches the annotation.
-    obs::BlockScope block(*this, "Wait");
-    rt::Backoff backoff;
-    while (!s->complete.load(std::memory_order_acquire)) {
-      progress();
-      if (!s->complete.load(std::memory_order_acquire)) backoff.pause();
-    }
-  }
+  if (!done(*s)) return Err::Pending;
   const Err op_err = s->op_error;
   if (st != nullptr) *st = s->status;
   release_request(*req);
@@ -381,11 +364,24 @@ Err Engine::wait_impl(Request* req, Status* st) {
   return op_err;
 }
 
+Err Engine::wait_impl(Request* req, Status* st) {
+  if (req == nullptr) return Err::Request;
+  // An invalid handle is rejected by reap's lookup, checking on or off.
+  if (cfg_.error_checking && *req != kRequestNull) {
+    cost::charge(cost::Category::ErrCheck, cost::kErrRequestHandle);
+  }
+  return reap(req, st, [this](const RequestSlot& s) {
+    // An already-complete request still progresses once, and never touches
+    // the watchdog annotation.
+    block_until("Wait", [&s] { return s.complete.load(std::memory_order_acquire); });
+    return true;
+  });
+}
+
 Err Engine::test(Request* req, bool* flag, Status* st) {
   // Success-gated: only a test that actually completed a request is a
   // replayable op, so the record is emitted at exit. The handle must be
-  // captured first (completion nulls it), and the body lives in test_impl
-  // because the persistent path recurses.
+  // captured first (completion nulls it).
   const Request h = req != nullptr ? *req : kRequestNull;
   obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Test,
                        [&] { return obs::Surface{static_cast<int>(request_vci(h))}; });
@@ -398,33 +394,13 @@ Err Engine::test(Request* req, bool* flag, Status* st) {
 
 Err Engine::test_impl(Request* req, bool* flag, Status* st) {
   if (req == nullptr || flag == nullptr) return Err::Request;
-  if (*req == kRequestNull) {
-    *flag = true;
-    if (st != nullptr) *st = Status{};
-    return Err::Success;
-  }
-  RequestSlot* s = req_slot(*req);
-  if (s == nullptr) return Err::Request;
-  if (s->kind == RequestSlot::Kind::PersistentSend ||
-      s->kind == RequestSlot::Kind::PersistentRecv) {
-    if (s->inner == kRequestNull) {
-      *flag = true;
-      if (st != nullptr) *st = Status{};
-      return Err::Success;
-    }
-    return test_impl(&s->inner, flag, st);
-  }
-  progress();
-  if (!s->complete.load(std::memory_order_acquire)) {
-    *flag = false;
-    return Err::Success;
-  }
-  *flag = true;
-  const Err op_err = s->op_error;
-  if (st != nullptr) *st = s->status;
-  release_request(*req);
-  *req = kRequestNull;
-  return op_err;
+  const Err e = reap(req, st, [this](const RequestSlot& s) {
+    progress();
+    return s.complete.load(std::memory_order_acquire);
+  });
+  if (e == Err::Request) return e;
+  *flag = e != Err::Pending;
+  return *flag ? e : Err::Success;
 }
 
 Err Engine::waitall(std::span<Request> reqs, std::span<Status> sts) {
@@ -455,22 +431,21 @@ Err Engine::waitany(std::span<Request> reqs, int* index, Status* st) {
     if (st != nullptr) *st = Status{};
     return Err::Success;
   }
-  obs::BlockScope block(*this, "Waitany");
-  rt::Backoff backoff;
-  for (;;) {
-    progress();
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (reqs[i] == kRequestNull) continue;
-      RequestSlot* s = req_slot(reqs[i]);
-      if (s == nullptr) return Err::Request;
-      if (slot_ready(*s)) {
-        *index = static_cast<int>(i);
-        sc.record(obs::Callsite::Waitany, {0, 0, 0, 0, reqs[i]});
-        return wait(&reqs[i], st);
-      }
+  std::size_t hit = 0;
+  bool invalid = false;
+  block_until("Waitany", [&] {
+    for (hit = 0; hit < reqs.size(); ++hit) {
+      if (reqs[hit] == kRequestNull) continue;
+      const RequestSlot* s = req_slot(reqs[hit]);
+      invalid = s == nullptr;
+      if (invalid || slot_ready(*s)) return true;
     }
-    backoff.pause();
-  }
+    return false;
+  });
+  if (invalid) return Err::Request;
+  *index = static_cast<int>(hit);
+  sc.record(obs::Callsite::Waitany, {0, 0, 0, 0, reqs[hit]});
+  return wait(&reqs[hit], st);
 }
 
 Err Engine::testany(std::span<Request> reqs, int* index, bool* flag, Status* st) {
@@ -546,46 +521,52 @@ Err Engine::cancel(Request* req) {
 // Probe
 // ---------------------------------------------------------------------------
 
-Err Engine::iprobe(Rank src, Tag tag, Comm comm, bool* flag, Status* st) {
-  // Success-gated: only a hit is a replayable op.
-  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Iprobe,
-                       [&] { return obs::Surface{surface_vci(comm)}; });
-  if (flag == nullptr) return Err::Arg;
+Err Engine::probe_args(Rank src, Tag tag, Comm comm, const CommObject** c) const {
   if (cfg_.error_checking) {
     if (Err e = check_comm(comm); !ok(e)) return e;
   }
-  const CommObject* c = comm_obj(comm);
-  if (c == nullptr) return Err::Comm;
+  *c = comm_obj(comm);
+  if (*c == nullptr) return Err::Comm;
   if (cfg_.error_checking) {
-    if (Err e = check_rank(*c, src, false, true); !ok(e)) return e;
+    if (Err e = check_rank(**c, src, false, true); !ok(e)) return e;
     if (Err e = check_tag(tag, true); !ok(e)) return e;
   }
-  progress();
-  Vci& v = *vcis_[c->vci];
+  return Err::Success;
+}
+
+bool Engine::probe_match(const CommObject& c, Rank src, Tag tag, Status* st) {
+  Vci& v = *vcis_[c.vci];
   std::lock_guard<std::recursive_mutex> lk(v.mu);
-  const rt::PacketHeader* h = v.matcher.probe(c->ctx, src, tag);
-  *flag = h != nullptr;
+  const rt::PacketHeader* h = v.matcher.probe(c.ctx, src, tag);
   if (h != nullptr && st != nullptr) {
     st->source = h->src_comm_rank;
     st->tag = h->tag;
     st->byte_count = h->total_bytes;
     st->error = Err::Success;
   }
-  if (h != nullptr) sc.record(obs::Callsite::Iprobe, {static_cast<int>(c->vci), 0, src, tag});
+  return h != nullptr;
+}
+
+Err Engine::iprobe(Rank src, Tag tag, Comm comm, bool* flag, Status* st) {
+  // Success-gated: only a hit is a replayable op.
+  obs::SurfaceScope sc(prof_, rec_, obs::kDeferRecord, obs::Callsite::Iprobe,
+                       [&] { return obs::Surface{surface_vci(comm)}; });
+  if (flag == nullptr) return Err::Arg;
+  const CommObject* c = nullptr;
+  if (Err e = probe_args(src, tag, comm, &c); !ok(e)) return e;
+  progress();
+  *flag = probe_match(*c, src, tag, st);
+  if (*flag) sc.record(obs::Callsite::Iprobe, {static_cast<int>(c->vci), 0, src, tag});
   return Err::Success;
 }
 
 Err Engine::probe(Rank src, Tag tag, Comm comm, Status* st) {
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Probe,
                        [&] { return obs::Surface{surface_vci(comm), 0, src, tag}; });
-  bool flag = false;
-  obs::BlockScope block(*this, "Probe");
-  rt::Backoff backoff;
-  for (;;) {
-    if (Err e = iprobe(src, tag, comm, &flag, st); !ok(e)) return e;
-    if (flag) return Err::Success;
-    backoff.pause();
-  }
+  const CommObject* c = nullptr;
+  if (Err e = probe_args(src, tag, comm, &c); !ok(e)) return e;
+  block_until("Probe", [&] { return probe_match(*c, src, tag, st); });
+  return Err::Success;
 }
 
 // ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class World;
 
 namespace obs {
 struct RankSnapshot;  // obs/introspect.hpp
-class BlockScope;     // obs/watchdog.hpp
+class BlockScope;     // below
 class RankRec;        // obs/recorder.hpp
 }
 
@@ -462,6 +462,10 @@ class Engine {
   // operation (used by waitany/testany/testall).
   bool slot_ready(const RequestSlot& s) noexcept;
 
+  // ---- probe (engine.cpp): argument checks, then one matcher look ----
+  Err probe_args(Rank src, Tag tag, Comm comm, const CommObject** c) const;
+  bool probe_match(const CommObject& c, Rank src, Tag tag, Status* st);
+
   // ---- device paths (implemented in ch4_pt2pt.cpp / orig_device.cpp) ----
   struct SendParams {
     const void* buf;
@@ -487,8 +491,39 @@ class Engine {
   Err issue_send(const SendParams& p, const CommObject& c, Rank dst_world, Request* req);
   void inject_or_queue(Vci& v, Rank dst_world, rt::Packet* pkt);
 
-  // Deliver a matched first packet (eager payload or RTS handshake).
-  void deliver_match(Vci& v, const match::PostedRecv& r, rt::Packet* pkt);
+  // ---- the protocol's edges: each owns its charge, counters, latency
+  // record, wait classification and trace event, and is written once ----
+  // The inject edge: hand `pkt` to the fabric, recording its Inject event
+  // (`bytes` of the message) when the message is traced. Every packet of a
+  // traced message chain leaves through here, except the all-opts send's.
+  void traced_inject(Vci& v, Rank dst_world, rt::Packet* pkt, std::uint64_t bytes) {
+    if (cfg_.trace && pkt->hdr.seq != 0) {
+      trace_msg(v, obs::trace::Ev::Inject, pkt->hdr.seq, pkt->hdr.vci, dst_world, pkt->hdr.tag,
+                bytes);
+    }
+    fabric_.inject(self_, dst_world, pkt);
+  }
+  // The match edge: posted receive `r` met its first packet (eager payload or
+  // RTS), either when the receive was posted (`at_post`: the packet waited
+  // unexpected) or when the packet arrived. Classifies the wait of a sampled
+  // message, records the Match event and delivers.
+  void deliver_match(Vci& v, const match::PostedRecv& r, rt::Packet* pkt, bool at_post);
+  // The completion edge: request `r` (slot `s`) is done, with `bytes` moved,
+  // and `h` is the header of the packet that finished it. Publishes the
+  // status behind the completion charge and the release store of `complete`,
+  // or retires a _NOREQ origin through its communicator's counter; then
+  // records the latency on `path` and the Complete event (`tag` as traced).
+  // Everything it needs from the slot is read before the store, because a
+  // waiter may reap and recycle the slot from then on. Defined (and only
+  // used) in progress.cpp, and inlined so the eager receive gains no call.
+  [[gnu::always_inline]] inline void complete_request(Vci& v, Request r, RequestSlot& s,
+                                                      obs::LatPath path,
+                                                      const rt::PacketHeader& h, Tag tag,
+                                                      std::uint64_t bytes);
+  // The zero-copy registration edge: register [buf, buf + bytes) and return
+  // its rkey; a registration-cache miss pays the pin cost on the message's
+  // critical path and is recorded as a RegCacheMiss wait.
+  std::uint64_t register_timed(Vci& v, const void* buf, std::size_t bytes);
 
   // ---- progress internals (progress.cpp); all run under the VCI's lock ----
   void handle_packet(Vci& v, rt::Packet* pkt);
@@ -497,7 +532,7 @@ class Engine {
   void handle_rdv_done(Vci& v, rt::Packet* pkt);
   void handle_am(rt::Packet* pkt);
   void drain_send_queue(Vci& v);
-  void complete_recv_from_eager(Vci& v, RequestSlot& slot, rt::Packet* pkt);
+  void complete_recv_from_eager(Vci& v, RequestSlot& slot, Request req, rt::Packet* pkt);
   void start_rendezvous_recv(Vci& v, RequestSlot& slot, Request req_handle, rt::Packet* rts);
 
   // Hook-free bodies of the public entry points: the blocking wrappers
@@ -510,10 +545,26 @@ class Engine {
   Err irecv_impl(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm comm,
                  Request* req);
   Err wait_impl(Request* req, Status* st);
-  // test() recurses through persistent handles (test -> test(&inner)), so the
-  // recorder's success-gated exit record must live in the public wrapper and
-  // the body in an _impl like the blocking wrappers above.
+  // The recorder's success-gated exit record of test() lives in the public
+  // wrapper, and the body in an _impl like the blocking wrappers above.
   Err test_impl(Request* req, bool* flag, Status* st);
+  // The reap shared by wait and test: resolve `*req` (a persistent handle to
+  // its in-flight operation), let `done(slot)` say whether that operation is
+  // complete (wait blocks in it, test polls), and if so copy its status,
+  // release its slot and null its handle. A null or inactive handle is
+  // trivially complete with an empty status. Returns Err::Pending, having
+  // reaped nothing, when `done` says no.
+  template <class Done>
+  Err reap(Request* req, Status* st, Done done);
+
+  // The one blocking loop: progress until `done()` holds. It progresses
+  // before the first check (a blocking call is a progress point, and the
+  // orig device's queued eager send needs one), names `call` to the
+  // watchdog only after that first check misses, and pauses through
+  // rt::Backoff between later checks. A template on the predicate, so each
+  // caller compiles to its own loop. Defined below, after obs::BlockScope.
+  template <class Done>
+  void block_until(const char* call, Done done);
 
   // ---- surface-hook arguments (obs::SurfaceScope) ----
   // Evaluated only inside a SurfaceScope's argument callable, i.e. only for
@@ -638,5 +689,49 @@ class Engine {
   // the comm-object lookup.
   int world_vci_ = 0;
 };
+
+namespace obs {
+
+// RAII blocking-call-site annotation, read by the hang watchdog
+// (obs/watchdog.hpp) through Engine::blocking_call(). Engine::block_until
+// constructs one once its first check misses; the composite calls Barrier,
+// Win_fence and Win_unlock hold an outer one, so nested waits keep the
+// outermost name. The annotation costs one relaxed load when nested and one
+// timestamp + two stores when outermost; a wait that is already complete
+// constructs none.
+class BlockScope {
+ public:
+  BlockScope(Engine& e, const char* call) noexcept
+      : e_(e), outer_(e.blocking_call_.load(std::memory_order_relaxed) == nullptr) {
+    if (outer_) {
+      e_.blocking_since_.store(lat_now_ns(), std::memory_order_relaxed);
+      e_.blocking_call_.store(call, std::memory_order_release);
+    }
+  }
+  ~BlockScope() {
+    if (outer_) e_.blocking_call_.store(nullptr, std::memory_order_release);
+  }
+  BlockScope(const BlockScope&) = delete;
+  BlockScope& operator=(const BlockScope&) = delete;
+
+ private:
+  Engine& e_;
+  const bool outer_;
+};
+
+}  // namespace obs
+
+template <class Done>
+void Engine::block_until(const char* call, Done done) {
+  progress();
+  if (done()) return;
+  obs::BlockScope block(*this, call);
+  rt::Backoff backoff;
+  for (;;) {
+    progress();
+    if (done()) return;
+    backoff.pause();
+  }
+}
 
 }  // namespace lwmpi

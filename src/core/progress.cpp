@@ -79,23 +79,7 @@ void Engine::handle_packet(Vci& v, rt::Packet* pkt) {
       if (auto pr = v.matcher.arrive(pkt)) {
         v.counters.inc(obs::VciCtr::PostedMatch);
         v.counters.dec(obs::VciCtr::PostedDepth);
-        // Causal wait classification at the posted-match site: decompose the
-        // interval between the first-ready side and now using the packet's
-        // causal header (send stamp + credit stall) against the receive's
-        // post stamp. Sampled: posted_ns is 0 outside the latency sample.
-        obs::Wait wait = obs::Wait::None;
-        std::uint64_t wait_ns = 0;
-        if (pr->posted_ns != 0 && pkt->hdr.send_ns != 0) {
-          wait = obs::classify_wait(pr->posted_ns, pkt->hdr.send_ns, pkt->hdr.stall_ns,
-                                    obs::lat_now_ns(), &wait_ns);
-          v.waits.record(wait, wait_ns);
-        }
-        if (cfg_.trace && pkt->hdr.seq != 0) {
-          trace_msg(v, obs::trace::Ev::Match, pkt->hdr.seq, pkt->hdr.vci,
-                    pkt->hdr.src_world, pkt->hdr.tag, pkt->hdr.total_bytes, wait,
-                    wait_ns);
-        }
-        deliver_match(v, *pr, pkt);
+        deliver_match(v, *pr, pkt, /*at_post=*/false);
       } else {
         // Retained on the unexpected queue; ownership transferred. Track the
         // gauge + high-water under the channel lock (single writer).
@@ -122,20 +106,78 @@ void Engine::handle_packet(Vci& v, rt::Packet* pkt) {
   }
 }
 
-void Engine::deliver_match(Vci& v, const match::PostedRecv& r, rt::Packet* pkt) {
+void Engine::deliver_match(Vci& v, const match::PostedRecv& r, rt::Packet* pkt, bool at_post) {
+  // Causal wait classification: decompose the interval between the
+  // first-ready side and the match using the packet's causal header (send
+  // stamp + credit stall) against the receive's post stamp. Sampled:
+  // posted_ns is 0 outside the latency sample. A match at post time has
+  // `now == posted`, which attributes the whole interval since the send
+  // stamp to this receiver being late (unless the sender's credit stall
+  // dominates).
+  const rt::PacketHeader& h = pkt->hdr;
+  {  // scoped: with `wait_ns` dead, the delivery below is a tail call
+    obs::Wait wait = obs::Wait::None;
+    std::uint64_t wait_ns = 0;
+    if (r.posted_ns != 0 && h.send_ns != 0) {
+      wait = obs::classify_wait(r.posted_ns, h.send_ns, h.stall_ns,
+                                at_post ? r.posted_ns : obs::lat_now_ns(), &wait_ns);
+      v.waits.record(wait, wait_ns);
+    }
+    if (cfg_.trace && h.seq != 0) {
+      trace_msg(v, obs::trace::Ev::Match, h.seq, h.vci, h.src_world, h.tag, h.total_bytes,
+                wait, wait_ns);
+    }
+  }
   RequestSlot* slot = req_slot(r.req);
   if (slot == nullptr) {  // cancelled in the meantime; drop the payload
     rt::PacketPool::free(pkt);
     return;
   }
-  if (pkt->hdr.kind == rt::PacketKind::Eager) {
-    complete_recv_from_eager(v, *slot, pkt);
+  if (h.kind == rt::PacketKind::Eager) {
+    complete_recv_from_eager(v, *slot, r.req, pkt);
   } else {
     start_rendezvous_recv(v, *slot, r.req, pkt);
   }
 }
 
-void Engine::complete_recv_from_eager(Vci& v, RequestSlot& slot, rt::Packet* pkt) {
+inline void Engine::complete_request(Vci& v, Request r, RequestSlot& s, obs::LatPath path,
+                                     const rt::PacketHeader& h, Tag tag, std::uint64_t bytes) {
+  const std::uint64_t post_ts = s.post_ts;
+  // Only a rendezvous origin can be a _NOREQ send; at the receive sites the
+  // constant `path` folds this test away.
+  if (path == obs::LatPath::SendRdv && s.noreq) {
+    // A _NOREQ origin has no handle to publish: its communicator's counter
+    // completes it (charged when the send was posted), and its hidden slot
+    // goes back to the pool.
+    if (CommObject* c = comm_obj(s.comm)) {
+      c->noreq_outstanding.fetch_sub(1, std::memory_order_release);
+    }
+    release_request(r);
+  } else {
+    s.status.byte_count = bytes;
+    s.status.error = s.op_error;
+    // Flipping a request to observable-complete is request-state bookkeeping
+    // (3.5); a receive's is the dual of the sender's completion counter.
+    cost::charge(cost::Category::MandRequest, cost::kMandCompletionCounter);
+    s.complete.store(true, std::memory_order_release);
+  }
+  if (post_ts != 0) v.lat.record(path, obs::lat_now_ns() - post_ts);
+  if (cfg_.trace && h.seq != 0) {
+    trace_msg(v, obs::trace::Ev::Complete, h.seq, h.vci, h.src_world, tag, bytes);
+  }
+}
+
+std::uint64_t Engine::register_timed(Vci& v, const void* buf, std::size_t bytes) {
+  const std::uint64_t miss0 = fabric_.net_stat(net::NetStat::RegCacheMiss, self_);
+  const std::uint64_t t0 = obs::lat_now_ns();
+  const std::uint64_t rkey = fabric_.register_memory(self_, buf, bytes);
+  if (fabric_.net_stat(net::NetStat::RegCacheMiss, self_) != miss0) {
+    v.waits.record(obs::Wait::RegCacheMiss, obs::lat_now_ns() - t0);
+  }
+  return rkey;
+}
+
+void Engine::complete_recv_from_eager(Vci& v, RequestSlot& slot, Request req, rt::Packet* pkt) {
   const std::uint64_t total = pkt->hdr.total_bytes;
   const std::uint64_t capacity = dt::packed_size(types_, slot.rcount, slot.rdt);
   const std::uint64_t take = std::min(total, capacity);
@@ -145,19 +187,7 @@ void Engine::complete_recv_from_eager(Vci& v, RequestSlot& slot, rt::Packet* pkt
   }
   slot.status.source = pkt->hdr.src_comm_rank;
   slot.status.tag = pkt->hdr.tag;
-  slot.status.byte_count = take;
-  slot.status.error = slot.op_error;
-  // Flipping a receive to observable-complete is request-state bookkeeping
-  // (3.5), the receive-side dual of the sender's completion counter.
-  cost::charge(cost::Category::MandRequest, cost::kMandCompletionCounter);
-  slot.complete.store(true, std::memory_order_release);
-  if (slot.post_ts != 0) {
-    v.lat.record(obs::LatPath::RecvEager, obs::lat_now_ns() - slot.post_ts);
-  }
-  if (cfg_.trace && pkt->hdr.seq != 0) {
-    trace_msg(v, obs::trace::Ev::Complete, pkt->hdr.seq, pkt->hdr.vci, pkt->hdr.src_world,
-              pkt->hdr.tag, take);
-  }
+  complete_request(v, req, slot, obs::LatPath::RecvEager, pkt->hdr, pkt->hdr.tag, take);
   rt::PacketPool::free(pkt);
 }
 
@@ -175,12 +205,13 @@ void Engine::start_rendezvous_recv(Vci& v, RequestSlot& slot, Request req_handle
   if (slot.stage_used) slot.stage.resize(total);
   slot.bytes_expected = total;
   slot.bytes_received = 0;
-  slot.trace_seq = rts->hdr.seq;
 
   rt::Packet* cts = rt::PacketPool::alloc();
   cts->hdr.kind = rt::PacketKind::Cts;
-  cts->hdr.seq = rts->hdr.seq;  // keep the handshake on the message's chain
-  cts->hdr.vci = rts->hdr.vci;  // replies stay on the initiator's channel
+  // The handshake stays on the message's chain, channel and tag.
+  cts->hdr.seq = rts->hdr.seq;
+  cts->hdr.vci = rts->hdr.vci;
+  cts->hdr.tag = rts->hdr.tag;
   cts->hdr.src_world = self_;
   cts->hdr.origin_req = rts->hdr.origin_req;
   cts->hdr.target_req = req_handle;
@@ -190,23 +221,12 @@ void Engine::start_rendezvous_recv(Vci& v, RequestSlot& slot, Request req_handle
   // rkey back in the CTS. The sender then rdma_writes straight into the user
   // buffer -- no RdvData packets, no staging copy -- and signals with RdvDone.
   if (rts->hdr.zcopy != 0 && total != 0 && !slot.stage_used && fabric_.rdma_capable()) {
-    const std::uint64_t miss0 = fabric_.net_stat(net::NetStat::RegCacheMiss, self_);
-    const std::uint64_t t0 = obs::lat_now_ns();
-    cts->hdr.rkey = fabric_.register_memory(self_, slot.rbuf, total);
-    // A cache miss just paid the pin cost on the message's critical path;
-    // record it as a reg-cache-miss wait (caller holds the VCI lock).
-    if (fabric_.net_stat(net::NetStat::RegCacheMiss, self_) != miss0) {
-      v.waits.record(obs::Wait::RegCacheMiss, obs::lat_now_ns() - t0);
-    }
+    cts->hdr.rkey = register_timed(v, slot.rbuf, total);
   }
-  // The CTS is a cross-rank hop of this message's chain: record its Inject so
-  // the critical-path walk (and the Perfetto flow arrows) can follow
-  // RTS -> CTS -> data back through the handshake.
-  if (cfg_.trace && cts->hdr.seq != 0) {
-    trace_msg(v, obs::trace::Ev::Inject, cts->hdr.seq, cts->hdr.vci, rts->hdr.src_world,
-              rts->hdr.tag, 0);
-  }
-  fabric_.inject(self_, rts->hdr.src_world, cts);
+  // The CTS is a cross-rank hop of this message's chain: its Inject lets the
+  // critical-path walk (and the Perfetto flow arrows) follow RTS -> CTS ->
+  // data back through the handshake.
+  traced_inject(v, rts->hdr.src_world, cts, 0);
   rt::PacketPool::free(rts);
 }
 
@@ -237,72 +257,41 @@ void Engine::handle_rdv_cts(Vci& v, rt::Packet* pkt) {
     // rkey. Register our side (cached), write the whole message in one
     // one-sided operation, and trail it with an RdvDone control packet that
     // carries the data's wire time so completion cannot overtake delivery.
-    const std::uint64_t miss0 = fabric_.net_stat(net::NetStat::RegCacheMiss, self_);
-    const std::uint64_t t0 = obs::lat_now_ns();
-    fabric_.register_memory(self_, src, total);
-    if (fabric_.net_stat(net::NetStat::RegCacheMiss, self_) != miss0) {
-      v.waits.record(obs::Wait::RegCacheMiss, obs::lat_now_ns() - t0);
-    }
+    register_timed(v, src, total);
     fabric_.rdma_write(self_, dst, src, pkt->hdr.rkey, total);
     // The one-sided landing bypasses the packet path entirely; give it its
     // own lifecycle event so zcopy messages keep balanced spans.
-    if (cfg_.trace && slot->trace_seq != 0) {
-      trace_msg(v, obs::trace::Ev::ZcopyWrite, slot->trace_seq, pkt->hdr.vci, dst, 0,
-                total);
+    if (cfg_.trace && pkt->hdr.seq != 0) {
+      trace_msg(v, obs::trace::Ev::ZcopyWrite, pkt->hdr.seq, pkt->hdr.vci, dst, 0, total);
     }
     rt::Packet* done = rt::PacketPool::alloc();
     done->hdr.kind = rt::PacketKind::RdvDone;
-    done->hdr.seq = slot->trace_seq;
+    done->hdr.seq = pkt->hdr.seq;
     done->hdr.vci = pkt->hdr.vci;
     done->hdr.src_world = self_;
     done->hdr.target_req = target_req;
     done->hdr.total_bytes = total;
-    if (cfg_.trace && slot->trace_seq != 0) {
-      trace_msg(v, obs::trace::Ev::Inject, slot->trace_seq, done->hdr.vci, dst, 0, total);
-    }
-    fabric_.inject(self_, dst, done);
+    traced_inject(v, dst, done, total);
   } else {
     std::uint64_t offset = 0;
     do {
       const std::uint64_t n = std::min<std::uint64_t>(kRdvSegmentBytes, total - offset);
       rt::Packet* d = rt::PacketPool::alloc();
       d->hdr.kind = rt::PacketKind::RdvData;
-      d->hdr.seq = slot->trace_seq;
+      d->hdr.seq = pkt->hdr.seq;
       d->hdr.vci = pkt->hdr.vci;  // data segments follow the handshake's channel
       d->hdr.src_world = self_;
       d->hdr.target_req = target_req;
       d->hdr.offset = offset;
       d->hdr.total_bytes = total;
       d->set_payload(src + offset, n);
-      if (cfg_.trace && slot->trace_seq != 0) {
-        trace_msg(v, obs::trace::Ev::Inject, slot->trace_seq, d->hdr.vci, dst, 0, n);
-      }
-      fabric_.inject(self_, dst, d);
+      traced_inject(v, dst, d, n);
       offset += n;
     } while (offset < total);
   }
 
   // Origin-side completion: the data is out of the user buffer.
-  if (cfg_.trace && slot->trace_seq != 0) {
-    trace_msg(v, obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci, dst, 0, total);
-  }
-  if (slot->post_ts != 0) {
-    v.lat.record(obs::LatPath::SendRdv, obs::lat_now_ns() - slot->post_ts);
-  }
-  if (slot->noreq) {
-    if (CommObject* c = comm_obj(slot->comm)) {
-      c->noreq_outstanding.fetch_sub(1, std::memory_order_release);
-    }
-    release_request(pkt->hdr.origin_req);
-  } else {
-    // Populate the status like every other completion path does: waitall /
-    // testall surface per-request statuses, and a send that completed via the
-    // CTS handshake must not leave error/byte_count stale.
-    slot->status.error = slot->op_error;
-    slot->status.byte_count = total;
-    cost::charge(cost::Category::MandRequest, cost::kMandCompletionCounter);
-    slot->complete.store(true, std::memory_order_release);
-  }
+  complete_request(v, pkt->hdr.origin_req, *slot, obs::LatPath::SendRdv, pkt->hdr, 0, total);
   rt::PacketPool::free(pkt);
 }
 
@@ -330,17 +319,7 @@ void Engine::handle_rdv_data(Vci& v, rt::Packet* pkt) {
     // the clean one: the request may sit unreaped for a while.
     slot->stage.clear();
     slot->stage.shrink_to_fit();
-    slot->status.byte_count = take;
-    slot->status.error = slot->op_error;
-    cost::charge(cost::Category::MandRequest, cost::kMandCompletionCounter);
-    slot->complete.store(true, std::memory_order_release);
-    if (slot->post_ts != 0) {
-      v.lat.record(obs::LatPath::RecvRdv, obs::lat_now_ns() - slot->post_ts);
-    }
-    if (cfg_.trace && slot->trace_seq != 0) {
-      trace_msg(v, obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci,
-                pkt->hdr.src_world, 0, take);
-    }
+    complete_request(v, pkt->hdr.target_req, *slot, obs::LatPath::RecvRdv, pkt->hdr, 0, take);
   }
   rt::PacketPool::free(pkt);
 }
@@ -355,17 +334,8 @@ void Engine::handle_rdv_done(Vci& v, rt::Packet* pkt) {
     return;
   }
   slot->bytes_received = slot->bytes_expected;
-  slot->status.byte_count = slot->bytes_expected;
-  slot->status.error = slot->op_error;
-  cost::charge(cost::Category::MandRequest, cost::kMandCompletionCounter);
-  slot->complete.store(true, std::memory_order_release);
-  if (slot->post_ts != 0) {
-    v.lat.record(obs::LatPath::RecvRdv, obs::lat_now_ns() - slot->post_ts);
-  }
-  if (cfg_.trace && slot->trace_seq != 0) {
-    trace_msg(v, obs::trace::Ev::Complete, slot->trace_seq, pkt->hdr.vci,
-              pkt->hdr.src_world, 0, slot->bytes_expected);
-  }
+  complete_request(v, pkt->hdr.target_req, *slot, obs::LatPath::RecvRdv, pkt->hdr, 0,
+                   slot->bytes_expected);
   rt::PacketPool::free(pkt);
 }
 

@@ -117,10 +117,6 @@ struct RequestSlot {
   Rank bound_peer = kProcNull;
   Tag bound_tag = 0;
   Request inner = kRequestNull;
-  // Lifecycle-trace message id (0 when tracing is off): lets the rendezvous
-  // completion sites, which run long after the initiating call, attribute
-  // their events to the originating message chain.
-  std::uint64_t trace_seq = 0;
   // obs::lat_now_ns() at issue/post time (0 when stamping is off): the start
   // edge for the message-lifetime histograms and the age source for the
   // introspection/watchdog tier.
@@ -150,7 +146,6 @@ struct RequestSlot {
     bound_peer = kProcNull;
     bound_tag = 0;
     inner = kRequestNull;
-    trace_seq = 0;
     post_ts = 0;
   }
 };

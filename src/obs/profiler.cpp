@@ -315,9 +315,9 @@ std::uint64_t RankProf::phase_time_ns(int phase) const noexcept {
 
 // --- Profiler ---------------------------------------------------------------
 
-Profiler::Profiler(int nranks, int nvcis, std::string_view default_phase)
+Profiler::Profiler(int nranks, int nvcis)
     : nranks_(nranks < 0 ? 0 : nranks), nvcis_(nvcis < 1 ? 1 : nvcis), matrix_(nranks_) {
-  phases_.emplace_back(default_phase.empty() ? "main" : std::string(default_phase));
+  phases_.emplace_back("main");
   ranks_.reserve(static_cast<std::size_t>(nranks_));
   for (int r = 0; r < nranks_; ++r) {
     ranks_.push_back(std::make_unique<RankProf>(*this, nvcis_));

@@ -12,9 +12,8 @@
 //
 //   * Phase regions are MPI_Pcontrol-style: World::phase_push/pop (all ranks)
 //     or Engine::phase_push/pop (one rank) bracket application phases; every
-//     statistic below is bucketed under the innermost open phase. Phase 0 is
-//     the default phase (WorldOptions::prof_default_phase, default "main")
-//     and is conceptually always at the bottom of the stack, so a pop on an
+//     statistic below is bucketed under the innermost open phase. Phase 0,
+//     "main", is conceptually always at the bottom of the stack, so a pop on an
 //     empty stack cannot crash -- it counts a warning and stays on phase 0.
 //   * Per-callsite statistics: the obs::SurfaceScope (obs/recorder.hpp) that
 //     each top-level MPI entry point opens accumulates count, bytes, elapsed
@@ -44,8 +43,9 @@
 // Writer discipline: cells use the CounterBlock convention -- relaxed
 // load+store from the owning rank's thread (SurfaceScope sits outside the VCI
 // gate, so two user threads hammering one engine can lose increments, never
-// corrupt). Matrix cells use relaxed fetch_add: every rank injects
-// concurrently and exactness is what the invariant test checks.
+// corrupt). Matrix cells are exact although every rank injects concurrently:
+// each (thread, src) pair writes its own row with relaxed load+store
+// (CommMatrix below), and exactness is what the invariant test checks.
 #pragma once
 
 #include <array>
@@ -344,7 +344,7 @@ class RankProf {
 // communication matrix, and the phase-name intern table.
 class Profiler {
  public:
-  Profiler(int nranks, int nvcis, std::string_view default_phase);
+  Profiler(int nranks, int nvcis);
 
   int nranks() const noexcept { return nranks_; }
   int nvcis() const noexcept { return nvcis_; }

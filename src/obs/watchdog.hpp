@@ -6,10 +6,13 @@
 // never arrive, and nothing in the system says who, where, or why. This
 // module closes that gap in two pieces:
 //
-//   * BlockScope annotates every blocking wait loop (Wait/Waitall/Waitany/
-//     Probe/Comm_waitall/Barrier/Win_fence/Win_lock/...) with the call name
-//     and entry time, published through Engine::blocking_call(). Outermost
-//     scope wins, so a Barrier that waits internally still reports "Barrier".
+//   * BlockScope (core/engine.hpp) annotates every blocking call with its
+//     name and entry time, published through Engine::blocking_call(). The
+//     engine's one wait loop, Engine::block_until, constructs it once its
+//     first completion check misses (Wait/Waitany/Probe/Comm_waitall/
+//     Win_flush/Win_lock/Win_start/Win_wait/...); Barrier, Win_fence and
+//     Win_unlock hold an outer scope, and the outermost scope wins, so a
+//     Barrier that waits internally still reports "Barrier".
 //
 //   * Watchdog runs a sampling thread over a World. Per rank it remembers an
 //     activity fingerprint (fabric traffic + request lifecycle counters);
@@ -43,32 +46,6 @@ class World;
 }
 
 namespace lwmpi::obs {
-
-// RAII blocking-call-site annotation. Constructed at the top of a blocking
-// wait loop; nested scopes (a Barrier waiting on its internal receives) keep
-// the outermost name. The annotation costs one relaxed load when nested and
-// one timestamp + two stores when outermost -- and the hot wait() path only
-// constructs one after its first completion check fails, so a request that is
-// already complete pays nothing.
-class BlockScope {
- public:
-  BlockScope(Engine& e, const char* call) noexcept
-      : e_(e), outer_(e.blocking_call_.load(std::memory_order_relaxed) == nullptr) {
-    if (outer_) {
-      e_.blocking_since_.store(lat_now_ns(), std::memory_order_relaxed);
-      e_.blocking_call_.store(call, std::memory_order_release);
-    }
-  }
-  ~BlockScope() {
-    if (outer_) e_.blocking_call_.store(nullptr, std::memory_order_release);
-  }
-  BlockScope(const BlockScope&) = delete;
-  BlockScope& operator=(const BlockScope&) = delete;
-
- private:
-  Engine& e_;
-  const bool outer_;
-};
 
 // One stuck rank's diagnosis.
 struct StuckRank {

@@ -36,11 +36,7 @@ void Engine::drain_send_queue(Vci& v) {
     if (q.enq_ts != 0) {
       v.lat.record(obs::LatPath::SendQueueWait, obs::lat_now_ns() - q.enq_ts);
     }
-    if (cfg_.trace && q.pkt->hdr.seq != 0) {
-      trace_msg(v, obs::trace::Ev::Inject, q.pkt->hdr.seq, q.pkt->hdr.vci, q.dst_world,
-                q.pkt->hdr.tag, q.pkt->hdr.total_bytes);
-    }
-    fabric_.inject(self_, q.dst_world, q.pkt);
+    traced_inject(v, q.dst_world, q.pkt, q.pkt->hdr.total_bytes);
   }
 }
 

@@ -23,7 +23,6 @@
 #include "cost/meter.hpp"
 #include "cost/model.hpp"
 #include "obs/recorder.hpp"
-#include "obs/watchdog.hpp"
 #include "runtime/backoff.hpp"
 #include "runtime/world.hpp"
 
@@ -571,16 +570,9 @@ Err Engine::rma_wait_acks(WindowLocal& w, std::uint32_t until) {
     w.outstanding_acks.store(0, std::memory_order_relaxed);
     return Err::Success;
   }
-  if (w.outstanding_acks.load(std::memory_order_acquire) > until) {
-    // Lazy watchdog annotation: only a wait that actually spins is reportable
-    // as a blocking site (an outer Win_fence/Win_unlock scope wins if set).
-    obs::BlockScope block(*this, "Win_flush");
-    rt::Backoff backoff;
-    while (w.outstanding_acks.load(std::memory_order_acquire) > until) {
-      progress();
-      if (w.outstanding_acks.load(std::memory_order_acquire) > until) backoff.pause();
-    }
-  }
+  // An outer Win_fence/Win_unlock scope keeps its name over "Win_flush".
+  block_until("Win_flush",
+              [&] { return w.outstanding_acks.load(std::memory_order_acquire) <= until; });
   return Err::Success;
 }
 
@@ -715,23 +707,12 @@ Err Engine::win_lock(LockType type, Rank target, Win win) {
     if (type != LockType::Exclusive && type != LockType::Shared) return Err::LockType;
     if (held.load(std::memory_order_acquire) != kLockNone) return Err::RmaSync;
   }
-  obs::BlockScope block(*this, "Win_lock");
-
   if (device_ == DeviceKind::Ch4) {
     // Direct path: take the target's lock like the NIC would.
     auto& mtx = *w->global->rma_locks[static_cast<std::size_t>(target)];
-    rt::Backoff backoff;
-    if (type == LockType::Exclusive) {
-      while (!mtx.try_lock()) {
-        progress();
-        backoff.pause();
-      }
-    } else {
-      while (!mtx.try_lock_shared()) {
-        progress();
-        backoff.pause();
-      }
-    }
+    block_until("Win_lock", [&] {
+      return type == LockType::Exclusive ? mtx.try_lock() : mtx.try_lock_shared();
+    });
     held.store(type == LockType::Exclusive ? kLockExclusive : kLockShared,
                std::memory_order_release);
     return Err::Success;
@@ -746,11 +727,8 @@ Err Engine::win_lock(LockType type, Rank target, Win win) {
   pkt->hdr.win_id = w->global->id;
   pkt->hdr.lock_type = static_cast<std::uint32_t>(type);
   fabric_.inject(self_, w->global->world_ranks[static_cast<std::size_t>(target)], pkt);
-  rt::Backoff backoff;
-  while (held.load(std::memory_order_acquire) == kLockPendingGrant) {
-    progress();
-    backoff.pause();
-  }
+  block_until("Win_lock",
+              [&] { return held.load(std::memory_order_acquire) != kLockPendingGrant; });
   return Err::Success;
 }
 
@@ -789,11 +767,8 @@ Err Engine::win_unlock(Rank target, Win win) {
   pkt->hdr.lock_type =
       static_cast<std::uint32_t>(held == kLockExclusive ? LockType::Exclusive : LockType::Shared);
   fabric_.inject(self_, w->global->world_ranks[static_cast<std::size_t>(target)], pkt);
-  rt::Backoff backoff;
-  while (state.load(std::memory_order_acquire) == kLockPendingUnlock) {
-    progress();
-    backoff.pause();
-  }
+  block_until("Win_unlock",
+              [&] { return state.load(std::memory_order_acquire) != kLockPendingUnlock; });
   return Err::Success;
 }
 
@@ -878,12 +853,8 @@ Err Engine::win_start(Group group, Win win) {
   w->pscw_access_group = targets;
   // Wait for a post token from every target.
   const auto need = static_cast<std::uint32_t>(targets.size());
-  obs::BlockScope block(*this, "Win_start");
-  rt::Backoff backoff;
-  while (w->pscw_posts_seen.load(std::memory_order_acquire) < need) {
-    progress();
-    if (w->pscw_posts_seen.load(std::memory_order_acquire) < need) backoff.pause();
-  }
+  block_until("Win_start",
+              [&] { return w->pscw_posts_seen.load(std::memory_order_acquire) >= need; });
   w->pscw_posts_seen.fetch_sub(need, std::memory_order_relaxed);
   w->epoch.store(WindowLocal::Epoch::Pscw, std::memory_order_relaxed);
   return Err::Success;
@@ -918,12 +889,9 @@ Err Engine::win_wait(Win win) {
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   const auto expected = static_cast<std::uint32_t>(w->pscw_exposure_group.size());
-  obs::BlockScope block(*this, "Win_wait");
-  rt::Backoff backoff;
-  while (w->pscw_completes_seen.load(std::memory_order_acquire) < expected) {
-    progress();
-    if (w->pscw_completes_seen.load(std::memory_order_acquire) < expected) backoff.pause();
-  }
+  block_until("Win_wait", [&] {
+    return w->pscw_completes_seen.load(std::memory_order_acquire) >= expected;
+  });
   w->pscw_completes_seen.fetch_sub(expected, std::memory_order_relaxed);
   w->pscw_exposure_group.clear();
   return Err::Success;

@@ -1,4 +1,5 @@
-// Spin-wait backoff used by all blocking progress loops. With ranks mapped to
+// Spin-wait backoff of the engine's one blocking loop (Engine::block_until),
+// the rdma credit wait and trace replay (apps/replay.cpp). With ranks mapped to
 // threads (possibly oversubscribed), pure spinning starves the peer we are
 // waiting on, so the policy escalates: pause -> yield -> short sleep.
 #pragma once
@@ -35,6 +36,9 @@ class Backoff {
       // microseconds to every blocking completion.
       std::this_thread::yield();
     } else {
+      // Asks for 5 us, but a Linux thread sleeps at least its timer slack
+      // (50 us by default, /proc/self/timerslack_ns): a 200-call probe on a
+      // 4-vCPU host measured 59-62 us at p50. One pause in 1024 pays that.
       std::this_thread::sleep_for(std::chrono::microseconds(5));
     }
   }

@@ -26,8 +26,7 @@ World::World(int nranks, WorldOptions opts)
   // setup, rather than in the first sampled message of a timed run.
   obs::lat_calibrate();
   if (opts_.prof) {
-    profiler_ = std::make_unique<obs::Profiler>(nranks_, opts_.build.vcis(),
-                                                opts_.prof_default_phase);
+    profiler_ = std::make_unique<obs::Profiler>(nranks_, opts_.build.vcis());
     fabric_.set_profiler(profiler_.get());
   }
   if (opts_.record) {

@@ -60,7 +60,6 @@ struct WorldOptions {
   // Aggregate profiler (obs/profiler.hpp): phase regions, per-callsite
   // statistics, and the rank x rank communication matrix.
   bool prof = false;
-  std::string prof_default_phase = "main";  // name of phase 0
   // When profiling is on and this is non-empty, World teardown writes the
   // versioned profile JSON artifact here (`lwmpi prof` input).
   std::string prof_path;

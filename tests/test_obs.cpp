@@ -3,6 +3,7 @@
 // Chrome-trace exporter.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -621,33 +622,114 @@ TEST(Trace, FourRankRingExchangeExportsWellFormedChains) {
   EXPECT_EQ(ends, chains.size());
 }
 
-TEST(Trace, RendezvousChainCarriesSeqAcrossHandshake) {
-  WorldOptions o = test::fast_opts();
-  o.build.trace = true;
-  o.eager_threshold = 64;
-  World w(2, o);
-  std::vector<char> big(4096, 'r');
-  w.run([&](Engine& e) {
-    if (e.world_rank() == 0) {
-      e.send(big.data(), static_cast<int>(big.size()), kChar, 1, 0, kCommWorld);
-    } else {
-      std::vector<char> rbuf(4096);
-      e.recv(rbuf.data(), static_cast<int>(rbuf.size()), kChar, 0, 0, kCommWorld, nullptr);
-      EXPECT_EQ(rbuf[100], 'r');
-    }
-  });
-  const auto chains = by_seq(w.trace_events());
-  ASSERT_EQ(chains.size(), 1u);
-  const auto& chain = chains.begin()->second;
-  EXPECT_TRUE(has_kind(chain, obs::trace::Ev::SendPost));
-  EXPECT_TRUE(has_kind(chain, obs::trace::Ev::Match));     // RTS matched the recv
-  EXPECT_TRUE(has_kind(chain, obs::trace::Ev::Inject));    // data segment injection
-  EXPECT_TRUE(has_kind(chain, obs::trace::Ev::Complete));  // both sides complete
-  int completes = 0;
+// Each message kind's exact trace chain: per rank, the kinds of the events
+// recorded under the message's seq, in the order that rank recorded them.
+// Every case sends one message after its setup, so one new chain appears.
+struct ChainCase {
+  const char* name;
+  DeviceKind device;
+  const char* netmod;
+  int bytes;  // above 64 takes the rendezvous path
+  enum class Send { Blocking, AllOpts } send;
+  enum class Recv { PostedFirst, Unexpected, Strided, NoMatch } recv;
+  const char* sender;    // rank 0's kinds
+  const char* receiver;  // rank 1's kinds
+};
+
+std::string kinds_of(const std::vector<obs::trace::Event>& chain, Rank rank) {
+  std::string out;
   for (const auto& e : chain) {
-    if (e.kind == obs::trace::Ev::Complete) ++completes;
+    if (e.rank != rank) continue;
+    if (!out.empty()) out += ' ';
+    out += obs::trace::to_string(e.kind);
   }
-  EXPECT_EQ(completes, 2);  // origin (data out) + target (data in)
+  return out;
+}
+
+TEST(Trace, EveryMessageKindRecordsItsExactChain) {
+  using S = ChainCase::Send;
+  using R = ChainCase::Recv;
+  const ChainCase cases[] = {
+      {"eager, receive posted first", DeviceKind::Ch4, "mailbox", 8, S::Blocking,
+       R::PostedFirst, "send-post inject complete", "deliver match complete"},
+      {"eager, arriving unexpected", DeviceKind::Ch4, "mailbox", 8, S::Blocking, R::Unexpected,
+       "send-post inject complete", "deliver match complete"},
+      {"staged rendezvous on mailbox", DeviceKind::Ch4, "mailbox", 4096, S::Blocking,
+       R::Strided, "send-post inject deliver inject complete",
+       "deliver match inject deliver complete"},
+      {"zero-copy rendezvous on rdma", DeviceKind::Ch4, "rdma", 4096, S::Blocking,
+       R::PostedFirst, "send-post inject deliver zcopy-write inject complete",
+       "deliver match inject deliver complete"},
+      {"isend_all_opts", DeviceKind::Ch4, "mailbox", 8, S::AllOpts, R::NoMatch,
+       "send-post inject complete", "deliver match complete"},
+      {"orig-device eager", DeviceKind::Orig, "mailbox", 8, S::Blocking, R::PostedFirst,
+       "send-post complete inject", "deliver match complete"},
+  };
+  for (const ChainCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    WorldOptions o = test::fast_opts(c.device);
+    o.build.trace = true;
+    o.netmod = c.netmod;
+    o.eager_threshold = 64;
+    World w(2, o);
+    const Comm comm = c.send == S::AllOpts ? kComm1 : kCommWorld;
+    if (c.send == S::AllOpts) {
+      // Collective setup, traced too: its chains are left out below.
+      w.run([](Engine& e) {
+        ASSERT_EQ(e.comm_dup_predefined(kCommWorld, kComm1), Err::Success);
+      });
+    }
+    const auto setup = by_seq(w.trace_events());
+    std::atomic<bool> ready{false};  // the receive is posted, or the send is out
+    w.run([&](Engine& e) {
+      const bool recv_first = c.recv != R::Unexpected;
+      if (e.world_rank() == 0) {
+        std::vector<char> out(static_cast<std::size_t>(c.bytes), 's');
+        if (recv_first) {
+          while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
+        }
+        if (c.send == S::AllOpts) {
+          ASSERT_EQ(e.isend_all_opts(out.data(), c.bytes, kChar, 1, comm), Err::Success);
+        } else {
+          ASSERT_EQ(e.send(out.data(), c.bytes, kChar, 1, 5, comm), Err::Success);
+        }
+        ready.store(true, std::memory_order_release);
+        return;
+      }
+      // Strided receives land every other int of a twice-as-large buffer.
+      std::vector<char> in(2 * static_cast<std::size_t>(c.bytes), 0);
+      Datatype dt = kChar;
+      int count = c.bytes;
+      if (c.recv == R::Strided) {
+        ASSERT_EQ(e.type_vector(c.bytes / 4, 1, 2, kInt, &dt), Err::Success);
+        ASSERT_EQ(e.type_commit(&dt), Err::Success);
+        count = 1;
+      }
+      if (c.recv == R::Unexpected) {
+        while (!ready.load(std::memory_order_acquire)) std::this_thread::yield();
+        bool flag = false;
+        while (!flag) ASSERT_EQ(e.iprobe(0, 5, comm, &flag, nullptr), Err::Success);
+      }
+      Request r = kRequestNull;
+      if (c.recv == R::NoMatch) {
+        ASSERT_EQ(e.irecv_nomatch(in.data(), count, dt, comm, &r), Err::Success);
+      } else {
+        ASSERT_EQ(e.irecv(in.data(), count, dt, 0, 5, comm, &r), Err::Success);
+      }
+      ready.store(true, std::memory_order_release);
+      ASSERT_EQ(e.wait(&r, nullptr), Err::Success);
+      EXPECT_EQ(in[0], 's');
+      if (c.recv == R::Strided) {
+        EXPECT_EQ(e.type_free(&dt), Err::Success);
+      }
+    });
+    auto chains = by_seq(w.trace_events());
+    for (const auto& [seq, chain] : setup) chains.erase(seq);
+    ASSERT_EQ(chains.size(), 1u);
+    const auto& chain = chains.begin()->second;
+    EXPECT_EQ(kinds_of(chain, 0), c.sender);
+    EXPECT_EQ(kinds_of(chain, 1), c.receiver);
+  }
 }
 
 TEST(Trace, DisabledByDefaultRecordsNothing) {

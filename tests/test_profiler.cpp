@@ -289,7 +289,7 @@ TEST(Profiler, MatrixMatchesFabricRdma) { exercise_matrix("rdma", true); }
 TEST(Profiler, ImbalanceMathOnSkewedWorkload) {
   // Drive the accumulators directly with known times: rank 0 spends 3000ns,
   // rank 1 spends 1000ns in phase "solve" -> max 3000, mean 2000, 1.5x.
-  obs::Profiler p(2, 1, "main");
+  obs::Profiler p(2, 1);
   const int ph = p.intern_phase("solve");
   p.rank(0).cell(ph, obs::Callsite::Allreduce, 0).add(64, 3000);
   p.rank(1).cell(ph, obs::Callsite::Allreduce, 0).add(64, 1000);

@@ -5,6 +5,7 @@
 // suite runs these under TSan).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -184,6 +185,48 @@ TEST(Vci, NoreqSendsDrainPerChannel) {
     e.barrier(kCommWorld);
     EXPECT_EQ(e.live_requests(), 0u);
   });
+}
+
+// A reaped request's slot goes back to its channel's LIFO free list, and the
+// next allocation resets it. So the thread that completes a request must read
+// nothing of the slot after publishing `complete`: here a helper thread
+// progresses rank 0 while rank 0 reaps each eager receive and at once takes
+// the slot back with recv_init (the TSan preset runs this suite).
+TEST(Vci, CompletionReadsNoSlotAfterPublishing) {
+  constexpr int kMsgs = 10000;
+  WorldOptions o = test::fast_opts();
+  o.build.num_vcis = 1;
+  o.build.lat_sample_shift = 0;  // every receive carries a post stamp
+  test::spmd(
+      2,
+      [](Engine& e) {
+        if (e.world_rank() == 1) {
+          for (int i = 0; i < kMsgs; ++i) {
+            ASSERT_EQ(e.send(&i, 1, kInt, 0, 0, kCommWorld), Err::Success);
+          }
+          return;
+        }
+        std::atomic<bool> stop{false};
+        std::thread helper([&] {
+          while (!stop.load(std::memory_order_acquire)) e.progress();
+        });
+        int got = -1;
+        for (int i = 0; i < kMsgs; ++i) {
+          Request r = kRequestNull;
+          Request p = kRequestNull;
+          if (e.irecv(&got, 1, kInt, 1, 0, kCommWorld, &r) != Err::Success ||
+              e.wait(&r, nullptr) != Err::Success ||
+              e.recv_init(&got, 1, kInt, 1, 0, kCommWorld, &p) != Err::Success ||
+              e.request_free(&p) != Err::Success) {
+            ADD_FAILURE() << "round " << i;
+            break;
+          }
+          EXPECT_EQ(got, i);
+        }
+        stop.store(true, std::memory_order_release);
+        helper.join();
+      },
+      o);
 }
 
 // The Lamport clock runs only in a traced world. Untraced, no packet carries

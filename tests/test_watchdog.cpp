@@ -10,6 +10,8 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -186,6 +188,222 @@ TEST(Watchdog, NoFalsePositiveOnSlowRendezvousTraffic) {
   EXPECT_EQ(wd.fires(), 0);
   EXPECT_TRUE(wd.last_report().stuck.empty());
 }
+
+// Every blocking call names itself to the watchdog while it waits, and the
+// name clears once the call returns. Rank 0 makes the call; rank 1 withholds
+// what it needs (a message, a lock, an acknowledgement, a token) until a
+// poller thread has read the call's name from Engine::blocking_call(). Rank 0
+// starts the call only once rank 1 has gone quiet, so nothing rank 1 is
+// still progressing can answer it early.
+struct Stall {
+  struct Ctx {  // one per rank
+    std::atomic<bool>& locked;  // shared: rank 0 holds its orig-device lock
+    Win win = kWinNull;
+    Datatype dt = kDatatypeNull;
+    std::vector<int> buf = std::vector<int>(16, 0);
+  };
+  using Step = std::function<void(Engine&, Ctx&)>;
+  static void nothing(Engine&, Ctx&) {}
+
+  const char* call;
+  DeviceKind device;
+  bool window;     // both ranks create (and at the end free) a window first
+  Step block;      // rank 0, once rank 1 is quiet: the blocking call
+  Step supply;     // rank 1, after the release
+  Step prepare = nothing;   // rank 0, before rank 1 goes quiet
+  Step withhold = nothing;  // rank 1, before it goes quiet
+};
+
+Group group_of(Engine& e, int rank) {
+  Group world = kGroupNull, g = kGroupNull;
+  EXPECT_EQ(e.comm_group(kCommWorld, &world), Err::Success);
+  const int idx[] = {rank};
+  EXPECT_EQ(e.group_incl(world, idx, &g), Err::Success);
+  EXPECT_EQ(e.group_free(&world), Err::Success);
+  return g;
+}
+
+void send_one(Engine& e, Stall::Ctx& c) {
+  ASSERT_EQ(e.send(c.buf.data(), 1, kInt, 0, 3, kCommWorld), Err::Success);
+}
+
+const Stall kStalls[] = {
+    {"Wait", DeviceKind::Ch4, false,
+     [](Engine& e, Stall::Ctx& c) {
+       Request r = kRequestNull;
+       ASSERT_EQ(e.irecv(c.buf.data(), 1, kInt, 1, 3, kCommWorld, &r), Err::Success);
+       ASSERT_EQ(e.wait(&r, nullptr), Err::Success);
+     },
+     send_one},
+    {"Waitany", DeviceKind::Ch4, false,
+     [](Engine& e, Stall::Ctx& c) {
+       Request r[1] = {kRequestNull};
+       ASSERT_EQ(e.irecv(c.buf.data(), 1, kInt, 1, 3, kCommWorld, &r[0]), Err::Success);
+       int index = -1;
+       ASSERT_EQ(e.waitany(r, &index, nullptr), Err::Success);
+       EXPECT_EQ(index, 0);
+     },
+     send_one},
+    {"Probe", DeviceKind::Ch4, false,
+     [](Engine& e, Stall::Ctx& c) {
+       ASSERT_EQ(e.probe(1, 3, kCommWorld, nullptr), Err::Success);
+       ASSERT_EQ(e.recv(c.buf.data(), 1, kInt, 1, 3, kCommWorld, nullptr), Err::Success);
+     },
+     send_one},
+    {"Comm_waitall", DeviceKind::Ch4, false,
+     [](Engine& e, Stall::Ctx& c) {
+       // 64 bytes over the 16-byte threshold: a rendezvous that completes
+       // only when rank 1 posts its receive.
+       ASSERT_EQ(e.isend_noreq(c.buf.data(), 16, kInt, 1, 3, kCommWorld), Err::Success);
+       ASSERT_EQ(e.comm_waitall(kCommWorld), Err::Success);
+     },
+     [](Engine& e, Stall::Ctx& c) {
+       ASSERT_EQ(e.recv(c.buf.data(), 16, kInt, 0, 3, kCommWorld, nullptr), Err::Success);
+     }},
+    {"Barrier", DeviceKind::Ch4, false,
+     [](Engine& e, Stall::Ctx&) { ASSERT_EQ(e.barrier(kCommWorld), Err::Success); },
+     [](Engine& e, Stall::Ctx&) { ASSERT_EQ(e.barrier(kCommWorld), Err::Success); }},
+    {"Win_fence", DeviceKind::Ch4, true,
+     [](Engine& e, Stall::Ctx& c) { ASSERT_EQ(e.win_fence(c.win), Err::Success); },
+     [](Engine& e, Stall::Ctx& c) { ASSERT_EQ(e.win_fence(c.win), Err::Success); }},
+    {"Win_flush", DeviceKind::Ch4, true,
+     [](Engine& e, Stall::Ctx& c) {
+       // A strided put travels as an active message; its acknowledgement
+       // needs rank 1's progress.
+       ASSERT_EQ(e.put(c.buf.data(), 1, c.dt, 1, 0, 1, c.dt, c.win), Err::Success);
+       ASSERT_EQ(e.win_flush(1, c.win), Err::Success);
+       ASSERT_EQ(e.win_unlock(1, c.win), Err::Success);
+       ASSERT_EQ(e.type_free(&c.dt), Err::Success);
+     },
+     Stall::nothing,
+     [](Engine& e, Stall::Ctx& c) {
+       ASSERT_EQ(e.type_vector(2, 1, 2, kInt, &c.dt), Err::Success);
+       ASSERT_EQ(e.type_commit(&c.dt), Err::Success);
+       ASSERT_EQ(e.win_lock(LockType::Exclusive, 1, c.win), Err::Success);
+     }},
+    {"Win_lock", DeviceKind::Ch4, true,
+     [](Engine& e, Stall::Ctx& c) {
+       ASSERT_EQ(e.win_lock(LockType::Shared, 1, c.win), Err::Success);
+       ASSERT_EQ(e.win_unlock(1, c.win), Err::Success);
+     },
+     [](Engine& e, Stall::Ctx& c) { ASSERT_EQ(e.win_unlock(1, c.win), Err::Success); },
+     Stall::nothing,
+     [](Engine& e, Stall::Ctx& c) {
+       ASSERT_EQ(e.win_lock(LockType::Exclusive, 1, c.win), Err::Success);
+     }},
+    {"Win_lock", DeviceKind::Orig, true,
+     [](Engine& e, Stall::Ctx& c) {
+       // The grant is an active message that rank 1's progress answers.
+       ASSERT_EQ(e.win_lock(LockType::Exclusive, 1, c.win), Err::Success);
+       ASSERT_EQ(e.win_unlock(1, c.win), Err::Success);
+     },
+     Stall::nothing},
+    {"Win_unlock", DeviceKind::Orig, true,
+     [](Engine& e, Stall::Ctx& c) { ASSERT_EQ(e.win_unlock(1, c.win), Err::Success); },
+     Stall::nothing,
+     [](Engine& e, Stall::Ctx& c) {
+       ASSERT_EQ(e.win_lock(LockType::Exclusive, 1, c.win), Err::Success);
+       c.locked.store(true, std::memory_order_release);
+     },
+     [](Engine& e, Stall::Ctx& c) {
+       // Answer until the lock is granted.
+       while (!c.locked.load(std::memory_order_acquire)) e.progress();
+     }},
+    {"Win_start", DeviceKind::Ch4, true,
+     [](Engine& e, Stall::Ctx& c) {
+       Group g = group_of(e, 1);
+       ASSERT_EQ(e.win_start(g, c.win), Err::Success);
+       ASSERT_EQ(e.win_complete(c.win), Err::Success);
+       ASSERT_EQ(e.group_free(&g), Err::Success);
+     },
+     [](Engine& e, Stall::Ctx& c) {
+       Group g = group_of(e, 0);
+       ASSERT_EQ(e.win_post(g, c.win), Err::Success);
+       ASSERT_EQ(e.win_wait(c.win), Err::Success);
+       ASSERT_EQ(e.group_free(&g), Err::Success);
+     }},
+    {"Win_wait", DeviceKind::Ch4, true,
+     [](Engine& e, Stall::Ctx& c) {
+       Group g = group_of(e, 1);
+       ASSERT_EQ(e.win_post(g, c.win), Err::Success);
+       ASSERT_EQ(e.win_wait(c.win), Err::Success);
+       ASSERT_EQ(e.group_free(&g), Err::Success);
+     },
+     [](Engine& e, Stall::Ctx& c) {
+       Group g = group_of(e, 0);
+       ASSERT_EQ(e.win_start(g, c.win), Err::Success);
+       ASSERT_EQ(e.win_complete(c.win), Err::Success);
+       ASSERT_EQ(e.group_free(&g), Err::Success);
+     }},
+};
+
+// gtest names each instance by its printed parameter: print the call.
+void PrintTo(const Stall& s, std::ostream* os) {
+  *os << s.call << " on " << to_string(s.device);
+}
+
+class BlockingCall : public ::testing::TestWithParam<Stall> {};
+
+TEST_P(BlockingCall, NamesItselfWhileStalled) {
+  const Stall& s = GetParam();
+  WorldOptions o = test::fast_opts(s.device);
+  o.eager_threshold = 16;
+  World w(2, o);
+  std::atomic<bool> locked{false};
+  Stall::Ctx ctxs[2] = {{locked}, {locked}};
+  std::atomic<bool> quiet{false};    // rank 1 makes no more progress
+  std::atomic<bool> release{false};  // rank 1 may supply what rank 0 waits for
+  std::string seen;
+  // Bounded by a generous deadline (TSan); on timeout the peer is released
+  // anyway so the world still finishes and the mismatch is reported.
+  std::thread poller([&] {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (const char* call = w.engine(0).blocking_call(); call != nullptr) {
+        seen = call;
+        if (seen == s.call) break;
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    release.store(true, std::memory_order_release);
+  });
+  const auto until = [](const std::atomic<bool>& flag) {
+    while (!flag.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  };
+  w.run([&](Engine& e) {
+    Stall::Ctx& ctx = ctxs[e.world_rank()];
+    if (s.window) {
+      ASSERT_EQ(e.win_create(ctx.buf.data(), ctx.buf.size() * sizeof(int), sizeof(int),
+                             kCommWorld, &ctx.win),
+                Err::Success);
+    }
+    if (e.world_rank() == 0) {
+      s.prepare(e, ctx);
+      until(quiet);
+      s.block(e, ctx);
+      EXPECT_EQ(e.blocking_call(), nullptr);
+    } else {
+      s.withhold(e, ctx);
+      quiet.store(true, std::memory_order_release);
+      until(release);
+      s.supply(e, ctx);
+    }
+    if (s.window) {
+      ASSERT_EQ(e.win_free(&ctx.win), Err::Success);
+    }
+  });
+  poller.join();
+  EXPECT_EQ(seen, s.call);
+  EXPECT_EQ(w.engine(0).blocking_call(), nullptr);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryWaitLoop, BlockingCall, ::testing::ValuesIn(kStalls),
+                         [](const ::testing::TestParamInfo<Stall>& info) {
+                           return std::string(info.param.call) +
+                                  (info.param.device == DeviceKind::Orig ? "_orig" : "");
+                         });
 
 }  // namespace
 }  // namespace lwmpi

@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "util.hpp"
 
@@ -89,7 +91,6 @@ TEST(World, EnvironmentDoesNotChangeOptions) {
     EXPECT_EQ(got.build.lat_sample_shift, 0);
     EXPECT_EQ(got.netmod, "mailbox");
     EXPECT_TRUE(got.prof);
-    EXPECT_EQ(got.prof_default_phase, o.prof_default_phase);
     EXPECT_EQ(got.prof_path, o.prof_path);
     EXPECT_TRUE(got.record);
     EXPECT_EQ(got.record_path, o.record_path);
@@ -137,6 +138,27 @@ TEST(World, BuildConfigLabels) {
   EXPECT_EQ(BuildConfig::no_err_single_ipo().label(), "no-err-single-ipo");
   EXPECT_STREQ(to_string(DeviceKind::Ch4), "mpich/ch4");
   EXPECT_STREQ(to_string(DeviceKind::Orig), "mpich/original");
+}
+
+// Every combination of the three build flags has its own label, so a report
+// never names a build that did not run; the Figure-2 presets keep theirs.
+TEST(World, EveryBuildCombinationHasItsOwnLabel) {
+  std::set<std::string> labels;
+  for (int bits = 0; bits < 8; ++bits) {
+    const BuildConfig b{.error_checking = (bits & 1) != 0,
+                        .thread_safety = (bits & 2) != 0,
+                        .ipo = (bits & 4) != 0};
+    EXPECT_TRUE(labels.insert(b.label()).second) << "duplicate label " << b.label();
+  }
+  EXPECT_EQ(labels.size(), 8u);
+  EXPECT_EQ(BuildConfig::dflt().label(), "default");
+  EXPECT_EQ(BuildConfig::no_err().label(), "no-err");
+  EXPECT_EQ(BuildConfig::no_err_single().label(), "no-err-single");
+  EXPECT_EQ(BuildConfig::no_err_single_ipo().label(), "no-err-single-ipo");
+  EXPECT_EQ((BuildConfig{.thread_safety = false}).label(), "single");
+  EXPECT_EQ((BuildConfig{.ipo = true}).label(), "ipo");
+  EXPECT_EQ((BuildConfig{.error_checking = false, .ipo = true}).label(), "no-err-ipo");
+  EXPECT_EQ((BuildConfig{.thread_safety = false, .ipo = true}).label(), "single-ipo");
 }
 
 }  // namespace

@@ -124,9 +124,10 @@ int run_demo(const std::string& out_path, bool color) {
   {
     WorldOptions o;
     o.prof = true;
-    o.prof_default_phase = "setup";
     o.prof_path = out_path;
     World w(2, o);
+    // Calls outside the two regions would land in "setup", above "main".
+    w.phase_push("setup");
     w.phase_push("halo");
     w.run([](Engine& e) {
       std::uint64_t buf[64] = {};
@@ -145,6 +146,7 @@ int run_demo(const std::string& out_path, bool color) {
         e.allreduce(&in, &out, 1, kUint64, ReduceOp::Sum, kCommWorld);
       }
     });
+    w.phase_pop();
     w.phase_pop();
     // ~World writes the artifact.
   }
