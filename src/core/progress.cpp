@@ -21,10 +21,10 @@ constexpr std::size_t kRdvSegmentBytes = 256 * 1024;
 
 void Engine::progress() {
   const int n = static_cast<int>(vcis_.size());
-  // Whole-rank idle fast path: when no channel has queued sends and no lane
-  // has undelivered traffic, a progress call is a handful of atomic loads.
-  // This keeps the single-threaded wait spin as cheap as the pre-VCI engine
-  // regardless of how many channels are configured.
+  // Whole-rank idle fast path: when no channel has queued sends and no lane's
+  // doorbell rings, a progress call is a handful of atomic loads. This keeps
+  // the single-threaded wait spin as cheap as the pre-VCI engine regardless
+  // of how many channels are configured.
   bool queued = false;
   for (int v = 0; v < n; ++v) {
     if (vcis_[static_cast<std::size_t>(v)]->send_q_depth.load(
@@ -33,17 +33,16 @@ void Engine::progress() {
       break;
     }
   }
-  if (!queued && fabric_.pending_any(self_) == 0) {
+  if (!queued && !fabric_.ready_any(self_)) {
     eng_counters_.inc(obs::EngCtr::ProgressIdle);
     return;
   }
   eng_counters_.inc(obs::EngCtr::ProgressSwept);
   for (int v = 0; v < n; ++v) {
     Vci& vc = *vcis_[static_cast<std::size_t>(v)];
-    // Per-lane fast skip: two lock-free loads decide "nothing can be waiting
-    // on this channel" -- no queued device sends, no pending fabric traffic.
-    if (vc.send_q_depth.load(std::memory_order_relaxed) == 0 &&
-        fabric_.pending(self_, v) == 0) {
+    // Per-lane fast skip: lock-free loads decide "nothing can be waiting on
+    // this channel" -- no queued device sends, no lane head ready.
+    if (vc.send_q_depth.load(std::memory_order_relaxed) == 0 && !fabric_.ready(self_, v)) {
       continue;
     }
     // A contended channel is already being progressed by its lock holder;

@@ -5,8 +5,9 @@
 // parameters and inter-node traffic the netmod parameters. The transport
 // mechanism itself -- how injection, delivery, and flow control work -- lives
 // behind the Netmod interface (net/netmod.hpp): "mailbox" is the original
-// unbounded per-(rank, vci) MPSC transport, "rdma" models eager-over-RDMA-write
-// rings, a registration cache, and zero-copy rendezvous handoff.
+// unbounded per-(rank, vci) transport, "rdma" models eager-over-RDMA-write
+// credit rings, a registration cache, and zero-copy rendezvous handoff. Both
+// deliver into the same receive lanes (net/lane.hpp).
 //
 // Every call site in core/, rma/, obs/, and bench/ programs against this
 // facade, so swapping backends never touches the engine. The facade also owns
@@ -127,19 +128,26 @@ class Fabric {
     return clock_[static_cast<std::size_t>(r)].load(std::memory_order_relaxed);
   }
 
-  // Injected-minus-delivered count for one lane: a cheap lock-free test for
-  // "is there possibly work on this lane" used by the progress poll set.
+  // The doorbell the progress poll set reads: true if a packet may be waiting
+  // on `self`'s lane `vci` (matured or not). It reads the lane's head cell,
+  // not counters other cores write, and may miss a packet whose cell is still
+  // being written; the next call sees it.
+  bool ready(Rank self, int vci) const noexcept { return mod_->ready(self, lane(vci)); }
+
+  // ready() over `self`'s lanes that have ever carried a message: an idle
+  // progress call on a rank that never receives reads one word.
+  bool ready_any(Rank self) const noexcept { return mod_->ready_any(self); }
+
+  // True if no packet is currently visible for `self` on any lane.
+  bool idle(Rank self) const noexcept { return !ready_any(self); }
+
+  // Exact injected-minus-delivered count for one lane, and its sum over
+  // `self`'s lanes: the watchdog's "traffic in flight" test. Progress reads
+  // the doorbell instead.
   std::uint64_t pending(Rank self, int vci) const noexcept {
     return mod_->pending(self, lane(vci));
   }
-
-  // Aggregate of pending() over all of `self`'s lanes, maintained by the
-  // backend as a dedicated per-rank counter pair so an idle progress call
-  // costs two atomic loads total instead of two per lane.
   std::uint64_t pending_any(Rank self) const noexcept { return mod_->pending_any(self); }
-
-  // True if no packet is currently visible for `self` on any lane.
-  bool idle(Rank self) noexcept { return mod_->idle(self); }
 
   // Aggregate counters over all of a rank's lanes.
   std::uint64_t injected(Rank r) const noexcept {
@@ -166,6 +174,11 @@ class Fabric {
   }
   std::uint64_t delivered_bytes(Rank r, int vci) const noexcept {
     return mod_->delivered_bytes(r, lane(vci));
+  }
+  // Pushes into the lane that found its ring full (the fabric_lane_overflows
+  // pvar): a window deeper than the ring says so here.
+  std::uint64_t lane_overflows(Rank r, int vci) const noexcept {
+    return mod_->lane_overflows(r, lane(vci));
   }
   std::uint64_t dropped() const noexcept { return mod_->dropped(); }
 

@@ -11,7 +11,10 @@
 //     credit per packet and busy-wait (with backoff) when the ring is full;
 //     the receiving engine returns the credit once it has copied the packet
 //     out (Netmod::credit_return, called from core/progress.cpp). Ring
-//     occupancy and credit stalls are exported as pvars.
+//     occupancy and credit stalls are exported as pvars. The credit counter is
+//     the model of that ring; the packets themselves travel through the
+//     receive lanes both backends share (net/lane.hpp), so one credit line
+//     still moves per message beside the lane's cell.
 //   * Rendezvous zero-copy: register_memory pins buffers through an LRU
 //     registration cache (hit/miss/eviction pvars; misses busy-wait the
 //     profile's pin cost per page, evictions the unpin cost) and returns an
@@ -23,12 +26,10 @@
 // profiles keep owning the numbers while this backend owns the mechanism.
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
-#include <vector>
 
 #include "net/netmod.hpp"
 #include "runtime/backoff.hpp"
@@ -44,18 +45,12 @@ class RdmaNetmod final : public Netmod {
  public:
   RdmaNetmod(int nranks, int ranks_per_node, Profile profile, int lanes_per_rank)
       : Netmod(nranks, ranks_per_node, std::move(profile), lanes_per_rank),
-        ring_depth_(profile_.rdma_ring_depth < 1 ? 1 : profile_.rdma_ring_depth) {
-    rings_.reserve(static_cast<std::size_t>(nranks_) * static_cast<std::size_t>(lanes_));
+        ring_depth_(profile_.rdma_ring_depth < 1 ? 1 : profile_.rdma_ring_depth),
+        rings_(std::make_unique<Ring[]>(static_cast<std::size_t>(nranks_) *
+                                        static_cast<std::size_t>(lanes_))),
+        ranks_(std::make_unique<RankState[]>(static_cast<std::size_t>(nranks_))) {
     for (int i = 0; i < nranks_ * lanes_; ++i) {
-      rings_.push_back(std::make_unique<Ring>(ring_depth_));
-    }
-    ranks_ = std::make_unique<RankState[]>(static_cast<std::size_t>(nranks_));
-  }
-
-  ~RdmaNetmod() override {
-    for (auto& ring : rings_) {
-      for (rt::Packet* p : ring->staged) rt::PacketPool::free(p);
-      while (rt::Packet* p = ring->queue.pop()) rt::PacketPool::free(p);
+      rings_[static_cast<std::size_t>(i)].credits.store(ring_depth_, std::memory_order_relaxed);
     }
   }
 
@@ -82,69 +77,18 @@ class RdmaNetmod final : public Netmod {
     const std::uint64_t wire = profile_.serialization_ns(wire_bytes);
     p->deliver_at_ns = (latency || wire) ? rt::now_ns() + latency + wire : 0;
 
-    Ring& ring = *rings_[index(dst, lane)];
-    const std::uint64_t stall = acquire_credit(ring, src);
+    const std::uint64_t stall = acquire_credit(rings_[index(dst, lane)], src);
     // Carry the credit-stall duration in the causal header so the receiver's
     // wait classifier can attribute the delay without reaching back into the
     // backend (saturating: a >4s stall is a hang, not a classification case).
+    // A stalled packet keeps its Packet: a lane record has no stall field.
     p->hdr.stall_ns = stall > UINT32_MAX ? UINT32_MAX : static_cast<std::uint32_t>(stall);
-    ring.injected.fetch_add(1, std::memory_order_release);
-    ring.injected_bytes.fetch_add(p->payload.size(), std::memory_order_relaxed);
-    ranks_[static_cast<std::size_t>(dst)].injected.fetch_add(1, std::memory_order_release);
-    ring.queue.push(p);
+    deliver(dst, lane, p);
   }
 
   void charge_injection(Rank src, Rank dst) noexcept override {
     const bool local = same_node(src, dst);
     rt::spin_for_ns(local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns);
-  }
-
-  rt::Packet* poll(Rank self, int vci) noexcept override {
-    Ring& ring = *rings_[index(self, vci)];
-    while (rt::Packet* p = ring.queue.pop()) ring.staged.push_back(p);
-    if (ring.staged.empty()) return nullptr;
-    rt::Packet* front = ring.staged.front();
-    if (front->deliver_at_ns != 0 && front->deliver_at_ns > rt::now_ns()) return nullptr;
-    ring.staged.pop_front();
-    ring.delivered.fetch_add(1, std::memory_order_relaxed);
-    ring.delivered_bytes.fetch_add(front->payload.size(), std::memory_order_relaxed);
-    ranks_[static_cast<std::size_t>(self)].delivered.fetch_add(1, std::memory_order_relaxed);
-    // The credit is NOT returned here: the slot stays occupied until the
-    // engine has copied the packet out of the ring (credit_return).
-    return front;
-  }
-
-  std::uint64_t pending(Rank self, int vci) const noexcept override {
-    const Ring& ring = *rings_[index(self, vci)];
-    return ring.injected.load(std::memory_order_acquire) -
-           ring.delivered.load(std::memory_order_relaxed);
-  }
-
-  std::uint64_t pending_any(Rank self) const noexcept override {
-    const RankState& m = ranks_[static_cast<std::size_t>(self)];
-    return m.injected.load(std::memory_order_acquire) -
-           m.delivered.load(std::memory_order_relaxed);
-  }
-
-  bool idle(Rank self) noexcept override {
-    for (int v = 0; v < lanes_; ++v) {
-      Ring& ring = *rings_[index(self, v)];
-      if (!ring.staged.empty() || !ring.queue.empty()) return false;
-    }
-    return true;
-  }
-
-  std::uint64_t injected(Rank r, int vci) const noexcept override {
-    return rings_[index(r, vci)]->injected.load(std::memory_order_relaxed);
-  }
-  std::uint64_t delivered(Rank r, int vci) const noexcept override {
-    return rings_[index(r, vci)]->delivered.load(std::memory_order_relaxed);
-  }
-  std::uint64_t injected_bytes(Rank r, int vci) const noexcept override {
-    return rings_[index(r, vci)]->injected_bytes.load(std::memory_order_relaxed);
-  }
-  std::uint64_t delivered_bytes(Rank r, int vci) const noexcept override {
-    return rings_[index(r, vci)]->delivered_bytes.load(std::memory_order_relaxed);
   }
 
   // --- RDMA extensions --------------------------------------------------------
@@ -211,7 +155,7 @@ class RdmaNetmod final : public Netmod {
 
   void credit_return(Rank self, int vci) noexcept override {
     const int lane = vci >= 0 && vci < lanes_ ? vci : 0;
-    rings_[index(self, lane)]->credits.fetch_add(1, std::memory_order_release);
+    rings_[index(self, lane)].credits.fetch_add(1, std::memory_order_release);
   }
 
   std::uint64_t stat(NetStat s, Rank self, int vci) const noexcept override {
@@ -228,12 +172,12 @@ class RdmaNetmod final : public Netmod {
         // Free credits on one lane, or the scarcest lane when vci is -1 --
         // a hang report wants "how close to credit exhaustion is this rank".
         if (vci >= 0 && vci < lanes_) {
-          const int c = rings_[index(self, vci)]->credits.load(std::memory_order_relaxed);
+          const int c = rings_[index(self, vci)].credits.load(std::memory_order_relaxed);
           return c < 0 ? 0 : static_cast<std::uint64_t>(c);
         }
         int m = ring_depth_;
         for (int v = 0; v < lanes_; ++v) {
-          const int c = rings_[index(self, v)]->credits.load(std::memory_order_relaxed);
+          const int c = rings_[index(self, v)].credits.load(std::memory_order_relaxed);
           if (c < m) m = c;
         }
         return m < 0 ? 0 : static_cast<std::uint64_t>(m);
@@ -246,12 +190,12 @@ class RdmaNetmod final : public Netmod {
       case NetStat::ZeroCopyBytes: return rs.zcopy_bytes.load(std::memory_order_relaxed);
       case NetStat::RingOccupancyHwm: {
         if (vci >= 0 && vci < lanes_) {
-          return rings_[index(self, vci)]->occupancy_hwm.load(std::memory_order_relaxed);
+          return rings_[index(self, vci)].occupancy_hwm.load(std::memory_order_relaxed);
         }
         std::uint64_t m = 0;
         for (int v = 0; v < lanes_; ++v) {
           const std::uint64_t h =
-              rings_[index(self, v)]->occupancy_hwm.load(std::memory_order_relaxed);
+              rings_[index(self, v)].occupancy_hwm.load(std::memory_order_relaxed);
           if (h > m) m = h;
         }
         return m;
@@ -261,17 +205,10 @@ class RdmaNetmod final : public Netmod {
   }
 
  private:
-  // Bounded receive ring for one (rank, vci) endpoint lane. The MPSC queue
-  // carries the packets; `credits` is the free-slot count senders draw from.
-  struct Ring {
-    explicit Ring(int depth) : credits(depth) {}
-    rt::MpscQueue<rt::Packet> queue;
-    std::deque<rt::Packet*> staged;  // consumer-owned, matured-order staging
-    std::atomic<int> credits;
-    std::atomic<std::uint64_t> injected{0};
-    std::atomic<std::uint64_t> delivered{0};
-    std::atomic<std::uint64_t> injected_bytes{0};
-    std::atomic<std::uint64_t> delivered_bytes{0};
+  // Credit state of one (rank, vci) eager ring: `credits` is the free-slot
+  // count senders draw from. The packets travel through the shared lane.
+  struct alignas(64) Ring {
+    std::atomic<int> credits{0};
     std::atomic<std::uint64_t> occupancy_hwm{0};
   };
 
@@ -291,8 +228,6 @@ class RdmaNetmod final : public Netmod {
 
   // Per-rank endpoint state, cache-line separated across ranks.
   struct alignas(64) RankState {
-    std::atomic<std::uint64_t> injected{0};  // pending_any meter (traffic *to* rank)
-    std::atomic<std::uint64_t> delivered{0};
     std::atomic<std::uint64_t> reg_hits{0};
     std::atomic<std::uint64_t> reg_misses{0};
     std::atomic<std::uint64_t> reg_evictions{0};
@@ -341,8 +276,8 @@ class RdmaNetmod final : public Netmod {
   }
 
   const int ring_depth_;
-  std::vector<std::unique_ptr<Ring>> rings_;  // nranks x lanes, row-major
-  std::unique_ptr<RankState[]> ranks_;        // one per rank
+  std::unique_ptr<Ring[]> rings_;       // nranks x lanes, row-major
+  std::unique_ptr<RankState[]> ranks_;  // one per rank
 };
 
 }  // namespace

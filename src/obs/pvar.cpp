@@ -148,6 +148,12 @@ const Entry kRegistry[] = {
      +[](Engine& e, int vci) {
        return e.world().fabric().delivered_bytes(e.world_rank(), vci);
      }},
+    // A window deeper than the lane's 64-cell ring spills to its overflow
+    // queue; the count is the lane's own, so reading it adds no write.
+    {vci_counter("fabric_lane_overflows", "packets that found this rank's lane ring full"),
+     +[](Engine& e, int vci) {
+       return e.world().fabric().lane_overflows(e.world_rank(), vci);
+     }},
     // Fabric-wide blackhole drop count (infinitely-fast-network methodology).
     // The counter is shared by every rank of the world, so per-rank reports
     // repeat the same value; fig5/fig6 runs read it from rank 0.

@@ -1,7 +1,8 @@
 // Intrusive multi-producer single-consumer queue (Vyukov). Used as the
-// per-rank network mailbox: any rank may inject packets, only the owning
-// rank's progress engine consumes. Wait-free push; pop is lock-free and
-// preserves per-producer FIFO order (matching in-order network delivery).
+// overflow of a fabric receive lane (net/lane.hpp): any rank may inject
+// packets, only the owning rank's progress engine consumes. Wait-free push;
+// pop is lock-free and preserves per-producer FIFO order (matching in-order
+// network delivery).
 #pragma once
 
 #include <atomic>

@@ -2,9 +2,9 @@
 //
 // A packet carries one protocol message: eager pt2pt data, a rendezvous
 // control message, a rendezvous data segment, an RMA active message, or an
-// RMA synchronization message. Packets are intrusive MPSC nodes so mailbox
-// insertion is allocation-free, and they are recycled through a thread-local
-// pool to keep the injection path cheap.
+// RMA synchronization message. Packets are intrusive MPSC nodes so a lane's
+// overflow insertion is allocation-free, and they are recycled through a
+// thread-local pool to keep the injection path cheap.
 #pragma once
 
 #include <cstddef>
@@ -89,10 +89,14 @@ struct Packet : MpscNode {
   std::span<const std::byte> bytes() const noexcept { return payload; }
 };
 
-// Thread-local packet pool. Packets freed on a different thread than they
-// were allocated on simply join that thread's pool; lists are bounded so
-// asymmetric traffic degrades to heap allocation rather than growing without
-// bound.
+// Thread-local packet pool. A small untraced eager message crosses the fabric
+// as a lane record (net/lane.hpp): its Packet returns to the sender's pool at
+// injection and the receiver builds one from its own, so that traffic never
+// moves packets between pools. A packet that rides its lane as a pointer
+// (larger payloads, rendezvous and RMA kinds, traced or credit-stalled
+// packets, a window that overflows the ring) is freed by the receiver and
+// joins the receiver's pool; lists are bounded so asymmetric traffic degrades
+// to heap allocation rather than growing without bound.
 class PacketPool {
  public:
   static Packet* alloc();

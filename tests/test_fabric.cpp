@@ -178,6 +178,11 @@ TEST(Fabric, OutOfRangeVciFallsBackToLaneZero) {
   f.inject(0, 1, p);
   EXPECT_EQ(f.pending(1, 7), f.pending(1, 0));
   EXPECT_EQ(f.pending(1, -3), f.pending(1, 0));
+  // The doorbell follows the same policy.
+  EXPECT_TRUE(f.ready(1, 0));
+  EXPECT_TRUE(f.ready(1, 7));
+  EXPECT_TRUE(f.ready(1, -3));
+  EXPECT_FALSE(f.ready(1, 1));
   EXPECT_EQ(f.injected(1, 99), f.injected(1, 0));
   EXPECT_EQ(f.injected(1, 0), 1u);
   // poll with an out-of-range lane reads lane 0 instead of walking off the
@@ -188,6 +193,8 @@ TEST(Fabric, OutOfRangeVciFallsBackToLaneZero) {
   rt::PacketPool::free(got);
   EXPECT_EQ(f.delivered(1, -1), 1u);
   EXPECT_EQ(f.poll(1, 1), nullptr);  // in-range lanes unaffected
+  EXPECT_FALSE(f.ready(1, 7));
+  EXPECT_FALSE(f.ready(1, -3));
   EXPECT_TRUE(f.idle(1));
 }
 
@@ -197,11 +204,17 @@ TEST(Fabric, OutOfRangeVciGuardsApplyToRdmaBackendToo) {
   p->hdr.vci = 200;
   f.inject(0, 1, p);
   EXPECT_EQ(f.pending(1, 31), 1u);
+  EXPECT_TRUE(f.ready(1, 7));
+  EXPECT_TRUE(f.ready(1, -3));
+  EXPECT_FALSE(f.ready(1, 1));
   rt::Packet* got = f.poll(1, 31);
   ASSERT_NE(got, nullptr);
   rt::PacketPool::free(got);
   f.credit_return(1, 31);  // clamped like every other lane argument
   EXPECT_EQ(f.delivered(1, 31), 1u);
+  EXPECT_FALSE(f.ready(1, 7));
+  EXPECT_FALSE(f.ready(1, -3));
+  EXPECT_TRUE(f.idle(1));
 }
 
 TEST(Backoff, SpinForNsWaitsAtLeastThatLong) {

@@ -1,6 +1,7 @@
-// Netmod backend tests: factory dispatch, the rdma backend's mechanisms
-// (credit rings, registration cache, zero-copy rendezvous), and backend
-// selection through World::Options.
+// Netmod backend tests: factory dispatch, the receive lane both backends
+// share (ordering, overflow, records, maturation, packet ownership), the rdma
+// backend's mechanisms (credit rings, registration cache, zero-copy
+// rendezvous), and backend selection through World::Options.
 //
 // The other half of backend-selection coverage -- that the default `mailbox`
 // backend is baseline-identical -- is enforced by test_bench_check and the
@@ -8,6 +9,8 @@
 // artifacts bit-for-bit against the committed baselines (default netmod).
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <numeric>
 #include <stdexcept>
@@ -16,6 +19,7 @@
 
 #include "core/engine.hpp"
 #include "net/fabric.hpp"
+#include "net/lane.hpp"
 #include "net/netmod.hpp"
 #include "net/profile.hpp"
 #include "obs/pvar.hpp"
@@ -54,6 +58,247 @@ TEST(NetmodFactory, UnknownBackendIsAHardError) {
   o.netmod = "not-a-netmod";
   EXPECT_THROW(World(2, o), std::invalid_argument);
 }
+
+// --- the receive lane, on both netmods ---------------------------------------
+
+class LaneOnBoth : public ::testing::TestWithParam<const char*> {};
+
+std::byte lane_byte(int producer, int i, std::size_t b) {
+  return static_cast<std::byte>(producer * 67 + i * 13 + static_cast<int>(b) * 7);
+}
+
+// Message i comes in three shapes: one that fits a lane record, one larger
+// than a record, and one traced (seq and lclock set), which must keep its
+// Packet. The last two also carry fields no record has.
+std::size_t lane_msg_bytes(int i) {
+  const auto u = static_cast<std::size_t>(i);
+  switch (i % 3) {
+    case 0: return u % (net::Lane::kInlineBytes + 1);
+    case 1: return 100 + u % 50;
+    default: return 8;
+  }
+}
+
+rt::Packet* lane_msg(int producer, int i) {
+  rt::Packet* k = rt::PacketPool::alloc();
+  const int shape = i % 3;
+  const std::size_t n = lane_msg_bytes(i);
+  k->payload.resize(n);
+  for (std::size_t b = 0; b < n; ++b) k->payload[b] = lane_byte(producer, i, b);
+  k->hdr.match_mode = i % 2 != 0 ? rt::MatchMode::ArrivalOrder : rt::MatchMode::Full;
+  k->hdr.ctx = static_cast<std::uint32_t>(7 + producer);
+  k->hdr.src_comm_rank = producer + 10;
+  k->hdr.src_world = producer;
+  k->hdr.tag = i;
+  k->hdr.total_bytes = n;
+  k->hdr.send_ns = static_cast<std::uint64_t>(i) + 1;
+  if (shape != 0) {
+    k->hdr.offset = static_cast<std::uint64_t>(i);
+    k->hdr.origin_req = static_cast<std::uint32_t>(producer);
+  }
+  if (shape == 2) {
+    k->hdr.seq = static_cast<std::uint64_t>(i) + 1;
+    k->hdr.lclock = static_cast<std::uint64_t>(i) + 1;
+  }
+  return k;
+}
+
+// Every header field and payload byte of message i of `producer`, as sent.
+void expect_lane_msg(const rt::Packet& k, int producer, int i, bool rdma) {
+  const int shape = i % 3;
+  ASSERT_EQ(k.hdr.kind, rt::PacketKind::Eager);
+  EXPECT_EQ(k.hdr.match_mode, i % 2 != 0 ? rt::MatchMode::ArrivalOrder : rt::MatchMode::Full);
+  EXPECT_EQ(k.hdr.vci, 0);
+  EXPECT_EQ(k.hdr.ctx, static_cast<std::uint32_t>(7 + producer));
+  EXPECT_EQ(k.hdr.src_comm_rank, producer + 10);
+  EXPECT_EQ(k.hdr.src_world, producer);
+  EXPECT_EQ(k.hdr.tag, i);
+  EXPECT_EQ(k.hdr.total_bytes, k.payload.size());
+  EXPECT_EQ(k.hdr.send_ns, static_cast<std::uint64_t>(i) + 1);
+  EXPECT_EQ(k.hdr.sampled, 0);
+  EXPECT_EQ(k.hdr.offset, shape != 0 ? static_cast<std::uint64_t>(i) : 0u);
+  EXPECT_EQ(k.hdr.origin_req, shape != 0 ? static_cast<std::uint32_t>(producer) : 0u);
+  EXPECT_EQ(k.hdr.seq, shape == 2 ? static_cast<std::uint64_t>(i) + 1 : 0u);
+  EXPECT_EQ(k.hdr.lclock, shape == 2 ? static_cast<std::uint64_t>(i) + 1 : 0u);
+  if (!rdma) {  // an rdma packet may have waited for a credit
+    EXPECT_EQ(k.hdr.stall_ns, 0u);
+  }
+  const std::size_t n = lane_msg_bytes(i);
+  ASSERT_EQ(k.payload.size(), n);
+  for (std::size_t b = 0; b < n; ++b) ASSERT_EQ(k.payload[b], lane_byte(producer, i, b)) << b;
+}
+
+// Three producers each push 20,000 messages into one lane. The consumer
+// starts only once the ring has overflowed, drains phase one completely, and
+// then runs beside the producers' phase two, whose first push finds the
+// overflow drained and takes the ring again.
+TEST_P(LaneOnBoth, KeepsEachProducersOrderThroughOverflow) {
+  constexpr int kProducers = 3;
+  constexpr int kPerPhase = 10'000;
+  constexpr int kPerProducer = 2 * kPerPhase;
+  const bool rdma = std::string(GetParam()) == "rdma";
+  net::Fabric f(4, 4, net::loopback(), 1, GetParam());
+  const Rank dst = 1;
+  const Rank producers[kProducers] = {0, 2, 3};
+  std::atomic<bool> phase2{false};
+  std::uint64_t bytes = 0;
+  for (int p = 0; p < kProducers; ++p) {
+    for (int i = 0; i < kPerProducer; ++i) {
+      rt::Packet* k = lane_msg(p, i);
+      bytes += k->payload.size();
+      rt::PacketPool::free(k);
+    }
+  }
+
+  std::vector<std::thread> threads;
+  for (int p = 0; p < kProducers; ++p) {
+    threads.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        if (i == kPerPhase) {
+          rt::Backoff b;
+          while (!phase2.load(std::memory_order_acquire)) b.pause();
+        }
+        f.inject(producers[p], dst, lane_msg(p, i));
+      }
+    });
+  }
+
+  rt::Backoff wait_overflow;
+  while (f.lane_overflows(dst, 0) == 0) wait_overflow.pause();
+
+  std::array<int, kProducers> next{};
+  const auto consume = [&](int want) {
+    for (int got = 0; got < want;) {
+      rt::Packet* k = f.poll(dst, 0);
+      if (k == nullptr) continue;
+      f.credit_return(dst, 0);
+      ++got;
+      const int p = k->hdr.src_world;  // the producer's index, not its rank
+      if (p < 0 || p >= kProducers) {
+        ADD_FAILURE() << "unknown producer " << p;
+      } else {
+        int& want_i = next[static_cast<std::size_t>(p)];
+        EXPECT_EQ(k->hdr.tag, want_i) << "producer " << p << " out of order";
+        expect_lane_msg(*k, p, k->hdr.tag, rdma);
+        want_i = k->hdr.tag + 1;
+      }
+      rt::PacketPool::free(k);
+    }
+  };
+  consume(kProducers * kPerPhase);
+  EXPECT_EQ(f.pending(dst, 0), 0u);
+  const std::uint64_t phase1_overflows = f.lane_overflows(dst, 0);
+  phase2.store(true, std::memory_order_release);
+  consume(kProducers * kPerPhase);
+  for (auto& t : threads) t.join();
+
+  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[static_cast<std::size_t>(p)], kPerProducer);
+  EXPECT_EQ(f.poll(dst, 0), nullptr);
+  constexpr std::uint64_t kTotal = kProducers * kPerProducer;
+  EXPECT_EQ(f.injected(dst, 0), kTotal);
+  EXPECT_EQ(f.delivered(dst, 0), kTotal);
+  EXPECT_EQ(f.injected_bytes(dst, 0), bytes);
+  EXPECT_EQ(f.delivered_bytes(dst, 0), bytes);
+  EXPECT_EQ(f.pending(dst, 0), 0u);
+  EXPECT_EQ(f.pending_any(dst), 0u);
+  EXPECT_TRUE(f.idle(dst));
+  EXPECT_GT(phase1_overflows, 0u);
+  EXPECT_LT(f.lane_overflows(dst, 0), phase1_overflows + kProducers * kPerPhase);
+}
+
+// A record carries its maturation time: under a latency profile it is not
+// delivered before deliver_at, and neither is the packet queued behind it.
+TEST_P(LaneOnBoth, RecordIsNotDeliveredBeforeItsDeliverAt) {
+  net::Profile prof = net::psm2();
+  prof.latency_ns = 2'000'000;  // 2 ms inter-node: far above any poll's cost
+  net::Fabric f(2, 1, prof, 1, GetParam());
+  const std::uint64_t t0 = rt::now_ns();
+  f.inject(0, 1, lane_msg(0, 0));  // fits a record
+  f.inject(0, 1, lane_msg(0, 1));  // a Packet
+  EXPECT_TRUE(f.ready(1, 0));      // the doorbell rings for an immature packet too
+  std::vector<std::pair<rt::Packet*, std::uint64_t>> got;  // packet, time polled
+  const auto take = [&] {
+    if (rt::Packet* k = f.poll(1, 0)) {
+      got.emplace_back(k, rt::now_ns());
+      f.credit_return(1, 0);
+    }
+  };
+  take();
+  EXPECT_TRUE(got.empty()) << "delivered before its deliver_at";
+  while (got.size() < 2 && rt::now_ns() < t0 + 2'000'000'000) take();
+  ASSERT_EQ(got.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    const auto [k, t] = got[static_cast<std::size_t>(i)];
+    EXPECT_GE(k->deliver_at_ns, t0 + prof.latency_ns);
+    EXPECT_GE(t, k->deliver_at_ns);
+    expect_lane_msg(*k, 0, i, std::string(GetParam()) == "rdma");
+    rt::PacketPool::free(k);
+  }
+}
+
+// A 1-byte eager message travels as a record: the sender's Packet goes back
+// to the sender's pool at injection, and the receiver builds its own, so
+// neither rank's pool drains into the other's. Rank 1 acks each window, so
+// the backlog stays within the ring (a spilled packet keeps its Packet).
+TEST_P(LaneOnBoth, EagerBytePacketNeverLeavesItsThread) {
+  constexpr int kMsgs = 10'000;
+  constexpr int kWindow = 40;
+  static_assert(kWindow < net::Lane::kCells);
+  constexpr std::size_t kPrimed = 256;
+  WorldOptions o = test::fast_opts();
+  o.netmod = GetParam();
+  World w(2, o);
+  std::array<std::size_t, 2> before{}, after{};
+  w.run([&](Engine& e) {
+    const int me = e.world_rank();
+    rt::PacketPool::tl_drain();
+    std::vector<rt::Packet*> prime(kPrimed);
+    for (auto& k : prime) k = rt::PacketPool::alloc();
+    for (auto* k : prime) rt::PacketPool::free(k);
+    before[static_cast<std::size_t>(me)] = rt::PacketPool::tl_pool_size();
+    char b = 1;
+    for (int i = 0; i < kMsgs; i += kWindow) {
+      if (me == 0) {
+        for (int k = 0; k < kWindow; ++k) e.send(&b, 1, kChar, 1, 0, kCommWorld);
+        e.recv(&b, 1, kChar, 1, 1, kCommWorld, nullptr);
+      } else {
+        for (int k = 0; k < kWindow; ++k) e.recv(&b, 1, kChar, 0, 0, kCommWorld, nullptr);
+        e.send(&b, 1, kChar, 0, 1, kCommWorld);
+      }
+    }
+    after[static_cast<std::size_t>(me)] = rt::PacketPool::tl_pool_size();
+  });
+  EXPECT_EQ(before[0], kPrimed);
+  EXPECT_EQ(after[0], kPrimed);
+  EXPECT_EQ(after[1], before[1]);
+}
+
+// fabric_lane_overflows: a window deeper than the 64-cell ring, sent before
+// the receiver polls, spills everything past the 64th message.
+TEST_P(LaneOnBoth, OverflowPvarCountsAWindowDeeperThanTheRing) {
+  constexpr int kWindow = 200;
+  WorldOptions o = test::fast_opts();
+  o.netmod = GetParam();
+  World w(2, o);
+  std::atomic<bool> sent{false};
+  w.run([&](Engine& e) {
+    char b = 2;
+    if (e.world_rank() == 0) {
+      for (int i = 0; i < kWindow; ++i) e.send(&b, 1, kChar, 1, 0, kCommWorld);
+      sent.store(true, std::memory_order_release);
+      return;
+    }
+    rt::Backoff backoff;
+    while (!sent.load(std::memory_order_acquire)) backoff.pause();
+    for (int i = 0; i < kWindow; ++i) e.recv(&b, 1, kChar, 0, 0, kCommWorld, nullptr);
+  });
+  EXPECT_EQ(read_pvar(w.engine(1), "fabric_lane_overflows"),
+            static_cast<std::uint64_t>(kWindow) - net::Lane::kCells);
+  EXPECT_EQ(read_pvar(w.engine(0), "fabric_lane_overflows"), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothNetmods, LaneOnBoth, ::testing::Values("mailbox", "rdma"),
+                         [](const auto& info) { return std::string(info.param); });
 
 // --- rdma backend: transport basics -----------------------------------------
 
