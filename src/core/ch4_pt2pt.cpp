@@ -34,19 +34,9 @@ Err Engine::isend(const void* buf, int count, Datatype dt, Rank dest, Tag tag, C
 
 Err Engine::isend_impl(const void* buf, int count, Datatype dt, Rank dest, Tag tag, Comm comm,
                        Request* req) {
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
-  }
-  VciGate gate(vci_for(comm), cfg_.thread_safety, cost::kThreadGatePt2pt);
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    const CommObject* c = comm_obj(comm);
-    if (Err e = check_rank(*c, dest, /*allow_proc_null=*/true, false); !ok(e)) return e;
-    if (Err e = check_tag(tag, false); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {PeerRule::RankOrNull, TagRule::Send}, comm, dest, tag, count, buf,
+                     dt);
+  if (!ok(pro.err)) return pro.err;
   SendParams p{.buf = buf, .count = count, .dt = dt, .dest = dest, .tag = tag, .comm = comm};
   return device_isend(p, req);
 }
@@ -63,19 +53,8 @@ Err Engine::irecv(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm com
 
 Err Engine::irecv_impl(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm comm,
                        Request* req) {
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
-  }
-  VciGate gate(vci_for(comm), cfg_.thread_safety, cost::kThreadGatePt2pt);
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    const CommObject* c = comm_obj(comm);
-    if (Err e = check_rank(*c, src, true, /*allow_any=*/true); !ok(e)) return e;
-    if (Err e = check_tag(tag, true); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {PeerRule::Source, TagRule::Recv}, comm, src, tag, count, buf, dt);
+  if (!ok(pro.err)) return pro.err;
   return post_recv_common(buf, count, dt, src, tag, comm, rt::MatchMode::Full, false, req);
 }
 
@@ -88,21 +67,9 @@ Err Engine::isend_global(const void* buf, int count, Datatype dt, Rank world_des
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendGlobal, [&] {
     return obs::Surface{surface_vci(comm), surface_bytes(count, dt), world_dest, tag};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
-  }
-  VciGate gate(vci_for(comm), cfg_.thread_safety, cost::kThreadGatePt2pt);
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    cost::charge(cost::Category::ErrCheck, cost::kErrRankRange);
-    if (world_dest != kProcNull && (world_dest < 0 || world_dest >= world_size())) {
-      return Err::Rank;
-    }
-    if (Err e = check_tag(tag, false); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {PeerRule::WorldRankOrNull, TagRule::Send}, comm, world_dest, tag,
+                     count, buf, dt);
+  if (!ok(pro.err)) return pro.err;
   SendParams p{.buf = buf,
                .count = count,
                .dt = dt,
@@ -120,20 +87,9 @@ Err Engine::isend_npn(const void* buf, int count, Datatype dt, Rank dest, Tag ta
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendNpn, [&] {
     return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest, tag};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
-  }
-  VciGate gate(vci_for(comm), cfg_.thread_safety, cost::kThreadGatePt2pt);
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    const CommObject* c = comm_obj(comm);
-    // _NPN forbids MPI_PROC_NULL: with checking on, that is a user error.
-    if (Err e = check_rank(*c, dest, /*allow_proc_null=*/false, false); !ok(e)) return e;
-    if (Err e = check_tag(tag, false); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  // _NPN forbids MPI_PROC_NULL: with checking on, that is a user error.
+  const Prologue pro(*this, {PeerRule::RankOnly, TagRule::Send}, comm, dest, tag, count, buf, dt);
+  if (!ok(pro.err)) return pro.err;
   SendParams p{.buf = buf,
                .count = count,
                .dt = dt,
@@ -151,19 +107,9 @@ Err Engine::isend_noreq(const void* buf, int count, Datatype dt, Rank dest, Tag 
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendNoreq, [&] {
     return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest, tag};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
-  }
-  VciGate gate(vci_for(comm), cfg_.thread_safety, cost::kThreadGatePt2pt);
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    const CommObject* c = comm_obj(comm);
-    if (Err e = check_rank(*c, dest, true, false); !ok(e)) return e;
-    if (Err e = check_tag(tag, false); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {PeerRule::RankOrNull, TagRule::Send}, comm, dest, tag, count, buf,
+                     dt);
+  if (!ok(pro.err)) return pro.err;
   SendParams p{.buf = buf,
                .count = count,
                .dt = dt,
@@ -191,18 +137,8 @@ Err Engine::isend_nomatch(const void* buf, int count, Datatype dt, Rank dest, Co
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IsendNomatch, [&] {
     return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
-  }
-  VciGate gate(vci_for(comm), cfg_.thread_safety, cost::kThreadGatePt2pt);
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    const CommObject* c = comm_obj(comm);
-    if (Err e = check_rank(*c, dest, true, false); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {PeerRule::RankOrNull, TagRule::None}, comm, dest, 0, count, buf, dt);
+  if (!ok(pro.err)) return pro.err;
   SendParams p{.buf = buf,
                .count = count,
                .dt = dt,
@@ -219,12 +155,9 @@ Err Engine::irecv_nomatch(void* buf, int count, Datatype dt, Comm comm, Request*
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::IrecvNomatch, [&] {
     return obs::Surface{surface_vci(comm), surface_bytes(count, dt), kAnySource};
   });
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {.peer = PeerRule::None, .tag = TagRule::None, .gated = false}, comm,
+                     kAnySource, kAnyTag, count, buf, dt);
+  if (!ok(pro.err)) return pro.err;
   const Err e = post_recv_common(buf, count, dt, kAnySource, kAnyTag, comm,
                                  rt::MatchMode::ArrivalOrder, false, req);
   if (ok(e)) sc.bind_req(req);

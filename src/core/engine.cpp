@@ -228,33 +228,9 @@ std::size_t Engine::unexpected_depth() const noexcept {
 // is what makes the Figure-2 build matrix reproducible.
 // ---------------------------------------------------------------------------
 
-Err Engine::check_comm(Comm comm) const noexcept {
-  cost::charge(cost::Category::ErrCheck, cost::kErrCommHandle);
-  return comm_obj(comm) != nullptr ? Err::Success : Err::Comm;
-}
-
-Err Engine::check_rank(const CommObject& c, Rank r, bool allow_proc_null,
-                       bool allow_any) const noexcept {
-  cost::charge(cost::Category::ErrCheck, cost::kErrRankRange);
-  if (allow_proc_null && r == kProcNull) return Err::Success;
-  if (allow_any && r == kAnySource) return Err::Success;
-  return (r >= 0 && r < c.map.size()) ? Err::Success : Err::Rank;
-}
-
-Err Engine::check_tag(Tag t, bool allow_any) const noexcept {
-  cost::charge(cost::Category::ErrCheck, cost::kErrTagRange);
-  if (allow_any && t == kAnyTag) return Err::Success;
-  return (t >= 0 && t <= kTagUb) ? Err::Success : Err::Tag;
-}
-
 Err Engine::check_count(int count) const noexcept {
   cost::charge(cost::Category::ErrCheck, cost::kErrCount);
   return count >= 0 ? Err::Success : Err::Count;
-}
-
-Err Engine::check_buffer(const void* buf, int count) const noexcept {
-  cost::charge(cost::Category::ErrCheck, cost::kErrBuffer);
-  return (buf != nullptr || count == 0) ? Err::Success : Err::Buffer;
 }
 
 Err Engine::check_datatype(Datatype dt) const noexcept {
@@ -262,9 +238,28 @@ Err Engine::check_datatype(Datatype dt) const noexcept {
   return types_.committed_or_builtin(dt) ? Err::Success : Err::Datatype;
 }
 
-Err Engine::check_win(Win win) const noexcept {
-  cost::charge(cost::Category::ErrCheck, cost::kErrWinHandle);
-  return win_obj(win) != nullptr ? Err::Success : Err::Win;
+Err Engine::validate_pt2pt(Pt2ptRule rule, Comm comm, Rank peer, Tag tag, int count,
+                           const void* buf, Datatype dt) const noexcept {
+  cost::charge(cost::Category::ErrCheck, cost::kErrCommHandle);
+  const CommObject* c = comm_obj(comm);
+  if (c == nullptr) return Err::Comm;
+  if (rule.peer != PeerRule::None) {
+    cost::charge(cost::Category::ErrCheck, cost::kErrRankRange);
+    const bool special = (peer == kProcNull && rule.peer != PeerRule::RankOnly) ||
+                         (peer == kAnySource && rule.peer == PeerRule::Source);
+    const int size = rule.peer == PeerRule::WorldRankOrNull ? world_size() : c->map.size();
+    if (!special && (peer < 0 || peer >= size)) return Err::Rank;
+  }
+  if (rule.tag != TagRule::None) {
+    cost::charge(cost::Category::ErrCheck, cost::kErrTagRange);
+    const bool any = rule.tag == TagRule::Recv && tag == kAnyTag;
+    if (!any && (tag < 0 || tag > kTagUb)) return Err::Tag;
+  }
+  if (!rule.data) return Err::Success;
+  if (Err e = check_count(count); !ok(e)) return e;
+  cost::charge(cost::Category::ErrCheck, cost::kErrBuffer);
+  if (buf == nullptr && count != 0) return Err::Buffer;
+  return check_datatype(dt);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,20 +516,22 @@ Err Engine::cancel(Request* req) {
 // Probe
 // ---------------------------------------------------------------------------
 
-Err Engine::probe_args(Rank src, Tag tag, Comm comm, const CommObject** c) const {
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-  }
+Err Engine::probe_args(Rank src, Tag tag, Comm comm, const CommObject** c) {
+  constexpr Pt2ptRule kProbe{
+      .peer = PeerRule::Source, .tag = TagRule::Recv, .gated = false, .data = false};
+  const Prologue pro(*this, kProbe, comm, src, tag, 0, nullptr, kDatatypeNull);
+  if (!ok(pro.err)) return pro.err;
   *c = comm_obj(comm);
-  if (*c == nullptr) return Err::Comm;
-  if (cfg_.error_checking) {
-    if (Err e = check_rank(**c, src, false, true); !ok(e)) return e;
-    if (Err e = check_tag(tag, true); !ok(e)) return e;
-  }
-  return Err::Success;
+  return *c == nullptr ? Err::Comm : Err::Success;
 }
 
 bool Engine::probe_match(const CommObject& c, Rank src, Tag tag, Status* st) {
+  if (src == kProcNull) {
+    // MPI-3.1 3.11: a probe of MPI_PROC_NULL matches at once, with source
+    // MPI_PROC_NULL, tag MPI_ANY_TAG and count 0.
+    if (st != nullptr) *st = Status{.source = kProcNull, .tag = kAnyTag};
+    return true;
+  }
   Vci& v = *vcis_[c.vci];
   std::lock_guard<std::recursive_mutex> lk(v.mu);
   const rt::PacketHeader* h = v.matcher.probe(c.ctx, src, tag);

@@ -398,18 +398,33 @@ class Engine {
     std::unique_ptr<std::atomic<std::uint8_t>[]> lock_held;
     int lock_targets = 0;
     std::atomic<std::uint32_t> outstanding_acks{0};  // AM ops awaiting remote completion
-    // Orig device: operations deferred until synchronization.
+    // One data-movement call, as its entry point builds it (rma.cpp rma_op):
+    // ch4 executes it or sends it at once, orig queues it in `pending` until
+    // synchronization, and rma_am turns it into its active message.
     struct PendingOp {
-      enum class Kind : std::uint8_t { Put, Get, Acc, GetAcc } kind = Kind::Put;
+      // What an entry sets comes first and what it leaves zero last: with a
+      // zero gap between set fields GCC clears the whole descriptor with a
+      // `rep stos`, whose startup the direct put would pay on every call.
+      enum class Kind : std::uint8_t { Put, PutVa, Get, Acc, GetAcc } kind = Kind::Put;
       Rank target = 0;
-      std::uint64_t disp = 0;
-      std::vector<std::byte> data;  // packed origin data (Put/Acc/GetAcc)
+      int origin_count = 0;
+      Datatype origin_dt = kDatatypeNull;
       int target_count = 0;
       Datatype target_dt = kDatatypeNull;
       ReduceOp op = ReduceOp::Replace;
-      void* result = nullptr;  // Get/GetAcc destination
-      int result_count = 0;
-      Datatype result_dt = kDatatypeNull;
+      std::uint64_t disp = 0;        // in the target's disp units
+      const void* origin = nullptr;  // MPI's origin_addr (Get: the destination)
+      void* result = nullptr;        // Get/GetAcc: where the fetched data lands
+      void* target_va = nullptr;     // PutVa: the target address itself
+      std::uint64_t offset = 0;      // disp in bytes, bounded by rma_offset
+      std::vector<std::byte> data{};  // origin data packed by pack()
+
+      // Pack the origin data into `data`: orig does it at the call, ch4 when
+      // it sends a noncontiguous put as an active message.
+      void pack(const dt::TypeEngine& types) {
+        data.resize(dt::packed_size(types, origin_count, origin_dt));
+        dt::pack(types, origin, origin_count, origin_dt, data.data());
+      }
     };
     std::vector<PendingOp> pending;
     // Target-side passive lock manager (orig device AM path).
@@ -433,14 +448,58 @@ class Engine {
     void reset();
   };
 
-  // ---- validation helpers (error-checking build feature) ----
-  Err check_comm(Comm comm) const noexcept;
-  Err check_win(Win win) const noexcept;
-  Err check_rank(const CommObject& c, Rank r, bool allow_proc_null, bool allow_any) const noexcept;
-  Err check_tag(Tag t, bool allow_any) const noexcept;
+  // ---- validation (the error-checking build feature) ----
+  // Each check charges its modeled cost, then runs; a build without error
+  // checking skips both. The collectives compose the two shared checks; the
+  // pt2pt and RMA entries each go through one validator.
   Err check_count(int count) const noexcept;
-  Err check_buffer(const void* buf, int count) const noexcept;
   Err check_datatype(Datatype dt) const noexcept;
+
+  // The peers a pt2pt entry accepts besides a rank of its communicator, and
+  // how it checks its tag (Recv also takes MPI_ANY_TAG).
+  enum class PeerRule : std::uint8_t {
+    RankOrNull,       // sends: MPI_PROC_NULL too
+    RankOnly,         // _NPN: the caller promises no MPI_PROC_NULL
+    WorldRankOrNull,  // _GLOBAL: a rank of MPI_COMM_WORLD, or MPI_PROC_NULL
+    Source,           // receives and probe: MPI_PROC_NULL or MPI_ANY_SOURCE too
+    None,             // irecv_nomatch names no peer
+  };
+  enum class TagRule : std::uint8_t { Send, Recv, None };
+  struct Pt2ptRule {
+    PeerRule peer;
+    TagRule tag;
+    bool gated = true;  // charges the call overhead and takes the channel gate
+    bool data = true;   // validates (count, buf, dt); a probe moves no data
+  };
+  // The pt2pt validator: comm -> peer -> tag -> count -> buffer -> datatype,
+  // stopping at the first bad argument (engine.cpp).
+  Err validate_pt2pt(Pt2ptRule rule, Comm comm, Rank peer, Tag tag, int count, const void* buf,
+                     Datatype dt) const noexcept;
+  // The MPI layer of a pt2pt entry, written once: the call-overhead charge
+  // (folded away under ipo), the channel gate, held for the entry's scope,
+  // then validate_pt2pt. An ungated rule skips the charge and the gate;
+  // `err` names the first bad argument. Inlined, so each entry keeps its own
+  // copy of the charge and gate, as when they were written out.
+  struct Prologue {
+    [[gnu::always_inline]] Prologue(Engine& e, Pt2ptRule rule, Comm comm, Rank peer, Tag tag,
+                                    int count, const void* buf, Datatype dt)
+        : gate(enter(e, rule, comm), rule.gated && e.cfg_.thread_safety,
+               cost::kThreadGatePt2pt),
+          err(e.cfg_.error_checking ? e.validate_pt2pt(rule, comm, peer, tag, count, buf, dt)
+                                    : Err::Success) {}
+    VciGate gate;
+    const Err err;
+
+   private:
+    // The call-overhead charge; returns the channel the gate takes.
+    [[gnu::always_inline]] static Vci* enter(Engine& e, Pt2ptRule rule, Comm comm) noexcept {
+      if (!rule.gated) return nullptr;
+      if (!e.cfg_.ipo) {
+        cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasSend);
+      }
+      return e.vci_for(comm);
+    }
+  };
 
   // ---- comm table ----
   CommObject* comm_obj(Comm comm) noexcept;
@@ -463,7 +522,7 @@ class Engine {
   bool slot_ready(const RequestSlot& s) noexcept;
 
   // ---- probe (engine.cpp): argument checks, then one matcher look ----
-  Err probe_args(Rank src, Tag tag, Comm comm, const CommObject** c) const;
+  Err probe_args(Rank src, Tag tag, Comm comm, const CommObject** c);
   bool probe_match(const CommObject& c, Rank src, Tag tag, Status* st);
 
   // ---- device paths (implemented in ch4_pt2pt.cpp / orig_device.cpp) ----
@@ -621,15 +680,21 @@ class Engine {
   // ---- RMA internals (rma.cpp) ----
   WindowLocal* win_obj(Win win) noexcept;
   const WindowLocal* win_obj(Win win) const noexcept;
-  Err rma_direct_put(WindowLocal& w, const void* origin, int ocount, Datatype odt, Rank target,
-                     std::uint64_t target_disp, int tcount, Datatype tdt);
-  Err rma_am_put(WindowLocal& w, Win win, const void* origin, int ocount, Datatype odt,
-                 Rank target, std::uint64_t target_disp, int tcount, Datatype tdt);
+  using RmaOp = WindowLocal::PendingOp;
+  // The one path of a data-movement call: the MPI layer (call-overhead
+  // charge, the window's gate, rma_validate), then the device.
+  Err rma_op(Win win, RmaOp op);
+  // The RMA validator: one pass over (win, target, origin count/buf/dt,
+  // target dt, op, disp) and the access epoch, by the rule of op's kind;
+  // `target_bytes` is the packed size of the target count and datatype.
+  Err rma_validate(const WindowLocal* w, const RmaOp& op, std::size_t target_bytes) const noexcept;
+  // Send `op` as its active message, the one builder for both devices.
+  void rma_am(WindowLocal& w, RmaOp& op);
+  // A packet of `kind` about window `win_id` on channel `vci`: the header
+  // every active message carries.
+  rt::Packet* am_packet(rt::PacketKind kind, std::uint8_t vci, std::uint32_t win_id) const;
   Err rma_wait_acks(WindowLocal& w, std::uint32_t until);
-  Err orig_flush_pending(WindowLocal& w, Win win, Rank target /* -1 = all */);
-  Err rma_check_epoch(const WindowLocal& w, Rank target) const noexcept;
-  void send_am_ack(Rank origin_world, std::uint32_t origin_req, std::uint32_t win_id,
-                   std::uint8_t vci);
+  Err orig_flush_pending(WindowLocal& w, Rank target /* -1 = all */);
 
   // ---- collective internals (coll.cpp) ----
   // Rabenseifner large-message allreduce (allreduce_large.cpp); requires

@@ -18,15 +18,9 @@ Err Engine::send_init(const void* buf, int count, Datatype dt, Rank dest, Tag ta
     return obs::Surface{surface_vci(comm), surface_bytes(count, dt), dest, tag};
   });
   if (req == nullptr) return Err::Request;
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    const CommObject* c = comm_obj(comm);
-    if (Err e = check_rank(*c, dest, true, false); !ok(e)) return e;
-    if (Err e = check_tag(tag, false); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {.peer = PeerRule::RankOrNull, .tag = TagRule::Send, .gated = false},
+                     comm, dest, tag, count, buf, dt);
+  if (!ok(pro.err)) return pro.err;
   const CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const Request r = alloc_request(RequestSlot::Kind::PersistentSend, c->vci);
@@ -48,15 +42,9 @@ Err Engine::recv_init(void* buf, int count, Datatype dt, Rank src, Tag tag, Comm
     return obs::Surface{surface_vci(comm), surface_bytes(count, dt), src, tag};
   });
   if (req == nullptr) return Err::Request;
-  if (cfg_.error_checking) {
-    if (Err e = check_comm(comm); !ok(e)) return e;
-    const CommObject* c = comm_obj(comm);
-    if (Err e = check_rank(*c, src, true, true); !ok(e)) return e;
-    if (Err e = check_tag(tag, true); !ok(e)) return e;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(buf, count); !ok(e)) return e;
-    if (Err e = check_datatype(dt); !ok(e)) return e;
-  }
+  const Prologue pro(*this, {.peer = PeerRule::Source, .tag = TagRule::Recv, .gated = false},
+                     comm, src, tag, count, buf, dt);
+  if (!ok(pro.err)) return pro.err;
   const CommObject* c = comm_obj(comm);
   if (c == nullptr) return Err::Comm;
   const Request r = alloc_request(RequestSlot::Kind::PersistentRecv, c->vci);

@@ -1,6 +1,9 @@
 // One-sided communication.
 //
-// Window creation is collective. Data movement has three concrete paths:
+// Window creation is collective. Each data-movement entry point builds one op
+// descriptor (WindowLocal::PendingOp) and hands it to rma_op, which runs the
+// MPI layer (call-overhead charge, the window's gate, rma_validate) and then
+// one of three concrete paths:
 //   1. ch4 "native" path -- contiguous data, implemented as a direct memory
 //      access into the target's exposed region (the in-process analog of
 //      RDMA); accumulates take the target's accumulate lock for atomicity.
@@ -9,6 +12,7 @@
 //   3. orig (CH3-style) path -- *every* operation is recorded in a deferred
 //      operation list and issued as active messages at synchronization,
 //      which is exactly what makes MPI_PUT cost ~1342 instructions there.
+// Paths 2 and 3 build their packets in one place, rma_am.
 //
 // VCI routing: a window inherits its creating communicator's channel. Every
 // origin-side AM is stamped with the window's vci and every target-side reply
@@ -35,6 +39,20 @@ constexpr std::uint8_t kLockShared = 1;
 constexpr std::uint8_t kLockExclusive = 2;
 constexpr std::uint8_t kLockPendingGrant = 3;
 constexpr std::uint8_t kLockPendingUnlock = 4;
+
+// The one place a displacement becomes an address: `disp` units of the
+// target's disp_unit, as a byte offset into its region with room for `bytes`
+// more. Err::Disp when they do not fit, or when disp * disp_unit overflows.
+Err rma_offset(const rma::WindowGlobal::Peer& peer, std::uint64_t disp, std::size_t bytes,
+               std::uint64_t* off) noexcept {
+  std::uint64_t o = 0;
+  if (__builtin_mul_overflow(disp, static_cast<std::uint64_t>(peer.disp_unit), &o) ||
+      o > peer.bytes || bytes > peer.bytes - o) {
+    return Err::Disp;
+  }
+  *off = o;
+  return Err::Success;
+}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -166,32 +184,14 @@ Err Engine::win_target_address(Rank target, std::uint64_t target_disp, Win win,
   if (w == nullptr) return Err::Win;
   if (target < 0 || target >= w->global->nranks) return Err::Rank;
   const auto& peer = w->global->peers[static_cast<std::size_t>(target)];
-  const std::uint64_t off = target_disp * static_cast<std::uint64_t>(peer.disp_unit);
-  if (off > peer.bytes) return Err::Disp;
+  std::uint64_t off = 0;
+  if (Err e = rma_offset(peer, target_disp, 0, &off); !ok(e)) return e;
   *addr = peer.base + off;
   return Err::Success;
 }
 
 // ---------------------------------------------------------------------------
-// Epoch checking
-// ---------------------------------------------------------------------------
-
-Err Engine::rma_check_epoch(const WindowLocal& w, Rank target) const noexcept {
-  const WindowLocal::Epoch ep = w.epoch.load(std::memory_order_relaxed);
-  if (ep == WindowLocal::Epoch::Fence || ep == WindowLocal::Epoch::LockAll ||
-      ep == WindowLocal::Epoch::Pscw) {
-    return Err::Success;
-  }
-  if (target >= 0 && target < w.lock_targets) {
-    const std::uint8_t h = w.lock_held[static_cast<std::size_t>(target)].load(
-        std::memory_order_acquire);
-    if (h == kLockShared || h == kLockExclusive) return Err::Success;
-  }
-  return Err::RmaSync;
-}
-
-// ---------------------------------------------------------------------------
-// Data movement entry points
+// Data movement: each entry point builds its op; rma_op carries it
 // ---------------------------------------------------------------------------
 
 Err Engine::put(const void* origin, int origin_count, Datatype origin_dt, Rank target,
@@ -201,125 +201,14 @@ Err Engine::put(const void* origin, int origin_count, Datatype origin_dt, Rank t
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Put, [&] {
     return obs::Surface{surface_vci(win), surface_bytes(origin_count, origin_dt), target};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
-  }
-  WindowLocal* w = win_obj(win);
-  VciGate gate(w == nullptr ? nullptr : vcis_[w->vci].get(), cfg_.thread_safety,
-               cost::kThreadGateRma);
-  if (cfg_.error_checking) {
-    if (Err e = check_win(win); !ok(e)) return e;
-    cost::charge(cost::Category::ErrCheck, cost::kErrRankRange);
-    if (target != kProcNull && (target < 0 || target >= w->global->nranks)) return Err::Rank;
-    if (Err e = check_count(origin_count); !ok(e)) return e;
-    if (Err e = check_buffer(origin, origin_count); !ok(e)) return e;
-    if (Err e = check_datatype(origin_dt); !ok(e)) return e;
-    if (target != kProcNull) {
-      // Target datatype and displacement bounds validate together.
-      cost::charge(cost::Category::ErrCheck, cost::kErrDispRange);
-      if (!types_.committed_or_builtin(target_dt)) return Err::Datatype;
-      const auto& peer = w->global->peers[static_cast<std::size_t>(target)];
-      const std::uint64_t need = target_disp * static_cast<std::uint64_t>(peer.disp_unit) +
-                                 dt::packed_size(types_, target_count, target_dt);
-      if (need > peer.bytes) return Err::Disp;
-      if (Err e = rma_check_epoch(*w, target); !ok(e)) return e;
-    }
-  }
-  if (w == nullptr) return Err::Win;
-
-  cost::charge(cost::Category::MandProcNull, cost::kMandProcNull);
-  if (target == kProcNull) return Err::Success;
-  vcis_[w->vci]->counters.inc(obs::VciCtr::RmaOp);
-  rt::spin_for_ns(sim_put_ns_);  // simulated-CPU mode
-
-  if (device_ == DeviceKind::Orig) {
-    // CH3-style: analyze, record, defer. The layered path is charged here and
-    // the operation is issued as an active message at synchronization.
-    cost::charge(cost::Category::OrigLayering, cost::kOrigPutLayerCalls);
-    cost::charge(cost::Category::OrigLayering, cost::kOrigPutGenericChecks);
-    cost::charge(cost::Category::MandObject, cost::kMandObjectDeref);
-    comm_obj(w->comm)->map.to_world(target);  // translation still happens
-    cost::charge(cost::Category::OrigLayering, cost::kOrigPutAmBuild);
-    WindowLocal::PendingOp op;
-    op.kind = WindowLocal::PendingOp::Kind::Put;
-    op.target = target;
-    op.disp = target_disp;
-    op.target_count = target_count;
-    op.target_dt = target_dt;
-    op.data.resize(dt::packed_size(types_, origin_count, origin_dt));
-    dt::pack(types_, origin, origin_count, origin_dt, op.data.data());
-    cost::charge(cost::Category::OrigLayering, cost::kOrigPutOpQueue);
-    cost::charge(cost::Category::OrigLayering, cost::kOrigPutPt2ptIssue);
-    w->pending.push_back(std::move(op));
-    return Err::Success;
-  }
-
-  // ch4: window object access + netmod selection.
-  cost::charge(cost::Category::MandObject, cost::kMandObjectDeref);
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::Redundant, cost::kRedundantWinAttrs);
-    cost::charge(cost::Category::Redundant, cost::kRedundantDatatypeResolve);
-    cost::charge(cost::Category::Redundant, cost::kRedundantGenericCompletion);
-  }
-  comm_obj(w->comm)->map.to_world(target);  // network address translation
-  cost::charge(cost::Category::MandLocality, cost::kMandLocalitySelect);
-  cost::charge(cost::Category::MandRequest, cost::kMandRmaOpTracking);
-
-  if (types_.is_contiguous(origin_dt) && types_.is_contiguous(target_dt)) {
-    return rma_direct_put(*w, origin, origin_count, origin_dt, target, target_disp,
-                          target_count, target_dt);
-  }
-  return rma_am_put(*w, win, origin, origin_count, origin_dt, target, target_disp,
-                    target_count, target_dt);
-}
-
-Err Engine::rma_direct_put(WindowLocal& w, const void* origin, int ocount, Datatype odt,
-                           Rank target, std::uint64_t target_disp, int tcount, Datatype tdt) {
-  const auto& peer = w.global->peers[static_cast<std::size_t>(target)];
-  // Offset -> virtual address translation (Section 3.2).
-  cost::charge(cost::Category::MandVa, cost::kMandVaTranslate);
-  std::byte* dst = peer.base + target_disp * static_cast<std::uint64_t>(peer.disp_unit);
-  const std::size_t obytes = dt::packed_size(types_, ocount, odt);
-  const std::size_t tbytes = dt::packed_size(types_, tcount, tdt);
-  const std::size_t n = std::min(obytes, tbytes);
-  cost::charge(cost::Category::MandInject, cost::kMandInjectResidualRma);
-  const Rank dst_world = w.global->world_ranks[static_cast<std::size_t>(target)];
-  fabric_.charge_injection(self_, dst_world);  // descriptor cost, no packet
-  std::memcpy(dst, origin, n);
-  return Err::Success;
-}
-
-Err Engine::rma_am_put(WindowLocal& w, Win /*win*/, const void* origin, int ocount,
-                       Datatype odt, Rank target, std::uint64_t target_disp, int tcount,
-                       Datatype tdt) {
-  const auto& peer = w.global->peers[static_cast<std::size_t>(target)];
-  rt::Packet* pkt = rt::PacketPool::alloc();
-  pkt->hdr.kind = rt::PacketKind::AmPut;
-  pkt->hdr.vci = static_cast<std::uint8_t>(w.vci);
-  pkt->hdr.src_world = self_;
-  pkt->hdr.win_id = w.global->id;
-  pkt->hdr.offset = target_disp * static_cast<std::uint64_t>(peer.disp_unit);
-  pkt->hdr.dt_count = static_cast<std::uint32_t>(tcount);
-
-  const std::size_t data_bytes = dt::packed_size(types_, ocount, odt);
-  if (is_builtin(tdt)) {
-    pkt->hdr.dt = tdt;
-    pkt->payload.resize(data_bytes);
-    dt::pack(types_, origin, ocount, odt, pkt->payload.data());
-  } else {
-    // Ship the flattened target layout ahead of the data.
-    pkt->hdr.dt = kDatatypeNull;
-    const std::vector<std::byte> blob = dt::serialize_info(*types_.info(tdt));
-    pkt->payload.resize(blob.size() + data_bytes);
-    std::memcpy(pkt->payload.data(), blob.data(), blob.size());
-    dt::pack(types_, origin, ocount, odt, pkt->payload.data() + blob.size());
-  }
-  pkt->hdr.total_bytes = data_bytes;
-
-  w.outstanding_acks.fetch_add(1, std::memory_order_release);
-  const Rank dst_world = w.global->world_ranks[static_cast<std::size_t>(target)];
-  fabric_.inject(self_, dst_world, pkt);
-  return Err::Success;
+  return rma_op(win, {.kind = RmaOp::Kind::Put,
+                      .target = target,
+                      .origin_count = origin_count,
+                      .origin_dt = origin_dt,
+                      .target_count = target_count,
+                      .target_dt = target_dt,
+                      .disp = target_disp,
+                      .origin = origin});
 }
 
 Err Engine::put_va(const void* origin, int origin_count, Datatype origin_dt, Rank target,
@@ -327,42 +216,14 @@ Err Engine::put_va(const void* origin, int origin_count, Datatype origin_dt, Ran
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::PutVa, [&] {
     return obs::Surface{surface_vci(win), surface_bytes(origin_count, origin_dt), target};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
-  }
-  WindowLocal* w = win_obj(win);
-  VciGate gate(w == nullptr ? nullptr : vcis_[w->vci].get(), cfg_.thread_safety,
-               cost::kThreadGateRma);
-  if (cfg_.error_checking) {
-    if (Err e = check_win(win); !ok(e)) return e;
-    cost::charge(cost::Category::ErrCheck, cost::kErrRankRange);
-    if (target < 0 || target >= w->global->nranks) return Err::Rank;
-    if (Err e = check_count(origin_count); !ok(e)) return e;
-    if (Err e = check_buffer(origin, origin_count); !ok(e)) return e;
-    if (Err e = check_datatype(origin_dt); !ok(e)) return e;
-    if (Err e = rma_check_epoch(*w, target); !ok(e)) return e;
-  }
-  if (w == nullptr) return Err::Win;
-  if (device_ != DeviceKind::Ch4) return Err::NotSupported;
-  vcis_[w->vci]->counters.inc(obs::VciCtr::RmaOp);
-
-  // The proposal's payoff: no window-kind check, no offset->VA translation.
-  cost::charge(cost::Category::MandObject, cost::kMandObjectDeref);
-  comm_obj(w->comm)->map.to_world(target);
-  cost::charge(cost::Category::MandLocality, cost::kMandLocalitySelect);
-  cost::charge(cost::Category::MandRequest, cost::kMandRmaOpTracking);
-  cost::charge(cost::Category::MandInject, cost::kMandInjectResidualRma);
-  const Rank dst_world = w->global->world_ranks[static_cast<std::size_t>(target)];
-  fabric_.charge_injection(self_, dst_world);
-  const std::size_t n = dt::packed_size(types_, origin_count, origin_dt);
-  if (types_.is_contiguous(origin_dt)) {
-    std::memcpy(target_va, origin, n);
-  } else {
-    std::vector<std::byte> tmp(n);
-    dt::pack(types_, origin, origin_count, origin_dt, tmp.data());
-    std::memcpy(target_va, tmp.data(), n);
-  }
-  return Err::Success;
+  return rma_op(win, {.kind = RmaOp::Kind::PutVa,
+                      .target = target,
+                      .origin_count = origin_count,
+                      .origin_dt = origin_dt,
+                      .target_count = origin_count,
+                      .target_dt = origin_dt,
+                      .origin = origin,
+                      .target_va = target_va});
 }
 
 Err Engine::get(void* origin, int origin_count, Datatype origin_dt, Rank target,
@@ -370,88 +231,15 @@ Err Engine::get(void* origin, int origin_count, Datatype origin_dt, Rank target,
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Get, [&] {
     return obs::Surface{surface_vci(win), surface_bytes(origin_count, origin_dt), target};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
-  }
-  WindowLocal* w = win_obj(win);
-  VciGate gate(w == nullptr ? nullptr : vcis_[w->vci].get(), cfg_.thread_safety,
-               cost::kThreadGateRma);
-  if (cfg_.error_checking) {
-    if (Err e = check_win(win); !ok(e)) return e;
-    cost::charge(cost::Category::ErrCheck, cost::kErrRankRange);
-    if (target != kProcNull && (target < 0 || target >= w->global->nranks)) return Err::Rank;
-    if (Err e = check_count(origin_count); !ok(e)) return e;
-    if (Err e = check_buffer(origin, origin_count); !ok(e)) return e;
-    if (Err e = check_datatype(origin_dt); !ok(e)) return e;
-    if (target != kProcNull) {
-      cost::charge(cost::Category::ErrCheck, cost::kErrDispRange);
-      if (!types_.committed_or_builtin(target_dt)) return Err::Datatype;
-      if (Err e = rma_check_epoch(*w, target); !ok(e)) return e;
-    }
-  }
-  if (w == nullptr) return Err::Win;
-  cost::charge(cost::Category::MandProcNull, cost::kMandProcNull);
-  if (target == kProcNull) return Err::Success;
-  vcis_[w->vci]->counters.inc(obs::VciCtr::RmaOp);
-
-  if (device_ == DeviceKind::Orig) {
-    WindowLocal::PendingOp op;
-    op.kind = WindowLocal::PendingOp::Kind::Get;
-    op.target = target;
-    op.disp = target_disp;
-    op.target_count = target_count;
-    op.target_dt = target_dt;
-    op.result = origin;
-    op.result_count = origin_count;
-    op.result_dt = origin_dt;
-    w->pending.push_back(std::move(op));
-    return Err::Success;
-  }
-
-  cost::charge(cost::Category::MandObject, cost::kMandObjectDeref);
-  comm_obj(w->comm)->map.to_world(target);
-  cost::charge(cost::Category::MandLocality, cost::kMandLocalitySelect);
-  cost::charge(cost::Category::MandRequest, cost::kMandRmaOpTracking);
-
-  const auto& peer = w->global->peers[static_cast<std::size_t>(target)];
-  if (types_.is_contiguous(origin_dt) && types_.is_contiguous(target_dt)) {
-    cost::charge(cost::Category::MandVa, cost::kMandVaTranslate);
-    cost::charge(cost::Category::MandInject, cost::kMandInjectResidualRma);
-    const Rank dst_world = w->global->world_ranks[static_cast<std::size_t>(target)];
-    fabric_.charge_injection(self_, dst_world);
-    const std::byte* src =
-        peer.base + target_disp * static_cast<std::uint64_t>(peer.disp_unit);
-    const std::size_t n = std::min(dt::packed_size(types_, origin_count, origin_dt),
-                                   dt::packed_size(types_, target_count, target_dt));
-    std::memcpy(origin, src, n);
-    return Err::Success;
-  }
-
-  // AM fallback: request the target to pack and reply.
-  Request r = alloc_request(RequestSlot::Kind::Recv, w->vci);
-  RequestSlot* slot = req_slot(r);
-  slot->rbuf = origin;
-  slot->rcount = origin_count;
-  slot->rdt = origin_dt;
-
-  rt::Packet* pkt = rt::PacketPool::alloc();
-  pkt->hdr.kind = rt::PacketKind::AmGetReq;
-  pkt->hdr.vci = static_cast<std::uint8_t>(w->vci);
-  pkt->hdr.src_world = self_;
-  pkt->hdr.win_id = w->global->id;
-  pkt->hdr.offset = target_disp * static_cast<std::uint64_t>(peer.disp_unit);
-  pkt->hdr.origin_req = r;
-  pkt->hdr.dt_count = static_cast<std::uint32_t>(target_count);
-  if (is_builtin(target_dt)) {
-    pkt->hdr.dt = target_dt;
-  } else {
-    pkt->hdr.dt = kDatatypeNull;
-    pkt->payload = dt::serialize_info(*types_.info(target_dt));
-  }
-  w->outstanding_acks.fetch_add(1, std::memory_order_release);
-  const Rank dst_world = w->global->world_ranks[static_cast<std::size_t>(target)];
-  fabric_.inject(self_, dst_world, pkt);
-  return Err::Success;
+  return rma_op(win, {.kind = RmaOp::Kind::Get,
+                      .target = target,
+                      .origin_count = origin_count,
+                      .origin_dt = origin_dt,
+                      .target_count = target_count,
+                      .target_dt = target_dt,
+                      .disp = target_disp,
+                      .origin = origin,
+                      .result = origin});
 }
 
 Err Engine::accumulate(const void* origin, int count, Datatype dt_, Rank target,
@@ -459,56 +247,15 @@ Err Engine::accumulate(const void* origin, int count, Datatype dt_, Rank target,
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::Accumulate, [&] {
     return obs::Surface{surface_vci(win), surface_bytes(count, dt_), target};
   });
-  if (!cfg_.ipo) {
-    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
-  }
-  WindowLocal* w = win_obj(win);
-  VciGate gate(w == nullptr ? nullptr : vcis_[w->vci].get(), cfg_.thread_safety,
-               cost::kThreadGateRma);
-  if (w == nullptr) return Err::Win;
-  if (cfg_.error_checking) {
-    if (Err e = check_win(win); !ok(e)) return e;
-    cost::charge(cost::Category::ErrCheck,
-                 cost::kErrRankRange + cost::kErrOpValid);
-    if (target != kProcNull && (target < 0 || target >= w->global->nranks)) return Err::Rank;
-    if (!coll::op_defined(op, dt_)) return Err::Op;
-    if (Err e = check_count(count); !ok(e)) return e;
-    if (Err e = check_buffer(origin, count); !ok(e)) return e;
-    if (target != kProcNull) {
-      if (Err e = rma_check_epoch(*w, target); !ok(e)) return e;
-    }
-  }
-  if (!is_builtin(dt_)) return Err::Datatype;  // predefined ops, basic types
-  cost::charge(cost::Category::MandProcNull, cost::kMandProcNull);
-  if (target == kProcNull) return Err::Success;
-  vcis_[w->vci]->counters.inc(obs::VciCtr::RmaOp);
-
-  if (device_ == DeviceKind::Orig) {
-    WindowLocal::PendingOp pop;
-    pop.kind = WindowLocal::PendingOp::Kind::Acc;
-    pop.target = target;
-    pop.disp = target_disp;
-    pop.target_count = count;
-    pop.target_dt = dt_;
-    pop.op = op;
-    pop.data.resize(static_cast<std::size_t>(count) * builtin_size(dt_));
-    dt::pack(types_, origin, count, dt_, pop.data.data());
-    w->pending.push_back(std::move(pop));
-    return Err::Success;
-  }
-
-  cost::charge(cost::Category::MandObject, cost::kMandObjectDeref);
-  comm_obj(w->comm)->map.to_world(target);
-  cost::charge(cost::Category::MandVa, cost::kMandVaTranslate);
-  cost::charge(cost::Category::MandRequest, cost::kMandRmaOpTracking);
-  cost::charge(cost::Category::MandInject, cost::kMandInjectResidualRma);
-
-  const auto& peer = w->global->peers[static_cast<std::size_t>(target)];
-  std::byte* dst = peer.base + target_disp * static_cast<std::uint64_t>(peer.disp_unit);
-  const Rank dst_world = w->global->world_ranks[static_cast<std::size_t>(target)];
-  fabric_.charge_injection(self_, dst_world);
-  std::lock_guard<std::mutex> lk(*w->global->acc_locks[static_cast<std::size_t>(target)]);
-  return coll::apply_op(op, dt_, dst, origin, static_cast<std::size_t>(count));
+  return rma_op(win, {.kind = RmaOp::Kind::Acc,
+                      .target = target,
+                      .origin_count = count,
+                      .origin_dt = dt_,
+                      .target_count = count,
+                      .target_dt = dt_,
+                      .op = op,
+                      .disp = target_disp,
+                      .origin = origin});
 }
 
 Err Engine::get_accumulate(const void* origin, int count, Datatype dt_, void* result,
@@ -516,47 +263,186 @@ Err Engine::get_accumulate(const void* origin, int count, Datatype dt_, void* re
   obs::SurfaceScope sc(prof_, rec_, obs::Callsite::GetAccumulate, [&] {
     return obs::Surface{surface_vci(win), surface_bytes(count, dt_), target};
   });
+  return rma_op(win, {.kind = RmaOp::Kind::GetAcc,
+                      .target = target,
+                      .origin_count = count,
+                      .origin_dt = dt_,
+                      .target_count = count,
+                      .target_dt = dt_,
+                      .op = op,
+                      .disp = target_disp,
+                      .origin = origin,
+                      .result = result});
+}
+
+// Win, target, op (accumulates), origin count, buffer and datatype, then the
+// target datatype with the displacement bound, then the access epoch. put_va
+// names no target datatype or displacement, and no MPI_PROC_NULL target.
+// Accumulates take basic types only (rma_op), so their origin datatype
+// carries no charge here.
+Err Engine::rma_validate(const WindowLocal* w, const RmaOp& op,
+                         std::size_t target_bytes) const noexcept {
+  cost::charge(cost::Category::ErrCheck, cost::kErrWinHandle);
+  if (w == nullptr) return Err::Win;
+  const bool acc = op.kind == RmaOp::Kind::Acc || op.kind == RmaOp::Kind::GetAcc;
+  const bool null_ok = op.kind != RmaOp::Kind::PutVa;
+  cost::charge(cost::Category::ErrCheck, cost::kErrRankRange + (acc ? cost::kErrOpValid : 0));
+  if (!(null_ok && op.target == kProcNull) && (op.target < 0 || op.target >= w->global->nranks)) {
+    return Err::Rank;
+  }
+  if (acc && !coll::op_defined(op.op, op.origin_dt)) return Err::Op;
+  if (Err e = check_count(op.origin_count); !ok(e)) return e;
+  cost::charge(cost::Category::ErrCheck, cost::kErrBuffer);
+  if (op.origin == nullptr && op.origin_count != 0) return Err::Buffer;
+  if (!acc) {
+    if (Err e = check_datatype(op.origin_dt); !ok(e)) return e;
+  }
+  if (op.target == kProcNull) return Err::Success;
+  if (op.kind != RmaOp::Kind::PutVa) {
+    cost::charge(cost::Category::ErrCheck, cost::kErrDispRange);
+    if (!types_.committed_or_builtin(op.target_dt)) return Err::Datatype;
+    std::uint64_t off = 0;
+    const auto& peer = w->global->peers[static_cast<std::size_t>(op.target)];
+    if (Err e = rma_offset(peer, op.disp, target_bytes, &off); !ok(e)) return e;
+  }
+  // Fence, lock_all and PSCW epochs cover every target; a lock covers its own.
+  const WindowLocal::Epoch ep = w->epoch.load(std::memory_order_relaxed);
+  if (ep == WindowLocal::Epoch::Fence || ep == WindowLocal::Epoch::LockAll ||
+      ep == WindowLocal::Epoch::Pscw) {
+    return Err::Success;
+  }
+  const std::uint8_t h =
+      w->lock_held[static_cast<std::size_t>(op.target)].load(std::memory_order_acquire);
+  return h == kLockShared || h == kLockExclusive ? Err::Success : Err::RmaSync;
+}
+
+Err Engine::rma_op(Win win, RmaOp op) {
+  const bool acc = op.kind == RmaOp::Kind::Acc || op.kind == RmaOp::Kind::GetAcc;
+  // get_accumulate is outside the model: it charges its gate and checks only.
+  const bool modeled = op.kind != RmaOp::Kind::GetAcc;
+  if (modeled && !cfg_.ipo) {
+    cost::charge(cost::Category::CallOverhead, cost::kCallEntry + cost::kCallPmpiAliasRma);
+  }
   WindowLocal* w = win_obj(win);
   VciGate gate(w == nullptr ? nullptr : vcis_[w->vci].get(), cfg_.thread_safety,
                cost::kThreadGateRma);
-  if (w == nullptr) return Err::Win;
-  if (!is_builtin(dt_)) return Err::Datatype;
+  if (acc && !is_builtin(op.origin_dt)) return Err::Datatype;  // in every build
+  const std::size_t tbytes = dt::packed_size(types_, op.target_count, op.target_dt);
   if (cfg_.error_checking) {
-    if (target != kProcNull && (target < 0 || target >= w->global->nranks)) return Err::Rank;
-    if (!coll::op_defined(op, dt_)) return Err::Op;
-    if (target != kProcNull) {
-      if (Err e = rma_check_epoch(*w, target); !ok(e)) return e;
-    }
+    if (Err e = rma_validate(w, op, tbytes); !ok(e)) return e;
   }
-  if (target == kProcNull) return Err::Success;
+  if (w == nullptr) return Err::Win;
+  if (op.kind == RmaOp::Kind::PutVa && device_ != DeviceKind::Ch4) return Err::NotSupported;
+  if (modeled && op.kind != RmaOp::Kind::PutVa) {
+    cost::charge(cost::Category::MandProcNull, cost::kMandProcNull);
+  }
+  if (op.target == kProcNull) return Err::Success;
   vcis_[w->vci]->counters.inc(obs::VciCtr::RmaOp);
-  const std::size_t bytes = static_cast<std::size_t>(count) * builtin_size(dt_);
+  if (op.kind == RmaOp::Kind::Put) rt::spin_for_ns(sim_put_ns_);  // simulated-CPU mode
+  const auto& peer = w->global->peers[static_cast<std::size_t>(op.target)];
+  if (op.kind != RmaOp::Kind::PutVa) {
+    if (Err e = rma_offset(peer, op.disp, tbytes, &op.offset); !ok(e)) return e;
+  }
 
   if (device_ == DeviceKind::Orig) {
-    WindowLocal::PendingOp pop;
-    pop.kind = WindowLocal::PendingOp::Kind::GetAcc;
-    pop.target = target;
-    pop.disp = target_disp;
-    pop.target_count = count;
-    pop.target_dt = dt_;
-    pop.op = op;
-    pop.result = result;
-    pop.result_count = count;
-    pop.result_dt = dt_;
-    pop.data.resize(bytes);
-    dt::pack(types_, origin, count, dt_, pop.data.data());
-    w->pending.push_back(std::move(pop));
+    // CH3-style: analyze, record, defer. A put's layered path is charged
+    // here, and every op is issued as an active message at synchronization.
+    if (op.kind == RmaOp::Kind::Put) {
+      cost::charge(cost::Category::OrigLayering,
+                   cost::kOrigPutLayerCalls + cost::kOrigPutGenericChecks +
+                       cost::kOrigPutAmBuild + cost::kOrigPutOpQueue +
+                       cost::kOrigPutPt2ptIssue);
+      cost::charge(cost::Category::MandObject, cost::kMandObjectDeref);
+      comm_obj(w->comm)->map.to_world(op.target);  // translation still happens
+    }
+    if (op.kind != RmaOp::Kind::Get) op.pack(types_);
+    w->pending.push_back(std::move(op));
     return Err::Success;
   }
 
-  const auto& peer = w->global->peers[static_cast<std::size_t>(target)];
-  std::byte* dst = peer.base + target_disp * static_cast<std::uint64_t>(peer.disp_unit);
-  const Rank dst_world = w->global->world_ranks[static_cast<std::size_t>(target)];
-  fabric_.charge_injection(self_, dst_world);
-  std::lock_guard<std::mutex> lk(*w->global->acc_locks[static_cast<std::size_t>(target)]);
-  std::memcpy(result, dst, bytes);  // fetch old value
-  if (op == ReduceOp::NoOp) return Err::Success;
-  return coll::apply_op(op, dt_, dst, origin, static_cast<std::size_t>(count));
+  // ch4: window object access + netmod selection.
+  if (modeled) {
+    cost::charge(cost::Category::MandObject, cost::kMandObjectDeref);
+    if (op.kind == RmaOp::Kind::Put && !cfg_.ipo) {
+      cost::charge(cost::Category::Redundant, cost::kRedundantWinAttrs);
+      cost::charge(cost::Category::Redundant, cost::kRedundantDatatypeResolve);
+      cost::charge(cost::Category::Redundant, cost::kRedundantGenericCompletion);
+    }
+    comm_obj(w->comm)->map.to_world(op.target);  // network address translation
+    if (!acc) cost::charge(cost::Category::MandLocality, cost::kMandLocalitySelect);
+    cost::charge(cost::Category::MandRequest, cost::kMandRmaOpTracking);
+  }
+  if (op.kind != RmaOp::Kind::PutVa &&
+      !(types_.is_contiguous(op.origin_dt) && types_.is_contiguous(op.target_dt))) {
+    rma_am(*w, op);
+    return Err::Success;
+  }
+  // Direct access. put_va's proposal saves the offset -> virtual address
+  // translation (Section 3.2).
+  if (modeled) {
+    if (op.kind != RmaOp::Kind::PutVa) cost::charge(cost::Category::MandVa, cost::kMandVaTranslate);
+    cost::charge(cost::Category::MandInject, cost::kMandInjectResidualRma);
+  }
+  fabric_.charge_injection(self_, w->global->world_ranks[static_cast<std::size_t>(op.target)]);
+  std::byte* at = op.kind == RmaOp::Kind::PutVa ? static_cast<std::byte*>(op.target_va)
+                                                : peer.base + op.offset;
+  const std::size_t n = std::min(dt::packed_size(types_, op.origin_count, op.origin_dt), tbytes);
+  switch (op.kind) {
+    case RmaOp::Kind::Put: std::memcpy(at, op.origin, n); return Err::Success;
+    case RmaOp::Kind::PutVa:
+      dt::pack(types_, op.origin, op.origin_count, op.origin_dt, at);
+      return Err::Success;
+    case RmaOp::Kind::Get: std::memcpy(op.result, at, n); return Err::Success;
+    case RmaOp::Kind::Acc:
+    case RmaOp::Kind::GetAcc: break;
+  }
+  std::lock_guard<std::mutex> lk(*w->global->acc_locks[static_cast<std::size_t>(op.target)]);
+  if (op.kind == RmaOp::Kind::GetAcc) std::memcpy(op.result, at, n);  // fetch the old value
+  return coll::apply_op(op.op, op.origin_dt, at, op.origin,
+                        static_cast<std::size_t>(op.origin_count));
+}
+
+rt::Packet* Engine::am_packet(rt::PacketKind kind, std::uint8_t vci, std::uint32_t win_id) const {
+  rt::Packet* pkt = rt::PacketPool::alloc();
+  pkt->hdr.kind = kind;
+  pkt->hdr.vci = vci;
+  pkt->hdr.src_world = self_;
+  pkt->hdr.win_id = win_id;
+  return pkt;
+}
+
+void Engine::rma_am(WindowLocal& w, RmaOp& op) {
+  rt::PacketKind kind = rt::PacketKind::AmPut;
+  if (op.kind == RmaOp::Kind::Get) kind = rt::PacketKind::AmGetReq;
+  if (op.kind == RmaOp::Kind::Acc) kind = rt::PacketKind::AmAcc;
+  if (op.kind == RmaOp::Kind::GetAcc) kind = rt::PacketKind::AmGetAccReq;
+  rt::Packet* pkt = am_packet(kind, static_cast<std::uint8_t>(w.vci), w.global->id);
+  pkt->hdr.offset = op.offset;
+  pkt->hdr.dt_count = static_cast<std::uint32_t>(op.target_count);
+  pkt->hdr.op = static_cast<std::uint16_t>(op.op);
+  // A derived target type travels as its flattened layout, ahead of any data.
+  pkt->hdr.dt = is_builtin(op.target_dt) ? op.target_dt : kDatatypeNull;
+  if (pkt->hdr.dt == kDatatypeNull) pkt->payload = dt::serialize_info(*types_.info(op.target_dt));
+  if (op.kind != RmaOp::Kind::Get) {
+    if (op.data.empty()) op.pack(types_);  // ch4 packs here, orig at the call
+    pkt->hdr.total_bytes = op.data.size();
+    if (pkt->payload.empty()) {
+      pkt->payload = std::move(op.data);
+    } else {
+      pkt->payload.insert(pkt->payload.end(), op.data.begin(), op.data.end());
+    }
+  }
+  if (op.kind == RmaOp::Kind::Get || op.kind == RmaOp::Kind::GetAcc) {
+    // The reply lands through a request slot (handle_am, AmGetReply).
+    const Request r = alloc_request(RequestSlot::Kind::Recv, w.vci);
+    RequestSlot* slot = req_slot(r);
+    slot->rbuf = op.result;
+    slot->rcount = op.origin_count;
+    slot->rdt = op.origin_dt;
+    pkt->hdr.origin_req = r;
+  }
+  w.outstanding_acks.fetch_add(1, std::memory_order_release);
+  fabric_.inject(self_, w.global->world_ranks[static_cast<std::size_t>(op.target)], pkt);
 }
 
 // ---------------------------------------------------------------------------
@@ -576,7 +462,7 @@ Err Engine::rma_wait_acks(WindowLocal& w, std::uint32_t until) {
   return Err::Success;
 }
 
-Err Engine::orig_flush_pending(WindowLocal& w, Win win, Rank target) {
+Err Engine::orig_flush_pending(WindowLocal& w, Rank target) {
   if (device_ != DeviceKind::Orig) return Err::Success;
   // The deferred-op list is guarded by the window's channel lock (the data
   // movement entry points append under their VciGate). Recursive, so taking
@@ -587,74 +473,11 @@ Err Engine::orig_flush_pending(WindowLocal& w, Win win, Rank target) {
   for (WindowLocal::PendingOp& op : w.pending) {
     if (target >= 0 && op.target != target) {
       keep.push_back(std::move(op));
-      continue;
+    } else {
+      rma_am(w, op);
     }
-    const auto& peer = w.global->peers[static_cast<std::size_t>(op.target)];
-    const Rank dst_world = w.global->world_ranks[static_cast<std::size_t>(op.target)];
-    rt::Packet* pkt = rt::PacketPool::alloc();
-    pkt->hdr.vci = static_cast<std::uint8_t>(w.vci);
-    pkt->hdr.src_world = self_;
-    pkt->hdr.win_id = w.global->id;
-    pkt->hdr.offset = op.disp * static_cast<std::uint64_t>(peer.disp_unit);
-    pkt->hdr.dt_count = static_cast<std::uint32_t>(op.target_count);
-    pkt->hdr.op = static_cast<std::uint16_t>(op.op);
-    switch (op.kind) {
-      case WindowLocal::PendingOp::Kind::Put: {
-        pkt->hdr.kind = rt::PacketKind::AmPut;
-        pkt->hdr.total_bytes = op.data.size();
-        if (is_builtin(op.target_dt)) {
-          pkt->hdr.dt = op.target_dt;
-          pkt->payload = std::move(op.data);
-        } else {
-          pkt->hdr.dt = kDatatypeNull;
-          const std::vector<std::byte> blob = dt::serialize_info(*types_.info(op.target_dt));
-          pkt->payload.resize(blob.size() + op.data.size());
-          std::memcpy(pkt->payload.data(), blob.data(), blob.size());
-          std::memcpy(pkt->payload.data() + blob.size(), op.data.data(), op.data.size());
-        }
-        break;
-      }
-      case WindowLocal::PendingOp::Kind::Acc: {
-        pkt->hdr.kind = rt::PacketKind::AmAcc;
-        pkt->hdr.dt = op.target_dt;
-        pkt->payload = std::move(op.data);
-        pkt->hdr.total_bytes = pkt->payload.size();
-        break;
-      }
-      case WindowLocal::PendingOp::Kind::Get: {
-        pkt->hdr.kind = rt::PacketKind::AmGetReq;
-        Request r = alloc_request(RequestSlot::Kind::Recv, w.vci);
-        RequestSlot* slot = req_slot(r);
-        slot->rbuf = op.result;
-        slot->rcount = op.result_count;
-        slot->rdt = op.result_dt;
-        pkt->hdr.origin_req = r;
-        if (is_builtin(op.target_dt)) {
-          pkt->hdr.dt = op.target_dt;
-        } else {
-          pkt->hdr.dt = kDatatypeNull;
-          pkt->payload = dt::serialize_info(*types_.info(op.target_dt));
-        }
-        break;
-      }
-      case WindowLocal::PendingOp::Kind::GetAcc: {
-        pkt->hdr.kind = rt::PacketKind::AmGetAccReq;
-        Request r = alloc_request(RequestSlot::Kind::Recv, w.vci);
-        RequestSlot* slot = req_slot(r);
-        slot->rbuf = op.result;
-        slot->rcount = op.result_count;
-        slot->rdt = op.result_dt;
-        pkt->hdr.origin_req = r;
-        pkt->hdr.dt = op.target_dt;
-        pkt->payload = std::move(op.data);
-        break;
-      }
-    }
-    w.outstanding_acks.fetch_add(1, std::memory_order_release);
-    fabric_.inject(self_, dst_world, pkt);
   }
   w.pending = std::move(keep);
-  (void)win;
   return Err::Success;
 }
 
@@ -665,7 +488,7 @@ Err Engine::win_fence(Win win) {
   if (w == nullptr) return Err::Win;
   obs::BlockScope block(*this, "Win_fence");
   vcis_[w->vci]->counters.inc(obs::VciCtr::RmaFlush);
-  if (Err e = orig_flush_pending(*w, win, -1); !ok(e)) return e;
+  if (Err e = orig_flush_pending(*w, -1); !ok(e)) return e;
   if (Err e = rma_wait_acks(*w, 0); !ok(e)) return e;
   if (Err e = barrier(w->comm); !ok(e)) return e;
   w->epoch.store(WindowLocal::Epoch::Fence, std::memory_order_relaxed);
@@ -678,7 +501,7 @@ Err Engine::win_flush(Rank target, Win win) {
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   vcis_[w->vci]->counters.inc(obs::VciCtr::RmaFlush);
-  if (Err e = orig_flush_pending(*w, win, target); !ok(e)) return e;
+  if (Err e = orig_flush_pending(*w, target); !ok(e)) return e;
   // Per-target ack tracking is aggregate here; waiting for zero is a
   // (correct) over-approximation of flushing one target.
   return rma_wait_acks(*w, 0);
@@ -690,7 +513,7 @@ Err Engine::win_flush_all(Win win) {
   WindowLocal* w = win_obj(win);
   if (w == nullptr) return Err::Win;
   vcis_[w->vci]->counters.inc(obs::VciCtr::RmaFlush);
-  if (Err e = orig_flush_pending(*w, win, -1); !ok(e)) return e;
+  if (Err e = orig_flush_pending(*w, -1); !ok(e)) return e;
   return rma_wait_acks(*w, 0);
 }
 
@@ -720,11 +543,8 @@ Err Engine::win_lock(LockType type, Rank target, Win win) {
 
   // Orig: lock request AM; wait for the grant (recorded by the AM handler).
   held.store(kLockPendingGrant, std::memory_order_release);
-  rt::Packet* pkt = rt::PacketPool::alloc();
-  pkt->hdr.kind = rt::PacketKind::AmLockReq;
-  pkt->hdr.vci = static_cast<std::uint8_t>(w->vci);
-  pkt->hdr.src_world = self_;
-  pkt->hdr.win_id = w->global->id;
+  rt::Packet* pkt =
+      am_packet(rt::PacketKind::AmLockReq, static_cast<std::uint8_t>(w->vci), w->global->id);
   pkt->hdr.lock_type = static_cast<std::uint32_t>(type);
   fabric_.inject(self_, w->global->world_ranks[static_cast<std::size_t>(target)], pkt);
   block_until("Win_lock",
@@ -744,7 +564,7 @@ Err Engine::win_unlock(Rank target, Win win) {
   obs::BlockScope block(*this, "Win_unlock");
 
   // Complete all operations to the target before releasing.
-  if (Err e = orig_flush_pending(*w, win, target); !ok(e)) return e;
+  if (Err e = orig_flush_pending(*w, target); !ok(e)) return e;
   if (Err e = rma_wait_acks(*w, 0); !ok(e)) return e;
 
   if (device_ == DeviceKind::Ch4) {
@@ -759,11 +579,8 @@ Err Engine::win_unlock(Rank target, Win win) {
   }
 
   state.store(kLockPendingUnlock, std::memory_order_release);
-  rt::Packet* pkt = rt::PacketPool::alloc();
-  pkt->hdr.kind = rt::PacketKind::AmUnlock;
-  pkt->hdr.vci = static_cast<std::uint8_t>(w->vci);
-  pkt->hdr.src_world = self_;
-  pkt->hdr.win_id = w->global->id;
+  rt::Packet* pkt =
+      am_packet(rt::PacketKind::AmUnlock, static_cast<std::uint8_t>(w->vci), w->global->id);
   pkt->hdr.lock_type =
       static_cast<std::uint32_t>(held == kLockExclusive ? LockType::Exclusive : LockType::Shared);
   fabric_.inject(self_, w->global->world_ranks[static_cast<std::size_t>(target)], pkt);
@@ -834,12 +651,9 @@ Err Engine::win_post(Group group, Win win) {
   }
   w->pscw_exposure_group = origins;
   for (Rank origin : origins) {
-    rt::Packet* pkt = rt::PacketPool::alloc();
-    pkt->hdr.kind = rt::PacketKind::AmPscwPost;
-    pkt->hdr.vci = static_cast<std::uint8_t>(w->vci);
-    pkt->hdr.src_world = self_;
-    pkt->hdr.win_id = w->global->id;
-    fabric_.inject(self_, origin, pkt);
+    fabric_.inject(self_, origin,
+                   am_packet(rt::PacketKind::AmPscwPost, static_cast<std::uint8_t>(w->vci),
+                             w->global->id));
   }
   return Err::Success;
 }
@@ -868,15 +682,12 @@ Err Engine::win_complete(Win win) {
   if (w->epoch.load(std::memory_order_relaxed) != WindowLocal::Epoch::Pscw) {
     return Err::RmaSync;
   }
-  if (Err e = orig_flush_pending(*w, win, -1); !ok(e)) return e;
+  if (Err e = orig_flush_pending(*w, -1); !ok(e)) return e;
   if (Err e = rma_wait_acks(*w, 0); !ok(e)) return e;
   for (Rank target : w->pscw_access_group) {
-    rt::Packet* pkt = rt::PacketPool::alloc();
-    pkt->hdr.kind = rt::PacketKind::AmPscwComplete;
-    pkt->hdr.vci = static_cast<std::uint8_t>(w->vci);
-    pkt->hdr.src_world = self_;
-    pkt->hdr.win_id = w->global->id;
-    fabric_.inject(self_, target, pkt);
+    fabric_.inject(self_, target,
+                   am_packet(rt::PacketKind::AmPscwComplete, static_cast<std::uint8_t>(w->vci),
+                             w->global->id));
   }
   w->pscw_access_group.clear();
   w->epoch.store(WindowLocal::Epoch::None, std::memory_order_relaxed);
@@ -900,17 +711,6 @@ Err Engine::win_wait(Win win) {
 // ---------------------------------------------------------------------------
 // Target-side active-message servicing
 // ---------------------------------------------------------------------------
-
-void Engine::send_am_ack(Rank origin_world, std::uint32_t origin_req, std::uint32_t win_id,
-                         std::uint8_t vci) {
-  rt::Packet* ack = rt::PacketPool::alloc();
-  ack->hdr.kind = rt::PacketKind::AmAck;
-  ack->hdr.vci = vci;  // stay on the originating operation's channel
-  ack->hdr.src_world = self_;
-  ack->hdr.win_id = win_id;
-  ack->hdr.origin_req = origin_req;
-  fabric_.inject(self_, origin_world, ack);
-}
 
 void Engine::handle_am(rt::Packet* pkt) {
   // Locate the local window attached to this global id. The scan reads only
@@ -940,6 +740,12 @@ void Engine::handle_am(rt::Packet* pkt) {
   };
   const std::size_t me = my_rank_in_win();
   std::byte* base = w->global->peers[me].base;
+  // A target-side reply stays on the request's channel and names its request.
+  const auto reply = [&](rt::PacketKind kind) {
+    rt::Packet* r = am_packet(kind, pkt->hdr.vci, pkt->hdr.win_id);
+    r->hdr.origin_req = pkt->hdr.origin_req;
+    return r;
+  };
 
   switch (pkt->hdr.kind) {
     case rt::PacketKind::AmPut: {
@@ -951,53 +757,41 @@ void Engine::handle_am(rt::Packet* pkt) {
         dt::unpack_info(parsed->first, body.data() + parsed->second, pkt->hdr.total_bytes,
                         base + pkt->hdr.offset, static_cast<int>(pkt->hdr.dt_count));
       }
-      send_am_ack(pkt->hdr.src_world, pkt->hdr.origin_req, pkt->hdr.win_id, pkt->hdr.vci);
+      fabric_.inject(self_, pkt->hdr.src_world, reply(rt::PacketKind::AmAck));
       break;
     }
     case rt::PacketKind::AmAcc: {
       std::lock_guard<std::mutex> lk(*w->global->acc_locks[me]);
       coll::apply_op(static_cast<ReduceOp>(pkt->hdr.op), pkt->hdr.dt, base + pkt->hdr.offset,
                      pkt->payload.data(), pkt->hdr.dt_count);
-      send_am_ack(pkt->hdr.src_world, pkt->hdr.origin_req, pkt->hdr.win_id, pkt->hdr.vci);
+      fabric_.inject(self_, pkt->hdr.src_world, reply(rt::PacketKind::AmAck));
       break;
     }
     case rt::PacketKind::AmGetReq: {
-      rt::Packet* reply = rt::PacketPool::alloc();
-      reply->hdr.kind = rt::PacketKind::AmGetReply;
-      reply->hdr.vci = pkt->hdr.vci;
-      reply->hdr.src_world = self_;
-      reply->hdr.win_id = pkt->hdr.win_id;
-      reply->hdr.origin_req = pkt->hdr.origin_req;
+      rt::Packet* data = reply(rt::PacketKind::AmGetReply);
       if (pkt->hdr.dt != kDatatypeNull) {
-        reply->payload.resize(
+        data->payload.resize(
             dt::packed_size(types_, static_cast<int>(pkt->hdr.dt_count), pkt->hdr.dt));
         dt::pack(types_, base + pkt->hdr.offset, static_cast<int>(pkt->hdr.dt_count),
-                 pkt->hdr.dt, reply->payload.data());
+                 pkt->hdr.dt, data->payload.data());
       } else if (auto parsed = dt::deserialize_info(pkt->payload)) {
-        reply->payload.resize(parsed->first.size * pkt->hdr.dt_count);
+        data->payload.resize(parsed->first.size * pkt->hdr.dt_count);
         dt::pack_info(parsed->first, base + pkt->hdr.offset,
-                      static_cast<int>(pkt->hdr.dt_count), reply->payload.data());
+                      static_cast<int>(pkt->hdr.dt_count), data->payload.data());
       }
-      fabric_.inject(self_, pkt->hdr.src_world, reply);
+      fabric_.inject(self_, pkt->hdr.src_world, data);
       break;
     }
     case rt::PacketKind::AmGetAccReq: {
-      rt::Packet* reply = rt::PacketPool::alloc();
-      reply->hdr.kind = rt::PacketKind::AmGetAccReply;
-      reply->hdr.vci = pkt->hdr.vci;
-      reply->hdr.src_world = self_;
-      reply->hdr.win_id = pkt->hdr.win_id;
-      reply->hdr.origin_req = pkt->hdr.origin_req;
+      rt::Packet* old = reply(rt::PacketKind::AmGetAccReply);
       {
         std::lock_guard<std::mutex> lk(*w->global->acc_locks[me]);
-        reply->payload.resize(pkt->payload.size());
-        std::memcpy(reply->payload.data(), base + pkt->hdr.offset, pkt->payload.size());
-        if (static_cast<ReduceOp>(pkt->hdr.op) != ReduceOp::NoOp) {
-          coll::apply_op(static_cast<ReduceOp>(pkt->hdr.op), pkt->hdr.dt,
-                         base + pkt->hdr.offset, pkt->payload.data(), pkt->hdr.dt_count);
-        }
+        old->payload.resize(pkt->payload.size());
+        std::memcpy(old->payload.data(), base + pkt->hdr.offset, pkt->payload.size());
+        coll::apply_op(static_cast<ReduceOp>(pkt->hdr.op), pkt->hdr.dt, base + pkt->hdr.offset,
+                       pkt->payload.data(), pkt->hdr.dt_count);
       }
-      fabric_.inject(self_, pkt->hdr.src_world, reply);
+      fabric_.inject(self_, pkt->hdr.src_world, old);
       break;
     }
     case rt::PacketKind::AmGetReply:
@@ -1028,11 +822,7 @@ void Engine::handle_am(rt::Packet* pkt) {
         } else {
           w->shared_count += 1;
         }
-        rt::Packet* grant = rt::PacketPool::alloc();
-        grant->hdr.kind = rt::PacketKind::AmLockGrant;
-        grant->hdr.vci = pkt->hdr.vci;
-        grant->hdr.src_world = self_;
-        grant->hdr.win_id = pkt->hdr.win_id;
+        rt::Packet* grant = reply(rt::PacketKind::AmLockGrant);
         grant->hdr.lock_type = pkt->hdr.lock_type;
         fabric_.inject(self_, pkt->hdr.src_world, grant);
       } else {
@@ -1076,20 +866,11 @@ void Engine::handle_am(rt::Packet* pkt) {
         } else {
           w->shared_count += 1;
         }
-        rt::Packet* grant = rt::PacketPool::alloc();
-        grant->hdr.kind = rt::PacketKind::AmLockGrant;
-        grant->hdr.vci = pkt->hdr.vci;
-        grant->hdr.src_world = self_;
-        grant->hdr.win_id = pkt->hdr.win_id;
+        rt::Packet* grant = reply(rt::PacketKind::AmLockGrant);
         grant->hdr.lock_type = static_cast<std::uint32_t>(next.type);
         fabric_.inject(self_, next.origin_world, grant);
       }
-      rt::Packet* ack = rt::PacketPool::alloc();
-      ack->hdr.kind = rt::PacketKind::AmUnlockAck;
-      ack->hdr.vci = pkt->hdr.vci;
-      ack->hdr.src_world = self_;
-      ack->hdr.win_id = pkt->hdr.win_id;
-      fabric_.inject(self_, pkt->hdr.src_world, ack);
+      fabric_.inject(self_, pkt->hdr.src_world, reply(rt::PacketKind::AmUnlockAck));
       break;
     }
     case rt::PacketKind::AmPscwPost: {

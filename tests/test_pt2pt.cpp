@@ -2,9 +2,14 @@
 // protocols, wildcards, ordering, truncation, and probe.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "util.hpp"
@@ -308,6 +313,53 @@ TEST(Pt2Pt, ProbeReportsEnvelope) {
       EXPECT_EQ(buf[2], 3.5);
     }
   });
+}
+
+// MPI-3.1 §3.11: a probe of MPI_PROC_NULL returns at once with source
+// MPI_PROC_NULL, tag MPI_ANY_TAG and count 0, checking on or off. A probe
+// that never returns fails the test after a deadline instead of hanging it:
+// nothing can wake a probe of a rank that sends nothing.
+TEST(Pt2Pt, ProbeOfProcNullReturnsAtOnce) {
+  for (const BuildConfig& b : {BuildConfig::dflt(), BuildConfig::no_err(),
+                               BuildConfig::no_err_single(),
+                               BuildConfig::no_err_single_ipo()}) {
+    WorldOptions o = fast_opts();
+    o.build = b;
+    std::atomic<bool> returned{false};
+    std::thread deadline([&] {
+      const auto until = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+      while (!returned.load(std::memory_order_acquire)) {
+        if (std::chrono::steady_clock::now() > until) {
+          std::fprintf(stderr, "probe(kProcNull) did not return in the %s build\n",
+                       b.label().c_str());
+          std::_Exit(1);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    });
+    spmd(1, [&](Engine& e) {
+      bool flag = false;
+      Status st;
+      st.source = 0;
+      st.tag = 0;
+      st.byte_count = 99;
+      EXPECT_EQ(e.iprobe(kProcNull, 5, kCommWorld, &flag, &st), Err::Success) << b.label();
+      EXPECT_TRUE(flag) << b.label();
+      EXPECT_EQ(st.source, kProcNull);
+      EXPECT_EQ(st.tag, kAnyTag);
+      EXPECT_EQ(st.byte_count, 0u);
+      st = Status{};
+      st.byte_count = 99;
+      EXPECT_EQ(e.probe(kProcNull, kAnyTag, kCommWorld, &st), Err::Success) << b.label();
+      EXPECT_EQ(st.source, kProcNull);
+      EXPECT_EQ(st.tag, kAnyTag);
+      EXPECT_EQ(st.byte_count, 0u);
+      // A null status is allowed, as for any probe.
+      EXPECT_EQ(e.probe(kProcNull, 0, kCommWorld, nullptr), Err::Success);
+    }, o);
+    returned.store(true, std::memory_order_release);
+    deadline.join();
+  }
 }
 
 TEST(Pt2Pt, CancelReleasesPostedReceive) {

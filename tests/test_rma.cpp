@@ -198,6 +198,33 @@ TEST_P(RmaDevice, LockAllSharedEpoch) {
       fast_opts(GetParam()));
 }
 
+TEST_P(RmaDevice, DispBoundsChecked) {
+  spmd(
+      2,
+      [](Engine& e) {
+        std::vector<int> mem(4, 0);
+        Win win = kWinNull;
+        ASSERT_EQ(e.win_create(mem.data(), mem.size() * sizeof(int), sizeof(int), kCommWorld,
+                               &win),
+                  Err::Success);
+        ASSERT_EQ(e.win_fence(win), Err::Success);
+        const int me = e.world_rank();
+        const int v = 10 + me;
+        EXPECT_EQ(e.put(&v, 1, kInt, 1, 4, 1, kInt, win), Err::Disp);  // one past end
+        EXPECT_EQ(e.put(&v, 1, kInt, 9, 0, 1, kInt, win), Err::Rank);  // bad target
+        // One origin per target location: two puts to one location in an
+        // epoch are erroneous. Rank 1's put covers the last valid disp.
+        EXPECT_EQ(e.put(&v, 1, kInt, 1, me == 0 ? 2u : 3u, 1, kInt, win), Err::Success);
+        ASSERT_EQ(e.win_fence(win), Err::Success);
+        if (me == 1) {
+          EXPECT_EQ(mem[2], 10);
+          EXPECT_EQ(mem[3], 11);
+        }
+        ASSERT_EQ(e.win_free(&win), Err::Success);
+      },
+      fast_opts(GetParam()));
+}
+
 INSTANTIATE_TEST_SUITE_P(BothDevices, RmaDevice,
                          ::testing::Values(DeviceKind::Ch4, DeviceKind::Orig));
 
@@ -311,30 +338,6 @@ TEST(Rma, EpochViolationDetected) {
     const auto disp = static_cast<std::uint64_t>(e.world_rank());
     EXPECT_EQ(e.put(&v, 1, kInt, 1, disp, 1, kInt, win), Err::Success);
     ASSERT_EQ(e.win_fence(win), Err::Success);
-    ASSERT_EQ(e.win_free(&win), Err::Success);
-  });
-}
-
-TEST(Rma, DispBoundsChecked) {
-  spmd(2, [](Engine& e) {
-    std::vector<int> mem(4, 0);
-    Win win = kWinNull;
-    ASSERT_EQ(e.win_create(mem.data(), mem.size() * sizeof(int), sizeof(int), kCommWorld,
-                           &win),
-              Err::Success);
-    ASSERT_EQ(e.win_fence(win), Err::Success);
-    const int me = e.world_rank();
-    const int v = 10 + me;
-    EXPECT_EQ(e.put(&v, 1, kInt, 1, 4, 1, kInt, win), Err::Disp);   // one past end
-    EXPECT_EQ(e.put(&v, 1, kInt, 9, 0, 1, kInt, win), Err::Rank);   // bad target
-    // One origin per target location: two puts to one location in an epoch
-    // are erroneous. Rank 1's put covers the last valid disp.
-    EXPECT_EQ(e.put(&v, 1, kInt, 1, me == 0 ? 2u : 3u, 1, kInt, win), Err::Success);
-    ASSERT_EQ(e.win_fence(win), Err::Success);
-    if (me == 1) {
-      EXPECT_EQ(mem[2], 10);
-      EXPECT_EQ(mem[3], 11);
-    }
     ASSERT_EQ(e.win_free(&win), Err::Success);
   });
 }
