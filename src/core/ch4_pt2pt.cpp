@@ -199,42 +199,38 @@ Err Engine::isend_all_opts(const void* buf, int count, Datatype dt, Rank world_d
   }
 
   cost::charge(cost::Category::MandRequest, cost::kAllOptsCounter);
-  rt::Packet* pkt = rt::PacketPool::alloc();
-  pkt->hdr.kind = rt::PacketKind::Eager;
-  pkt->hdr.match_mode = rt::MatchMode::ArrivalOrder;
-  pkt->hdr.ctx = c.ctx;
-  pkt->hdr.vci = static_cast<std::uint8_t>(c.vci);
-  pkt->hdr.src_comm_rank = c.rank;
-  pkt->hdr.src_world = self_;
-  pkt->hdr.tag = 0;
-  pkt->hdr.total_bytes = bytes;
-  if (types_.is_contiguous(dt)) {
-    pkt->set_payload(buf, bytes);
-  } else {
-    pkt->payload.resize(bytes);
-    dt::pack(types_, buf, count, dt, pkt->payload.data());
-  }
   cost::charge(cost::Category::MandInject, cost::kAllOptsInject);
   Vci& v = *vcis_[c.vci];
+  const auto vci8 = static_cast<std::uint8_t>(c.vci);
   // No latency record on this path: the stream ordinal only marks a sampled
-  // packet, so the receiver's matching sampled post can classify its wait.
-  if (v.lat.arm_send(world_dest)) pkt->hdr.sampled = 1;
+  // message, so the receiver's matching sampled post can classify its wait.
+  net::Lane::Record h{.ctx = c.ctx,
+                      .src_comm_rank = c.rank,
+                      .src_world = self_,
+                      .tag = 0,
+                      .match_mode = rt::MatchMode::ArrivalOrder,
+                      .vci = vci8,
+                      .sampled = v.lat.arm_send(world_dest)};
   obs::add_single_writer(v.sends_issued, 1);
   v.counters.inc(obs::VciCtr::SendEager);
   v.counters.inc(obs::VciCtr::SendNoreq);
+  obs::add_single_writer(v.busy_instr, cost::kAllOptsLocality + cost::kAllOptsCtxLoad +
+                                           cost::kAllOptsCounter + cost::kAllOptsAddrLoad +
+                                           cost::kAllOptsInject);
+  if (!cfg_.trace && bytes <= net::Lane::kInlineBytes) {
+    inject_record(world_dest, h, buf, count, dt, bytes);
+    return Err::Success;
+  }
+  rt::Packet* pkt = eager_packet(h, buf, count, dt, bytes);
   if (cfg_.trace) {
     const std::uint64_t seq = world_.next_trace_seq();
     pkt->hdr.seq = seq;
-    const auto vci8 = static_cast<std::uint8_t>(c.vci);
     trace_msg(v, obs::trace::Ev::SendPost, seq, vci8, world_dest, 0, bytes);
     trace_msg(v, obs::trace::Ev::Inject, seq, vci8, world_dest, 0, bytes);
     // _ALL_OPTS sends are counter-completed at injection; there is no later
     // per-request completion site to record.
     trace_msg(v, obs::trace::Ev::Complete, seq, vci8, world_dest, 0, bytes);
   }
-  obs::add_single_writer(v.busy_instr, cost::kAllOptsLocality + cost::kAllOptsCtxLoad +
-                                           cost::kAllOptsCounter + cost::kAllOptsAddrLoad +
-                                           cost::kAllOptsInject);
   fabric_.inject(self_, world_dest, pkt);
   return Err::Success;
 }
@@ -346,25 +342,23 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
   }
 
   if (eager) {
-    rt::Packet* pkt = rt::PacketPool::alloc();
-    pkt->hdr.kind = rt::PacketKind::Eager;
-    pkt->hdr.match_mode = match_mode;
-    pkt->hdr.ctx = ctx;
-    pkt->hdr.vci = static_cast<std::uint8_t>(c.vci);
-    pkt->hdr.src_comm_rank = c.rank;
-    pkt->hdr.src_world = self_;
-    pkt->hdr.tag = p.tag;
-    pkt->hdr.total_bytes = bytes;
-    if (types_.is_contiguous(p.dt)) {
-      pkt->set_payload(p.buf, bytes);
-    } else {
-      pkt->payload.resize(bytes);
-      dt::pack(types_, p.buf, p.count, p.dt, pkt->payload.data());
-    }
-    pkt->hdr.seq = tseq;
-    pkt->hdr.sampled = lat_t0 != 0;
+    net::Lane::Record h{.ctx = ctx,
+                        .src_comm_rank = c.rank,
+                        .src_world = self_,
+                        .tag = p.tag,
+                        .match_mode = match_mode,
+                        .vci = vci8,
+                        .sampled = lat_t0 != 0};
     cost::charge(cost::Category::MandInject, cost::kMandInjectResidual);
-    inject_or_queue(v, dst_world, pkt);
+    // The orig device's CH3 send queue holds Packets, and a traced message
+    // carries header fields a record has no room for.
+    if (device_ == DeviceKind::Ch4 && !cfg_.trace && bytes <= net::Lane::kInlineBytes) {
+      inject_record(dst_world, h, p.buf, p.count, p.dt, bytes);
+    } else {
+      rt::Packet* pkt = eager_packet(h, p.buf, p.count, p.dt, bytes);
+      pkt->hdr.seq = tseq;
+      inject_or_queue(v, dst_world, pkt);
+    }
     if (slot != nullptr) {
       // Eager sends complete locally on buffering.
       slot->complete.store(true, std::memory_order_release);
@@ -418,6 +412,39 @@ Err Engine::issue_send(const SendParams& p, const CommObject& c, Rank dst_world,
   obs::add_single_writer(v.sends_issued, 1);
   if (req != nullptr) *req = p.noreq ? kRequestNull : r;
   return Err::Success;
+}
+
+inline void Engine::inject_record(Rank dst_world, net::Lane::Record& h, const void* buf,
+                                  int count, Datatype dt, std::size_t bytes) {
+  std::byte packed[net::Lane::kInlineBytes];
+  h.len = static_cast<std::uint8_t>(bytes);
+  h.data = buf;
+  if (!types_.is_contiguous(dt)) {
+    dt::pack(types_, buf, count, dt, packed);
+    h.data = packed;
+  }
+  fabric_.inject(self_, dst_world, h);
+}
+
+rt::Packet* Engine::eager_packet(const net::Lane::Record& h, const void* buf, int count,
+                                 Datatype dt, std::size_t bytes) {
+  rt::Packet* pkt = rt::PacketPool::alloc();
+  pkt->hdr.kind = rt::PacketKind::Eager;
+  pkt->hdr.match_mode = h.match_mode;
+  pkt->hdr.ctx = h.ctx;
+  pkt->hdr.vci = h.vci;
+  pkt->hdr.src_comm_rank = h.src_comm_rank;
+  pkt->hdr.src_world = h.src_world;
+  pkt->hdr.tag = h.tag;
+  pkt->hdr.total_bytes = bytes;
+  pkt->hdr.sampled = h.sampled;
+  if (types_.is_contiguous(dt)) {
+    pkt->set_payload(buf, bytes);
+  } else {
+    pkt->payload.resize(bytes);
+    dt::pack(types_, buf, count, dt, pkt->payload.data());
+  }
+  return pkt;
 }
 
 void Engine::inject_or_queue(Vci& v, Rank dst_world, rt::Packet* pkt) {

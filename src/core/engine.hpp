@@ -420,8 +420,10 @@ class Engine {
       std::vector<std::byte> data{};  // origin data packed by pack()
 
       // Pack the origin data into `data`: orig does it at the call, ch4 when
-      // it sends a noncontiguous put as an active message.
+      // it sends a noncontiguous put as an active message. MPI_NO_OP ignores
+      // the origin (get_accumulate may pass a null one), so it packs nothing.
       void pack(const dt::TypeEngine& types) {
+        if (op == ReduceOp::NoOp) return;
         data.resize(dt::packed_size(types, origin_count, origin_dt));
         dt::pack(types, origin, origin_count, origin_dt, data.data());
       }
@@ -549,6 +551,19 @@ class Engine {
   // both devices (orig queues, ch4 injects inline). Locks the owning VCI.
   Err issue_send(const SendParams& p, const CommObject& c, Rank dst_world, Request* req);
   void inject_or_queue(Vci& v, Rank dst_world, rt::Packet* pkt);
+  // The two forms of an eager message whose header is `h` and whose payload
+  // is the `bytes` packed bytes of (buf, count, dt). inject_record sends an
+  // untraced message of at most net::Lane::kInlineBytes straight into its
+  // lane cell, with no Packet: contiguous data is read in place, and a
+  // noncontiguous type packs into a stack buffer first. eager_packet builds
+  // the Packet every other eager message travels in. inject_record is
+  // defined (and only used) in ch4_pt2pt.cpp, and inlined so the small send
+  // gains no call.
+  [[gnu::always_inline]] inline void inject_record(Rank dst_world, net::Lane::Record& h,
+                                                   const void* buf, int count, Datatype dt,
+                                                   std::size_t bytes);
+  rt::Packet* eager_packet(const net::Lane::Record& h, const void* buf, int count, Datatype dt,
+                           std::size_t bytes);
 
   // ---- the protocol's edges: each owns its charge, counters, latency
   // record, wait classification and trace event, and is written once ----
@@ -686,8 +701,10 @@ class Engine {
   Err rma_op(Win win, RmaOp op);
   // The RMA validator: one pass over (win, target, origin count/buf/dt,
   // target dt, op, disp) and the access epoch, by the rule of op's kind;
-  // `target_bytes` is the packed size of the target count and datatype.
-  Err rma_validate(const WindowLocal* w, const RmaOp& op, std::size_t target_bytes) const noexcept;
+  // the target access touches `below` bytes before its address and `above`
+  // bytes from it on (rma_op computes them from the target count and type).
+  Err rma_validate(const WindowLocal* w, const RmaOp& op, std::uint64_t below,
+                   std::uint64_t above) const noexcept;
   // Send `op` as its active message, the one builder for both devices.
   void rma_am(WindowLocal& w, RmaOp& op);
   // A packet of `kind` about window `win_id` on channel `vci`: the header

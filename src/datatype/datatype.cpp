@@ -99,11 +99,6 @@ const TypeInfo* TypeEngine::info(Datatype d) const noexcept {
 
 bool TypeEngine::valid(Datatype d) const noexcept { return info(d) != nullptr; }
 
-bool TypeEngine::committed_or_builtin(Datatype d) const noexcept {
-  const TypeInfo* i = info(d);
-  return i != nullptr && i->committed;
-}
-
 Err TypeEngine::get_size(Datatype d, std::size_t* size) const noexcept {
   const TypeInfo* i = info(d);
   if (i == nullptr) return Err::Datatype;
@@ -117,11 +112,6 @@ Err TypeEngine::get_extent(Datatype d, std::int64_t* lb, std::int64_t* extent) c
   *lb = i->lb;
   *extent = i->extent;
   return Err::Success;
-}
-
-bool TypeEngine::is_contiguous(Datatype d) const noexcept {
-  const TypeInfo* i = info(d);
-  return i != nullptr && i->contiguous;
 }
 
 Err TypeEngine::register_type(TypeInfo info, Datatype* out) {
@@ -278,11 +268,25 @@ Err TypeEngine::free_type(Datatype* d) {
   return Err::Success;
 }
 
-std::size_t packed_size(const TypeEngine& eng, int count, Datatype d) noexcept {
-  if (count <= 0) return 0;
-  if (is_builtin(d)) return static_cast<std::size_t>(count) * builtin_size(d);
-  const TypeInfo* i = eng.info(d);
-  return i == nullptr ? 0 : static_cast<std::size_t>(count) * i->size;
+std::optional<std::pair<std::int64_t, std::int64_t>> touched(const TypeInfo& info,
+                                                             int count) noexcept {
+  if (count <= 0 || info.segments.empty()) return std::pair<std::int64_t, std::int64_t>{0, 0};
+  std::int64_t lo = info.segments.front().offset;  // sorted by offset
+  std::int64_t hi = lo;
+  for (const Segment& s : info.segments) {
+    std::int64_t end = 0;
+    if (__builtin_add_overflow(s.offset, static_cast<std::int64_t>(s.length), &end)) {
+      return std::nullopt;
+    }
+    hi = std::max(hi, end);
+  }
+  std::int64_t step = 0;  // the last element's base
+  if (__builtin_mul_overflow(static_cast<std::int64_t>(count - 1), info.extent, &step)) {
+    return std::nullopt;
+  }
+  std::int64_t& edge = step < 0 ? lo : hi;
+  if (__builtin_add_overflow(edge, step, &edge)) return std::nullopt;
+  return std::pair{lo, hi};
 }
 
 std::size_t pack_info(const TypeInfo& info, const void* src, int count,

@@ -1,7 +1,9 @@
 // Derived-datatype engine: construction, commit, flattening, pack/unpack.
 //
 // Builtin types are fully described by their handle (size encoded in the
-// handle bits), so the fast path never dereferences memory for them. Derived
+// handle bits), so the fast path never dereferences memory for them: the
+// queries a send or a put asks (validity, contiguity, packed size) answer a
+// builtin handle inline and call out of line only for a derived one. Derived
 // types are flattened at commit time into a sorted, merged list of
 // (offset, length) byte segments per element extent; pack/unpack and the
 // noncontiguous RMA/AM fallback walk that list.
@@ -64,10 +66,23 @@ class TypeEngine {
 
   // --- queries ---
   bool valid(Datatype d) const noexcept;
-  bool committed_or_builtin(Datatype d) const noexcept;
+  bool committed_or_builtin(Datatype d) const noexcept {
+    if (is_builtin(d)) [[likely]] return builtin_valid(d);
+    const TypeInfo* i = info(d);
+    return i != nullptr && i->committed;
+  }
   Err get_size(Datatype d, std::size_t* size) const noexcept;
   Err get_extent(Datatype d, std::int64_t* lb, std::int64_t* extent) const noexcept;
-  bool is_contiguous(Datatype d) const noexcept;
+  bool is_contiguous(Datatype d) const noexcept {
+    if (is_builtin(d)) [[likely]] return builtin_valid(d);
+    const TypeInfo* i = info(d);
+    return i != nullptr && i->contiguous;
+  }
+  // A builtin handle names a type iff its id is one of the table's; every
+  // builtin type is committed and contiguous.
+  static constexpr bool builtin_valid(Datatype d) noexcept {
+    return builtin_id(d) != 0 && builtin_id(d) < kNumBuiltinTypes;
+  }
 
   // Full flattened description; nullptr for invalid handles. For builtin
   // handles this returns a pointer into a static table.
@@ -84,8 +99,23 @@ class TypeEngine {
   std::size_t live_derived_ = 0;
 };
 
-// Total packed (contiguous) byte size of `count` elements of `d`.
-std::size_t packed_size(const TypeEngine& eng, int count, Datatype d) noexcept;
+// Total packed (contiguous) byte size of `count` elements of `d`; 0 for an
+// invalid handle.
+inline std::size_t packed_size(const TypeEngine& eng, int count, Datatype d) noexcept {
+  if (count <= 0) return 0;
+  if (is_builtin(d)) [[likely]] {
+    return TypeEngine::builtin_valid(d) ? static_cast<std::size_t>(count) * builtin_size(d) : 0;
+  }
+  const TypeInfo* i = eng.info(d);
+  return i == nullptr ? 0 : static_cast<std::size_t>(count) * i->size;
+}
+
+// The bytes [lo, hi) that `count` elements of `info` touch, as offsets from
+// the buffer address: its segments, repeated every extent, so a gap or a
+// segment below the address counts. Empty for count <= 0; nullopt when the
+// range does not fit in 64 bits.
+std::optional<std::pair<std::int64_t, std::int64_t>> touched(const TypeInfo& info,
+                                                             int count) noexcept;
 
 // Gather `count` elements of type `d` at `src` into the contiguous buffer
 // `dst` (which must hold packed_size bytes). Returns bytes written.

@@ -95,6 +95,17 @@ class Fabric {
     mod_->inject(src, dst, p);
   }
 
+  // Send a small eager message, written from its sender's arguments, to
+  // `dst` on the lane named by r.vci: the flow-through form of inject, which
+  // builds no Packet on the way (net/lane.hpp). Only an untraced world sends
+  // records, so a record takes no Lamport tick; a sampled one is stamped,
+  // and the profiler's matrix counts its bytes, as for a packet.
+  [[gnu::always_inline]] void inject(Rank src, Rank dst, Lane::Record& r) noexcept {
+    if (r.sampled != 0) [[unlikely]] r.send_ns = obs::lat_now_ns();
+    if (prof_ != nullptr) prof_->on_inject(src, dst, rt::PacketKind::Eager, r.len);
+    mod_->inject(src, dst, r);
+  }
+
   // Pay the per-message injection cost without transmitting anything. Used by
   // the ch4 direct (simulated-RDMA) RMA path: hardware still consumes a
   // descriptor slot per operation even though no software-visible packet flows.

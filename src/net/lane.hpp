@@ -10,17 +10,25 @@
 // queue and counter lines around them. Every other packet rides as a Packet*
 // in its cell.
 //
+// A record comes in two ways. The ch4 eager send writes a Record from its own
+// arguments (push(const Record&)), so no Packet exists on the sender's side;
+// and an inlinable Packet (the orig device's queued sends, tests) is read
+// into a Record and written by the same writer. Both forms share one claim:
+// the counters, the cell claim and the overflow rule, so each producer's
+// order holds whichever form it pushes.
+//
 // MPI's non-overtaking rule needs each producer's messages in FIFO order and
 // an unbounded mailbox. A producer claims a cell by CAS on the enqueue index,
 // so a full ring is detected rather than waited on; it then pushes onto an
 // intrusive MPSC overflow queue instead, and keeps doing so while overflow
-// that producers wrote earlier is still unconsumed. The consumer drains the
-// ring before the overflow, and takes an overflow packet only once no claimed
-// cell is left ahead of it.
+// that producers wrote earlier is still unconsumed. A Record that spills
+// becomes a Packet from the sender's pool, the one allocation left on the
+// record path. The consumer drains the ring before the overflow, and takes an
+// overflow packet only once no claimed cell is left ahead of it.
 //
-// Ownership: a record's Packet goes back to the sender's thread-local pool at
-// push, and poll builds the receiver's Packet from the receiver's pool, so on
-// the record path no Packet crosses threads.
+// Ownership: an inlinable Packet goes back to the sender's thread-local pool
+// at push, and poll builds the receiver's Packet from the receiver's pool, so
+// on the record path no Packet crosses threads.
 //
 // The cells are allocated by the first push (a world builds a lane per rank
 // and VCI, and most never carry traffic), and sit behind a pointer alone on a
@@ -64,40 +72,77 @@ class Lane {
   Lane(const Lane&) = delete;
   Lane& operator=(const Lane&) = delete;
 
+  // A small eager message as its sender hands it over: the fields a record
+  // cell carries, and `data`, which points at `len` <= kInlineBytes payload
+  // bytes that push copies into the cell. The netmod stamps deliver_at.
+  struct Record {
+    std::uint32_t ctx = 0;
+    Rank src_comm_rank = 0;
+    Rank src_world = 0;
+    Tag tag = 0;
+    rt::MatchMode match_mode = rt::MatchMode::Full;
+    std::uint8_t vci = 0;
+    std::uint8_t sampled = 0;
+    std::uint8_t len = 0;
+    const void* data = nullptr;
+    std::uint64_t send_ns = 0;
+    std::uint64_t deliver_at = 0;
+  };
+
   // Producer side, any thread. Takes ownership of `p`, whose deliver_at_ns the
   // netmod has stamped. Returns true when this push installed the cells, so
   // the caller can mark the lane live.
   bool push(rt::Packet* p) noexcept {
-    bool installed = false;
-    Cell* cells = cells_.load(std::memory_order_acquire);
-    if (cells == nullptr) [[unlikely]] cells = install(&installed);
     const std::size_t n = p->payload.size();
-    injected_.fetch_add(1, std::memory_order_relaxed);
-    injected_bytes_.fetch_add(n, std::memory_order_relaxed);
-    // An earlier overflow push that is still unconsumed may be this
-    // producer's own: the ring must not overtake it.
-    if (overflow_delivered_.load(std::memory_order_acquire) ==
-        overflows_.load(std::memory_order_relaxed)) {
-      std::uint64_t pos = enq_.load(std::memory_order_relaxed);
-      for (;;) {
-        Cell& c = cells[pos & (kCells - 1)];
-        const auto dif = static_cast<std::int64_t>(c.seq.load(std::memory_order_acquire) - pos);
-        if (dif == 0) {
-          if (enq_.compare_exchange_weak(pos, pos + 1, std::memory_order_relaxed)) {
-            fill(c, p, n);
-            c.seq.store(pos + 1, std::memory_order_release);
-            return installed;
-          }
-        } else if (dif < 0) {
-          break;  // full: the consumer has not freed this cell's last lap
-        } else {
-          pos = enq_.load(std::memory_order_relaxed);
-        }
-      }
+    bool installed = false;
+    std::uint64_t pos = 0;
+    Cell* c = claim(n, &pos, &installed);
+    if (c == nullptr) {
+      spill(p);
+      return installed;
     }
-    overflows_.fetch_add(1, std::memory_order_relaxed);
-    overflow_.push(p);
+    if (inlinable(*p, n)) {
+      write(*c, record(*p));
+      rt::PacketPool::free(p);  // back to the sender's own pool
+    } else {
+      c->deliver_at = p->deliver_at_ns;
+      c->len = kPointer;
+      c->pkt = p;
+    }
+    c->seq.store(pos + 1, std::memory_order_release);
     return installed;
+  }
+
+  // Producer side, any thread: the same, for a record the netmod has stamped.
+  bool push(const Record& r) noexcept {
+    bool installed = false;
+    std::uint64_t pos = 0;
+    if (Cell* c = claim(r.len, &pos, &installed)) {
+      write(*c, r);
+      c->seq.store(pos + 1, std::memory_order_release);
+    } else {
+      spill(packet(r));
+    }
+    return installed;
+  }
+
+  // The Packet form of a record, from the calling thread's pool: the
+  // receiver's, when poll reads a record cell; the sender's, when a record
+  // spills or must carry a header field a cell has no room for.
+  static rt::Packet* packet(const Record& r) {
+    rt::Packet* p = rt::PacketPool::alloc();
+    p->hdr.match_mode = r.match_mode;
+    p->hdr.vci = r.vci;
+    p->hdr.ctx = r.ctx;
+    p->hdr.src_comm_rank = r.src_comm_rank;
+    p->hdr.src_world = r.src_world;
+    p->hdr.tag = r.tag;
+    p->hdr.total_bytes = r.len;
+    p->hdr.sampled = r.sampled;
+    p->hdr.send_ns = r.send_ns;
+    p->deliver_at_ns = r.deliver_at;
+    p->set_payload(r.data, r.len);
+    return p;
   }
 
   // Consumer side: one thread at a time (the Engine's VCI lock). Returns the
@@ -108,7 +153,7 @@ class Lane {
       Cell& c = cells[d & (kCells - 1)];
       if (c.seq.load(std::memory_order_acquire) == d + 1) {
         if (c.deliver_at != 0 && c.deliver_at > rt::now_ns()) return nullptr;
-        rt::Packet* p = c.len == kPointer ? c.pkt : build(c);
+        rt::Packet* p = c.len == kPointer ? c.pkt : packet(record(c));
         c.seq.store(d + kCells, std::memory_order_release);
         deq_.store(d + 1, std::memory_order_relaxed);
         count_delivered(p);
@@ -195,41 +240,84 @@ class Lane {
            (h.seq | h.lclock | h.stall_ns) == 0;
   }
 
-  static void fill(Cell& c, rt::Packet* p, std::size_t n) noexcept {
-    c.deliver_at = p->deliver_at_ns;
-    if (!inlinable(*p, n)) {
-      c.len = kPointer;
-      c.pkt = p;
-      return;
-    }
-    const rt::PacketHeader& h = p->hdr;
-    c.send_ns = h.send_ns;
-    c.ctx = h.ctx;
-    c.src_comm_rank = h.src_comm_rank;
-    c.src_world = h.src_world;
-    c.tag = h.tag;
-    c.len = static_cast<std::uint8_t>(n);
-    c.match_mode = h.match_mode;
-    c.vci = h.vci;
-    c.sampled = h.sampled;
-    if (n != 0) std::memcpy(c.data, p->payload.data(), n);
-    rt::PacketPool::free(p);  // back to the sender's own pool
+  static Record record(const rt::Packet& p) noexcept {
+    const rt::PacketHeader& h = p.hdr;
+    return Record{.ctx = h.ctx,
+                  .src_comm_rank = h.src_comm_rank,
+                  .src_world = h.src_world,
+                  .tag = h.tag,
+                  .match_mode = h.match_mode,
+                  .vci = h.vci,
+                  .sampled = h.sampled,
+                  .len = static_cast<std::uint8_t>(p.payload.size()),
+                  .data = p.payload.data(),
+                  .send_ns = h.send_ns,
+                  .deliver_at = p.deliver_at_ns};
+  }
+  static Record record(const Cell& c) noexcept {
+    return Record{.ctx = c.ctx,
+                  .src_comm_rank = c.src_comm_rank,
+                  .src_world = c.src_world,
+                  .tag = c.tag,
+                  .match_mode = c.match_mode,
+                  .vci = c.vci,
+                  .sampled = c.sampled,
+                  .len = c.len,
+                  .data = c.data,
+                  .send_ns = c.send_ns,
+                  .deliver_at = c.deliver_at};
   }
 
-  static rt::Packet* build(const Cell& c) {
-    rt::Packet* p = rt::PacketPool::alloc();  // from the receiver's pool
-    p->hdr.match_mode = c.match_mode;
-    p->hdr.vci = c.vci;
-    p->hdr.ctx = c.ctx;
-    p->hdr.src_comm_rank = c.src_comm_rank;
-    p->hdr.src_world = c.src_world;
-    p->hdr.tag = c.tag;
-    p->hdr.total_bytes = c.len;
-    p->hdr.sampled = c.sampled;
-    p->hdr.send_ns = c.send_ns;
-    p->deliver_at_ns = c.deliver_at;
-    p->set_payload(c.data, c.len);
-    return p;
+  // The one record writer.
+  static void write(Cell& c, const Record& r) noexcept {
+    c.deliver_at = r.deliver_at;
+    c.send_ns = r.send_ns;
+    c.ctx = r.ctx;
+    c.src_comm_rank = r.src_comm_rank;
+    c.src_world = r.src_world;
+    c.tag = r.tag;
+    c.len = r.len;
+    c.match_mode = r.match_mode;
+    c.vci = r.vci;
+    c.sampled = r.sampled;
+    if (r.len != 0) std::memcpy(c.data, r.data, r.len);
+  }
+
+  // The one claim both push forms share. Counts the message as injected and
+  // returns the cell it claimed, whose sequence number the caller publishes
+  // as *pos + 1 once the cell is written; or nullptr when the message must
+  // spill, because the ring is full or an earlier overflow is unconsumed.
+  Cell* claim(std::size_t n, std::uint64_t* pos, bool* installed) noexcept {
+    Cell* cells = cells_.load(std::memory_order_acquire);
+    if (cells == nullptr) [[unlikely]] cells = install(installed);
+    injected_.fetch_add(1, std::memory_order_relaxed);
+    injected_bytes_.fetch_add(n, std::memory_order_relaxed);
+    // An earlier overflow push that is still unconsumed may be this
+    // producer's own: the ring must not overtake it.
+    if (overflow_delivered_.load(std::memory_order_acquire) !=
+        overflows_.load(std::memory_order_relaxed)) {
+      return nullptr;
+    }
+    std::uint64_t p = enq_.load(std::memory_order_relaxed);
+    for (;;) {
+      Cell& c = cells[p & (kCells - 1)];
+      const auto dif = static_cast<std::int64_t>(c.seq.load(std::memory_order_acquire) - p);
+      if (dif == 0) {
+        if (enq_.compare_exchange_weak(p, p + 1, std::memory_order_relaxed)) {
+          *pos = p;
+          return &c;
+        }
+      } else if (dif < 0) {
+        return nullptr;  // full: the consumer has not freed this cell's last lap
+      } else {
+        p = enq_.load(std::memory_order_relaxed);
+      }
+    }
+  }
+
+  void spill(rt::Packet* p) noexcept {
+    overflows_.fetch_add(1, std::memory_order_relaxed);
+    overflow_.push(p);
   }
 
   Cell* install(bool* installed) noexcept {

@@ -16,10 +16,11 @@
 //
 // Both backends deliver into the same receive lanes (net/lane.hpp): one ring
 // of one-line cells per (rank, vci), where a small eager message rides inline
-// as a record and every other packet as a pointer. The lane table, poll, the
-// counts and the doorbell live here, once; a backend owns only how a packet
-// gets to its lane (injection cost, maturation stamp, rdma's credits) and the
-// RDMA-semantics extensions.
+// as a record and every other packet as a pointer. The lane table, both
+// inject forms, poll, the counts and the doorbell live here, once; a backend
+// owns only its admission -- the per-message work between a send and its
+// lane: injection cost, blackhole drop, maturation stamp and rdma's credit
+// draw -- and the RDMA-semantics extensions.
 //
 // The interface is the contract the Engine's progress/pt2pt/RMA paths program
 // against: inject / charge_injection / poll, the doorbell ready / ready_any
@@ -41,10 +42,8 @@
 #include "net/lane.hpp"
 #include "net/profile.hpp"
 #include "obs/counters.hpp"
-
-namespace lwmpi::rt {
-struct Packet;
-}
+#include "runtime/backoff.hpp"
+#include "runtime/packet.hpp"
 
 namespace lwmpi::net {
 
@@ -81,12 +80,44 @@ class Netmod {
 
   // --- mandatory transport operations ---------------------------------------
   // Send `p` to rank `dst` on the lane named by p->hdr.vci; takes ownership.
-  // Pays the injection cost, stamps the maturation time and delivers it.
-  virtual void inject(Rank src, Rank dst, rt::Packet* p) noexcept = 0;
+  // Admits it (injection cost, drop or maturation stamp, credit) and delivers
+  // it. An RdvDone control packet trails the one-sided data rdma_write moved:
+  // its own payload is empty, but it must not overtake the wire time of the
+  // data it confirms, so it is admitted with that data's size.
+  void inject(Rank src, Rank dst, rt::Packet* p) noexcept {
+    const int lane = p->hdr.vci < lanes_ ? p->hdr.vci : 0;
+    const std::uint64_t wire_bytes =
+        p->hdr.kind == rt::PacketKind::RdvDone ? p->hdr.total_bytes : p->payload.size();
+    const Admission a = admit(src, dst, lane, wire_bytes);
+    if (a.dropped) {
+      rt::PacketPool::free(p);
+      return;
+    }
+    p->deliver_at_ns = a.deliver_at;
+    p->hdr.stall_ns = a.stall_ns;
+    deliver(dst, lane, p);
+  }
+  // The same for a small eager message written from its sender's arguments:
+  // the blackhole drops it before anything is allocated or copied, and the
+  // lane copies its payload into a cell. A record that stalled for an rdma
+  // credit becomes a Packet, whose header carries the stall.
+  [[gnu::always_inline]] void inject(Rank src, Rank dst, Lane::Record& r) noexcept {
+    const int lane = r.vci < lanes_ ? r.vci : 0;
+    const Admission a = admit(src, dst, lane, r.len);
+    if (a.dropped) return;
+    r.deliver_at = a.deliver_at;
+    if (a.stall_ns != 0) [[unlikely]] {
+      rt::Packet* p = Lane::packet(r);
+      p->hdr.stall_ns = a.stall_ns;
+      deliver(dst, lane, p);
+      return;
+    }
+    deliver(dst, lane, r);
+  }
   // Pay the per-message injection cost without transmitting anything (the ch4
   // direct/simulated-RDMA RMA path: the NIC consumes a descriptor slot even
   // though no software-visible packet flows).
-  virtual void charge_injection(Rank src, Rank dst) noexcept = 0;
+  void charge_injection(Rank src, Rank dst) noexcept { rt::spin_for_ns(inject_cost(src, dst)); }
 
   // --- the receive lanes, shared by every backend ------------------------------
   // `vci` is in [0, lanes_per_rank()); the Fabric facade clamps it.
@@ -189,13 +220,33 @@ class Netmod {
   int node_of(Rank r) const noexcept { return static_cast<int>(r) / ranks_per_node_; }
   bool same_node(Rank a, Rank b) const noexcept { return node_of(a) == node_of(b); }
   const Profile& profile() const noexcept { return profile_; }
+  // The profile's per-message injection cost from `src` to `dst`: the shmmod
+  // cost within a node, the netmod cost across. The node lookup divides, so
+  // it runs only when the two costs differ.
+  std::uint64_t inject_cost(Rank src, Rank dst) const noexcept {
+    if (profile_.shm_inject_cost_ns == profile_.inject_cost_ns) return profile_.inject_cost_ns;
+    return same_node(src, dst) ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns;
+  }
 
  protected:
-  // Hand a packet whose maturation time is stamped to `dst`'s lane `vci`,
-  // which the caller has bounded to [0, lanes_). The push that installs a
-  // lane's cells marks the lane live for ready_any.
-  void deliver(Rank dst, int vci, rt::Packet* p) noexcept {
-    if (lane_at(dst, vci).push(p)) [[unlikely]] {
+  // A backend's decision on one message bound for (dst, lane).
+  struct Admission {
+    std::uint64_t deliver_at = 0;  // maturation time, 0 for "now"
+    std::uint32_t stall_ns = 0;    // ns the sender waited for a ring credit
+    bool dropped = false;          // the blackhole took it
+  };
+  // The backend's per-message work, which both inject forms call once: pay
+  // the injection cost, then drop the message (counting it with count_drop)
+  // or stamp its maturation time for `wire_bytes` on the wire and draw what
+  // the mechanism needs before it may be delivered.
+  virtual Admission admit(Rank src, Rank dst, int lane, std::uint64_t wire_bytes) noexcept = 0;
+
+  // Hand a packet or record whose maturation time is stamped to `dst`'s lane
+  // `vci`, which the caller has bounded to [0, lanes_). The push that installs
+  // a lane's cells marks the lane live for ready_any.
+  template <class Msg>
+  void deliver(Rank dst, int vci, Msg&& m) noexcept {
+    if (lane_at(dst, vci).push(m)) [[unlikely]] {
       live_[static_cast<std::size_t>(dst)].bits.fetch_or(std::uint64_t{1} << (vci % 64),
                                                           std::memory_order_release);
     }

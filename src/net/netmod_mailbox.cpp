@@ -23,28 +23,19 @@ class MailboxNetmod final : public Netmod {
 
   std::string_view name() const noexcept override { return "mailbox"; }
 
-  void inject(Rank src, Rank dst, rt::Packet* p) noexcept override {
-    const bool local = same_node(src, dst);
-    const std::uint64_t inject_cost =
-        local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns;
-    rt::spin_for_ns(inject_cost);
+ private:
+  Admission admit(Rank src, Rank dst, int lane, std::uint64_t wire_bytes) noexcept override {
+    rt::spin_for_ns(inject_cost(src, dst));
 
-    const int lane = p->hdr.vci < lanes_ ? p->hdr.vci : 0;
     if (profile_.blackhole) {
       count_drop(src, lane);
-      rt::PacketPool::free(p);
-      return;
+      return {.dropped = true};
     }
 
-    const std::uint64_t latency = local ? profile_.shm_latency_ns : profile_.latency_ns;
-    const std::uint64_t wire = profile_.serialization_ns(p->payload.size());
-    p->deliver_at_ns = (latency || wire) ? rt::now_ns() + latency + wire : 0;
-    deliver(dst, lane, p);
-  }
-
-  void charge_injection(Rank src, Rank dst) noexcept override {
     const bool local = same_node(src, dst);
-    rt::spin_for_ns(local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns);
+    const std::uint64_t latency = local ? profile_.shm_latency_ns : profile_.latency_ns;
+    const std::uint64_t wire = profile_.serialization_ns(wire_bytes);
+    return {.deliver_at = (latency || wire) ? rt::now_ns() + latency + wire : 0};
   }
 };
 

@@ -56,41 +56,6 @@ class RdmaNetmod final : public Netmod {
 
   std::string_view name() const noexcept override { return "rdma"; }
 
-  void inject(Rank src, Rank dst, rt::Packet* p) noexcept override {
-    const bool local = same_node(src, dst);
-    rt::spin_for_ns(local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns);
-
-    const int lane = p->hdr.vci < lanes_ ? p->hdr.vci : 0;
-    if (profile_.blackhole) {
-      count_drop(src, lane);
-      rt::PacketPool::free(p);
-      return;
-    }
-
-    const std::uint64_t latency = local ? profile_.shm_latency_ns : profile_.latency_ns;
-    // An RdvDone control packet trails the one-sided data written by
-    // rdma_write: its own payload is empty, but it must not overtake the
-    // wire time of the data it confirms, so it carries that serialization.
-    const std::uint64_t wire_bytes = p->hdr.kind == rt::PacketKind::RdvDone
-                                         ? p->hdr.total_bytes
-                                         : p->payload.size();
-    const std::uint64_t wire = profile_.serialization_ns(wire_bytes);
-    p->deliver_at_ns = (latency || wire) ? rt::now_ns() + latency + wire : 0;
-
-    const std::uint64_t stall = acquire_credit(rings_[index(dst, lane)], src);
-    // Carry the credit-stall duration in the causal header so the receiver's
-    // wait classifier can attribute the delay without reaching back into the
-    // backend (saturating: a >4s stall is a hang, not a classification case).
-    // A stalled packet keeps its Packet: a lane record has no stall field.
-    p->hdr.stall_ns = stall > UINT32_MAX ? UINT32_MAX : static_cast<std::uint32_t>(stall);
-    deliver(dst, lane, p);
-  }
-
-  void charge_injection(Rank src, Rank dst) noexcept override {
-    const bool local = same_node(src, dst);
-    rt::spin_for_ns(local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns);
-  }
-
   // --- RDMA extensions --------------------------------------------------------
 
   bool rdma_capable() const noexcept override { return true; }
@@ -143,8 +108,7 @@ class RdmaNetmod final : public Netmod {
 
   void rdma_write(Rank src, Rank dst, const void* from, std::uint64_t rkey,
                   std::size_t bytes) noexcept override {
-    const bool local = same_node(src, dst);
-    rt::spin_for_ns(local ? profile_.shm_inject_cost_ns : profile_.inject_cost_ns);
+    rt::spin_for_ns(inject_cost(src, dst));
     RankState& rs = ranks_[static_cast<std::size_t>(src)];
     rs.zcopy_writes.fetch_add(1, std::memory_order_relaxed);
     rs.zcopy_bytes.fetch_add(bytes, std::memory_order_relaxed);
@@ -205,6 +169,28 @@ class RdmaNetmod final : public Netmod {
   }
 
  private:
+  Admission admit(Rank src, Rank dst, int lane, std::uint64_t wire_bytes) noexcept override {
+    rt::spin_for_ns(inject_cost(src, dst));
+
+    if (profile_.blackhole) {
+      count_drop(src, lane);
+      return {.dropped = true};
+    }
+
+    const bool local = same_node(src, dst);
+    const std::uint64_t latency = local ? profile_.shm_latency_ns : profile_.latency_ns;
+    const std::uint64_t wire = profile_.serialization_ns(wire_bytes);
+    Admission a{.deliver_at = (latency || wire) ? rt::now_ns() + latency + wire : 0};
+    const std::uint64_t stall = acquire_credit(rings_[index(dst, lane)], src);
+    // The credit-stall duration travels in the causal header so the
+    // receiver's wait classifier can attribute the delay without reaching
+    // back into the backend (saturating: a >4s stall is a hang, not a
+    // classification case). A stalled message keeps, or becomes, a Packet:
+    // a lane record has no stall field.
+    a.stall_ns = stall > UINT32_MAX ? UINT32_MAX : static_cast<std::uint32_t>(stall);
+    return a;
+  }
+
   // Credit state of one (rank, vci) eager ring: `credits` is the free-slot
   // count senders draw from. The packets travel through the shared lane.
   struct alignas(64) Ring {

@@ -41,17 +41,33 @@ constexpr std::uint8_t kLockPendingGrant = 3;
 constexpr std::uint8_t kLockPendingUnlock = 4;
 
 // The one place a displacement becomes an address: `disp` units of the
-// target's disp_unit, as a byte offset into its region with room for `bytes`
-// more. Err::Disp when they do not fit, or when disp * disp_unit overflows.
-Err rma_offset(const rma::WindowGlobal::Peer& peer, std::uint64_t disp, std::size_t bytes,
-               std::uint64_t* off) noexcept {
+// target's disp_unit, as a byte offset into its region with room for `below`
+// bytes before it and `above` bytes from it on. Err::Disp when they do not
+// fit, or when disp * disp_unit overflows.
+Err rma_offset(const rma::WindowGlobal::Peer& peer, std::uint64_t disp, std::uint64_t below,
+               std::uint64_t above, std::uint64_t* off) noexcept {
   std::uint64_t o = 0;
   if (__builtin_mul_overflow(disp, static_cast<std::uint64_t>(peer.disp_unit), &o) ||
-      o > peer.bytes || bytes > peer.bytes - o) {
+      o > peer.bytes || above > peer.bytes - o || below > o) {
     return Err::Disp;
   }
   *off = o;
   return Err::Success;
+}
+
+// The bytes `count` elements of the derived type `info` touch before and from
+// the target address: gaps and segments below the address count, so the
+// bound is the type's true span, not its packed size. A span too large to
+// represent fits no window.
+void derived_span(const dt::TypeInfo& info, int count, std::uint64_t* below,
+                  std::uint64_t* above) noexcept {
+  const auto t = dt::touched(info, count);
+  if (!t) {
+    *above = UINT64_MAX;
+    return;
+  }
+  *below = t->first < 0 ? 0 - static_cast<std::uint64_t>(t->first) : 0;
+  *above = t->second > 0 ? static_cast<std::uint64_t>(t->second) : 0;
 }
 }  // namespace
 
@@ -185,7 +201,7 @@ Err Engine::win_target_address(Rank target, std::uint64_t target_disp, Win win,
   if (target < 0 || target >= w->global->nranks) return Err::Rank;
   const auto& peer = w->global->peers[static_cast<std::size_t>(target)];
   std::uint64_t off = 0;
-  if (Err e = rma_offset(peer, target_disp, 0, &off); !ok(e)) return e;
+  if (Err e = rma_offset(peer, target_disp, 0, 0, &off); !ok(e)) return e;
   *addr = peer.base + off;
   return Err::Success;
 }
@@ -280,8 +296,8 @@ Err Engine::get_accumulate(const void* origin, int count, Datatype dt_, void* re
 // names no target datatype or displacement, and no MPI_PROC_NULL target.
 // Accumulates take basic types only (rma_op), so their origin datatype
 // carries no charge here.
-Err Engine::rma_validate(const WindowLocal* w, const RmaOp& op,
-                         std::size_t target_bytes) const noexcept {
+Err Engine::rma_validate(const WindowLocal* w, const RmaOp& op, std::uint64_t below,
+                         std::uint64_t above) const noexcept {
   cost::charge(cost::Category::ErrCheck, cost::kErrWinHandle);
   if (w == nullptr) return Err::Win;
   const bool acc = op.kind == RmaOp::Kind::Acc || op.kind == RmaOp::Kind::GetAcc;
@@ -293,7 +309,9 @@ Err Engine::rma_validate(const WindowLocal* w, const RmaOp& op,
   if (acc && !coll::op_defined(op.op, op.origin_dt)) return Err::Op;
   if (Err e = check_count(op.origin_count); !ok(e)) return e;
   cost::charge(cost::Category::ErrCheck, cost::kErrBuffer);
-  if (op.origin == nullptr && op.origin_count != 0) return Err::Buffer;
+  // get_accumulate ignores its origin under MPI_NO_OP, which may then be null.
+  const bool no_origin = op.kind == RmaOp::Kind::GetAcc && op.op == ReduceOp::NoOp;
+  if (op.origin == nullptr && op.origin_count != 0 && !no_origin) return Err::Buffer;
   if (!acc) {
     if (Err e = check_datatype(op.origin_dt); !ok(e)) return e;
   }
@@ -303,7 +321,7 @@ Err Engine::rma_validate(const WindowLocal* w, const RmaOp& op,
     if (!types_.committed_or_builtin(op.target_dt)) return Err::Datatype;
     std::uint64_t off = 0;
     const auto& peer = w->global->peers[static_cast<std::size_t>(op.target)];
-    if (Err e = rma_offset(peer, op.disp, target_bytes, &off); !ok(e)) return e;
+    if (Err e = rma_offset(peer, op.disp, below, above, &off); !ok(e)) return e;
   }
   // Fence, lock_all and PSCW epochs cover every target; a lock covers its own.
   const WindowLocal::Epoch ep = w->epoch.load(std::memory_order_relaxed);
@@ -328,8 +346,17 @@ Err Engine::rma_op(Win win, RmaOp op) {
                cost::kThreadGateRma);
   if (acc && !is_builtin(op.origin_dt)) return Err::Datatype;  // in every build
   const std::size_t tbytes = dt::packed_size(types_, op.target_count, op.target_dt);
+  // The target bytes the op touches: a builtin's packed size from the target
+  // address on, a derived type's true span.
+  std::uint64_t below = 0;
+  std::uint64_t above = tbytes;
+  if (!is_builtin(op.target_dt)) [[unlikely]] {
+    if (const dt::TypeInfo* ti = types_.info(op.target_dt)) {
+      derived_span(*ti, op.target_count, &below, &above);
+    }
+  }
   if (cfg_.error_checking) {
-    if (Err e = rma_validate(w, op, tbytes); !ok(e)) return e;
+    if (Err e = rma_validate(w, op, below, above); !ok(e)) return e;
   }
   if (w == nullptr) return Err::Win;
   if (op.kind == RmaOp::Kind::PutVa && device_ != DeviceKind::Ch4) return Err::NotSupported;
@@ -341,7 +368,7 @@ Err Engine::rma_op(Win win, RmaOp op) {
   if (op.kind == RmaOp::Kind::Put) rt::spin_for_ns(sim_put_ns_);  // simulated-CPU mode
   const auto& peer = w->global->peers[static_cast<std::size_t>(op.target)];
   if (op.kind != RmaOp::Kind::PutVa) {
-    if (Err e = rma_offset(peer, op.disp, tbytes, &op.offset); !ok(e)) return e;
+    if (Err e = rma_offset(peer, op.disp, below, above, &op.offset); !ok(e)) return e;
   }
 
   if (device_ == DeviceKind::Orig) {
@@ -783,11 +810,15 @@ void Engine::handle_am(rt::Packet* pkt) {
       break;
     }
     case rt::PacketKind::AmGetAccReq: {
+      // The reply is sized by the target count: under MPI_NO_OP the request
+      // carries no origin data.
       rt::Packet* old = reply(rt::PacketKind::AmGetAccReply);
+      const std::size_t n =
+          dt::packed_size(types_, static_cast<int>(pkt->hdr.dt_count), pkt->hdr.dt);
       {
         std::lock_guard<std::mutex> lk(*w->global->acc_locks[me]);
-        old->payload.resize(pkt->payload.size());
-        std::memcpy(old->payload.data(), base + pkt->hdr.offset, pkt->payload.size());
+        old->payload.resize(n);
+        std::memcpy(old->payload.data(), base + pkt->hdr.offset, n);
         coll::apply_op(static_cast<ReduceOp>(pkt->hdr.op), pkt->hdr.dt, base + pkt->hdr.offset,
                        pkt->payload.data(), pkt->hdr.dt_count);
       }

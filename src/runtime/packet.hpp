@@ -90,8 +90,9 @@ struct Packet : MpscNode {
 };
 
 // Thread-local packet pool. A small untraced eager message crosses the fabric
-// as a lane record (net/lane.hpp): its Packet returns to the sender's pool at
-// injection and the receiver builds one from its own, so that traffic never
+// as a lane record (net/lane.hpp): the ch4 send writes it from its arguments
+// with no Packet, an inlinable Packet returns to the sender's pool at
+// injection, and the receiver builds one from its own, so that traffic never
 // moves packets between pools. A packet that rides its lane as a pointer
 // (larger payloads, rendezvous and RMA kinds, traced or credit-stalled
 // packets, a window that overflows the ring) is freed by the receiver and

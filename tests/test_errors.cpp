@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "util.hpp"
@@ -161,7 +163,17 @@ struct Args {
   ReduceOp op = ReduceOp::Sum;
 };
 
-void break_arg(Args& a, std::string_view arg, Datatype uncommitted) {
+// The derived types the rows break arguments with, built on the rank that
+// calls the entries.
+struct BadTypes {
+  Datatype uncommitted = kDatatypeNull;  // type_contiguous(1, kInt), never committed
+  Datatype two_ints = kDatatypeNull;     // type_contiguous(2, kInt)
+  Datatype gap = kDatatypeNull;          // type_vector(2, 1, 2, kInt): 8 bytes over 12
+  Datatype below = kDatatypeNull;        // an int at byte -4, resized to lb -4
+};
+
+void break_arg(Args& a, std::string_view arg, const BadTypes& t) {
+  const Datatype uncommitted = t.uncommitted;
   if (arg == "comm") a.comm = 0xdeadbeefu;
   if (arg == "win") a.win = make_handle(HandleKind::Win, 999);
   if (arg == "rank") a.peer = 2;
@@ -177,6 +189,15 @@ void break_arg(Args& a, std::string_view arg, Datatype uncommitted) {
   }
   if (arg == "disp_end") a.disp = 4;
   if (arg == "disp_wrap") a.disp = (std::uint64_t{1} << 62) + 1;  // x4 wraps to 4
+  // Target types whose packed size fits the window where their span does
+  // not: two ints with a gap at disp 2 reach byte 20 of 16, and an int
+  // below its address at disp 0 starts at byte -4.
+  if (arg == "gap_target") {
+    a.dt = t.two_ints;
+    a.target_dt = t.gap;
+    a.disp = 2;
+  }
+  if (arg == "below_target") a.target_dt = t.below;
 }
 
 Err call_entry(Engine& e, std::string_view entry, const Args& a, void* target_va) {
@@ -291,6 +312,8 @@ const Hostile kHostile[] = {
     {"put", "target_datatype", Err::Datatype},
     {"put", "disp_end", Err::Disp},
     {"put", "disp_wrap", Err::Disp},
+    {"put", "gap_target", Err::Disp},
+    {"put", "below_target", Err::Disp},
     {"put_va", "win", Err::Win},
     {"put_va", "rank", Err::Rank},
     {"put_va", "count", Err::Count},
@@ -304,6 +327,8 @@ const Hostile kHostile[] = {
     {"get", "target_datatype", Err::Datatype},
     {"get", "disp_end", Err::Disp},
     {"get", "disp_wrap", Err::Disp},
+    {"get", "gap_target", Err::Disp},
+    {"get", "below_target", Err::Disp},
     {"accumulate", "win", Err::Win},
     {"accumulate", "rank", Err::Rank},
     {"accumulate", "count", Err::Count},
@@ -336,8 +361,19 @@ TEST_P(HostileArgs, EveryEntryNamesEachBadArgument) {
               Err::Success);
     ASSERT_EQ(e.win_fence(win), Err::Success);
     if (e.world_rank() == 0) {
-      Datatype uncommitted = kDatatypeNull;
-      ASSERT_EQ(e.type_contiguous(1, kInt, &uncommitted), Err::Success);
+      BadTypes t;
+      ASSERT_EQ(e.type_contiguous(1, kInt, &t.uncommitted), Err::Success);
+      ASSERT_EQ(e.type_contiguous(2, kInt, &t.two_ints), Err::Success);
+      ASSERT_EQ(e.type_commit(&t.two_ints), Err::Success);
+      ASSERT_EQ(e.type_vector(2, 1, 2, kInt, &t.gap), Err::Success);
+      ASSERT_EQ(e.type_commit(&t.gap), Err::Success);
+      Datatype neg = kDatatypeNull;
+      const int one = 1;
+      const std::int64_t minus4 = -4;
+      ASSERT_EQ(e.type_create_hindexed({&one, 1}, {&minus4, 1}, kInt, &neg), Err::Success);
+      ASSERT_EQ(e.type_create_resized(neg, -4, 4, &t.below), Err::Success);
+      ASSERT_EQ(e.type_commit(&t.below), Err::Success);
+      ASSERT_EQ(e.type_free(&neg), Err::Success);
       void* target_va = nullptr;
       ASSERT_EQ(e.win_target_address(1, 0, win, &target_va), Err::Success);
       int data[2] = {5, 6};
@@ -345,12 +381,14 @@ TEST_P(HostileArgs, EveryEntryNamesEachBadArgument) {
         Args a;
         a.buf = data;
         a.win = win;
-        break_arg(a, h.arg, uncommitted);
+        break_arg(a, h.arg, t);
         EXPECT_EQ(call_entry(e, h.entry, a, target_va), h.expect) << h.entry << " " << h.arg;
       }
       EXPECT_EQ(e.live_requests(), 0u);
       EXPECT_EQ(e.posted_depth(), 0u);
-      ASSERT_EQ(e.type_free(&uncommitted), Err::Success);
+      for (Datatype* d : {&t.uncommitted, &t.two_ints, &t.gap, &t.below}) {
+        ASSERT_EQ(e.type_free(d), Err::Success);
+      }
     }
     ASSERT_EQ(e.win_fence(win), Err::Success);
     EXPECT_EQ(mem, std::vector<int>(4, 0));
@@ -360,6 +398,48 @@ TEST_P(HostileArgs, EveryEntryNamesEachBadArgument) {
 
 INSTANTIATE_TEST_SUITE_P(BothDevices, HostileArgs,
                          ::testing::Values(DeviceKind::Ch4, DeviceKind::Orig));
+
+// MPI_NO_OP ignores get_accumulate's origin, so a null one is valid: the call
+// fetches the target's value and leaves the target as it was, on both
+// devices, with checking on and off.
+class NoOpFetch : public ::testing::TestWithParam<std::tuple<DeviceKind, bool>> {};
+
+TEST_P(NoOpFetch, NullOriginFetchesAndLeavesTheTarget) {
+  const auto [device, checked] = GetParam();
+  WorldOptions o = fast_opts(device);
+  o.build = checked ? BuildConfig::dflt() : BuildConfig::no_err();
+  World w(2, o);
+  w.run([&](Engine& e) {
+    std::vector<int> mem = {10 + e.world_rank(), 20, 30, 40};
+    Win win = kWinNull;
+    ASSERT_EQ(e.win_create(mem.data(), mem.size() * sizeof(int), sizeof(int), kCommWorld,
+                           &win),
+              Err::Success);
+    ASSERT_EQ(e.win_fence(win), Err::Success);
+    int result[2] = {-1, -1};
+    if (e.world_rank() == 0) {
+      ASSERT_EQ(e.get_accumulate(nullptr, 2, kInt, result, 1, 1, ReduceOp::NoOp, win),
+                Err::Success);
+    }
+    ASSERT_EQ(e.win_fence(win), Err::Success);
+    if (e.world_rank() == 0) {
+      EXPECT_EQ(result[0], 20);
+      EXPECT_EQ(result[1], 30);
+    }
+    EXPECT_EQ(mem, (std::vector<int>{10 + e.world_rank(), 20, 30, 40}));
+    ASSERT_EQ(e.win_free(&win), Err::Success);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(BothDevicesBothChecks, NoOpFetch,
+                         ::testing::Combine(::testing::Values(DeviceKind::Ch4, DeviceKind::Orig),
+                                            ::testing::Bool()),
+                         [](const auto& info) {
+                           return std::string(std::get<0>(info.param) == DeviceKind::Ch4
+                                                  ? "ch4"
+                                                  : "orig") +
+                                  (std::get<1>(info.param) ? "_default" : "_no_err");
+                         });
 
 }  // namespace
 }  // namespace lwmpi

@@ -67,21 +67,26 @@ std::byte lane_byte(int producer, int i, std::size_t b) {
   return static_cast<std::byte>(producer * 67 + i * 13 + static_cast<int>(b) * 7);
 }
 
-// Message i comes in three shapes: one that fits a lane record, one larger
-// than a record, and one traced (seq and lclock set), which must keep its
-// Packet. The last two also carry fields no record has.
+// Message i comes in four shapes: a Packet that fits a lane record, one
+// larger than a record, one traced (seq and lclock set), which must keep its
+// Packet, and a record written from the sender's arguments through the
+// Fabric's record inject. The second and third also carry fields no record
+// has.
+constexpr int kShapes = 4;
+constexpr int kRecordShape = 3;
+
 std::size_t lane_msg_bytes(int i) {
   const auto u = static_cast<std::size_t>(i);
-  switch (i % 3) {
-    case 0: return u % (net::Lane::kInlineBytes + 1);
+  switch (i % kShapes) {
     case 1: return 100 + u % 50;
-    default: return 8;
+    case 2: return 8;
+    default: return u % (net::Lane::kInlineBytes + 1);
   }
 }
 
 rt::Packet* lane_msg(int producer, int i) {
   rt::Packet* k = rt::PacketPool::alloc();
-  const int shape = i % 3;
+  const int shape = i % kShapes;
   const std::size_t n = lane_msg_bytes(i);
   k->payload.resize(n);
   for (std::size_t b = 0; b < n; ++b) k->payload[b] = lane_byte(producer, i, b);
@@ -92,7 +97,7 @@ rt::Packet* lane_msg(int producer, int i) {
   k->hdr.tag = i;
   k->hdr.total_bytes = n;
   k->hdr.send_ns = static_cast<std::uint64_t>(i) + 1;
-  if (shape != 0) {
+  if (shape == 1 || shape == 2) {
     k->hdr.offset = static_cast<std::uint64_t>(i);
     k->hdr.origin_req = static_cast<std::uint32_t>(producer);
   }
@@ -103,9 +108,33 @@ rt::Packet* lane_msg(int producer, int i) {
   return k;
 }
 
+// Send message i of `producer` from world rank `src`: the record shape as a
+// Lane::Record whose payload lives on this stack frame, the others as the
+// Packet lane_msg builds.
+void send_lane_msg(net::Fabric& f, int producer, Rank src, Rank dst, int i) {
+  if (i % kShapes != kRecordShape) {
+    f.inject(src, dst, lane_msg(producer, i));
+    return;
+  }
+  std::array<std::byte, net::Lane::kInlineBytes> data{};
+  const std::size_t n = lane_msg_bytes(i);
+  for (std::size_t b = 0; b < n; ++b) data[b] = lane_byte(producer, i, b);
+  net::Lane::Record r{.ctx = static_cast<std::uint32_t>(7 + producer),
+                      .src_comm_rank = producer + 10,
+                      .src_world = producer,
+                      .tag = i,
+                      .match_mode = i % 2 != 0 ? rt::MatchMode::ArrivalOrder
+                                               : rt::MatchMode::Full,
+                      .len = static_cast<std::uint8_t>(n),
+                      .data = data.data(),
+                      .send_ns = static_cast<std::uint64_t>(i) + 1};
+  f.inject(src, dst, r);
+}
+
 // Every header field and payload byte of message i of `producer`, as sent.
 void expect_lane_msg(const rt::Packet& k, int producer, int i, bool rdma) {
-  const int shape = i % 3;
+  const int shape = i % kShapes;
+  const bool wide = shape == 1 || shape == 2;
   ASSERT_EQ(k.hdr.kind, rt::PacketKind::Eager);
   EXPECT_EQ(k.hdr.match_mode, i % 2 != 0 ? rt::MatchMode::ArrivalOrder : rt::MatchMode::Full);
   EXPECT_EQ(k.hdr.vci, 0);
@@ -116,8 +145,8 @@ void expect_lane_msg(const rt::Packet& k, int producer, int i, bool rdma) {
   EXPECT_EQ(k.hdr.total_bytes, k.payload.size());
   EXPECT_EQ(k.hdr.send_ns, static_cast<std::uint64_t>(i) + 1);
   EXPECT_EQ(k.hdr.sampled, 0);
-  EXPECT_EQ(k.hdr.offset, shape != 0 ? static_cast<std::uint64_t>(i) : 0u);
-  EXPECT_EQ(k.hdr.origin_req, shape != 0 ? static_cast<std::uint32_t>(producer) : 0u);
+  EXPECT_EQ(k.hdr.offset, wide ? static_cast<std::uint64_t>(i) : 0u);
+  EXPECT_EQ(k.hdr.origin_req, wide ? static_cast<std::uint32_t>(producer) : 0u);
   EXPECT_EQ(k.hdr.seq, shape == 2 ? static_cast<std::uint64_t>(i) + 1 : 0u);
   EXPECT_EQ(k.hdr.lclock, shape == 2 ? static_cast<std::uint64_t>(i) + 1 : 0u);
   if (!rdma) {  // an rdma packet may have waited for a credit
@@ -128,7 +157,8 @@ void expect_lane_msg(const rt::Packet& k, int producer, int i, bool rdma) {
   for (std::size_t b = 0; b < n; ++b) ASSERT_EQ(k.payload[b], lane_byte(producer, i, b)) << b;
 }
 
-// Three producers each push 20,000 messages into one lane. The consumer
+// Three producers each push 20,000 messages, in all four shapes, into one
+// lane: records and Packets share one claim and one overflow rule. The consumer
 // starts only once the ring has overflowed, drains phase one completely, and
 // then runs beside the producers' phase two, whose first push finds the
 // overflow drained and takes the ring again.
@@ -143,11 +173,7 @@ TEST_P(LaneOnBoth, KeepsEachProducersOrderThroughOverflow) {
   std::atomic<bool> phase2{false};
   std::uint64_t bytes = 0;
   for (int p = 0; p < kProducers; ++p) {
-    for (int i = 0; i < kPerProducer; ++i) {
-      rt::Packet* k = lane_msg(p, i);
-      bytes += k->payload.size();
-      rt::PacketPool::free(k);
-    }
+    for (int i = 0; i < kPerProducer; ++i) bytes += lane_msg_bytes(i);
   }
 
   std::vector<std::thread> threads;
@@ -158,7 +184,7 @@ TEST_P(LaneOnBoth, KeepsEachProducersOrderThroughOverflow) {
           rt::Backoff b;
           while (!phase2.load(std::memory_order_acquire)) b.pause();
         }
-        f.inject(producers[p], dst, lane_msg(p, i));
+        send_lane_msg(f, p, producers[p], dst, i);
       }
     });
   }
@@ -207,15 +233,15 @@ TEST_P(LaneOnBoth, KeepsEachProducersOrderThroughOverflow) {
 }
 
 // A record carries its maturation time: under a latency profile it is not
-// delivered before deliver_at, and neither is the packet queued behind it.
+// delivered before deliver_at, and neither is anything queued behind it --
+// one message of each shape, the record-sized Packet first.
 TEST_P(LaneOnBoth, RecordIsNotDeliveredBeforeItsDeliverAt) {
   net::Profile prof = net::psm2();
   prof.latency_ns = 2'000'000;  // 2 ms inter-node: far above any poll's cost
   net::Fabric f(2, 1, prof, 1, GetParam());
   const std::uint64_t t0 = rt::now_ns();
-  f.inject(0, 1, lane_msg(0, 0));  // fits a record
-  f.inject(0, 1, lane_msg(0, 1));  // a Packet
-  EXPECT_TRUE(f.ready(1, 0));      // the doorbell rings for an immature packet too
+  for (int i = 0; i < kShapes; ++i) send_lane_msg(f, 0, 0, 1, i);
+  EXPECT_TRUE(f.ready(1, 0));  // the doorbell rings for an immature packet too
   std::vector<std::pair<rt::Packet*, std::uint64_t>> got;  // packet, time polled
   const auto take = [&] {
     if (rt::Packet* k = f.poll(1, 0)) {
@@ -225,9 +251,9 @@ TEST_P(LaneOnBoth, RecordIsNotDeliveredBeforeItsDeliverAt) {
   };
   take();
   EXPECT_TRUE(got.empty()) << "delivered before its deliver_at";
-  while (got.size() < 2 && rt::now_ns() < t0 + 2'000'000'000) take();
-  ASSERT_EQ(got.size(), 2u);
-  for (int i = 0; i < 2; ++i) {
+  while (got.size() < kShapes && rt::now_ns() < t0 + 2'000'000'000) take();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kShapes));
+  for (int i = 0; i < kShapes; ++i) {
     const auto [k, t] = got[static_cast<std::size_t>(i)];
     EXPECT_GE(k->deliver_at_ns, t0 + prof.latency_ns);
     EXPECT_GE(t, k->deliver_at_ns);
@@ -236,9 +262,9 @@ TEST_P(LaneOnBoth, RecordIsNotDeliveredBeforeItsDeliverAt) {
   }
 }
 
-// A 1-byte eager message travels as a record: the sender's Packet goes back
-// to the sender's pool at injection, and the receiver builds its own, so
-// neither rank's pool drains into the other's. Rank 1 acks each window, so
+// A 1-byte eager message travels as a record: the sender builds no Packet,
+// and the receiver builds its own, so neither rank's pool drains into the
+// other's. Rank 1 acks each window, so
 // the backlog stays within the ring (a spilled packet keeps its Packet).
 TEST_P(LaneOnBoth, EagerBytePacketNeverLeavesItsThread) {
   constexpr int kMsgs = 10'000;
@@ -317,6 +343,44 @@ TEST(RdmaNetmod, DeliversInOrderAndCounts) {
   EXPECT_EQ(f.delivered(1), 5u);
   EXPECT_EQ(f.poll(1), nullptr);
   EXPECT_TRUE(f.idle(1));
+}
+
+// A ring one credit deep: each record after the first waits for the
+// consumer's credit, so it travels as a Packet whose header carries the
+// stall, and the producer's order holds across the two forms. The consumer
+// returns each credit only once the producer's next message is stalled.
+TEST(RdmaNetmod, StalledRecordArrivesAsAPacketCarryingItsStall) {
+  constexpr int kMsgs = 6;
+  net::Profile prof = net::loopback();
+  prof.rdma_ring_depth = 1;
+  net::Fabric f(2, 2, prof, 1, "rdma");
+  std::thread producer([&] {
+    for (int m = 0; m < kMsgs; ++m) send_lane_msg(f, 0, 0, 1, kShapes * m + kRecordShape);
+  });
+  for (int m = 0; m < kMsgs;) {
+    rt::Packet* k = f.poll(1, 0);
+    if (k == nullptr) continue;
+    const int i = kShapes * m + kRecordShape;
+    EXPECT_EQ(k->hdr.tag, i) << "out of order";
+    expect_lane_msg(*k, 0, i, true);
+    if (m == 0) {
+      EXPECT_EQ(k->hdr.stall_ns, 0u);
+    } else {
+      EXPECT_GT(k->hdr.stall_ns, 0u) << "message " << m;
+    }
+    rt::PacketPool::free(k);
+    ++m;
+    rt::Backoff b;
+    while (m < kMsgs && f.net_stat(net::NetStat::RingStall, 0) < static_cast<std::uint64_t>(m)) {
+      b.pause();
+    }
+    f.credit_return(1, 0);
+  }
+  producer.join();
+  EXPECT_EQ(f.net_stat(net::NetStat::RingStall, 0), static_cast<std::uint64_t>(kMsgs - 1));
+  EXPECT_EQ(f.poll(1, 0), nullptr);
+  EXPECT_EQ(f.injected(1, 0), static_cast<std::uint64_t>(kMsgs));
+  EXPECT_EQ(f.delivered(1, 0), static_cast<std::uint64_t>(kMsgs));
 }
 
 TEST(RdmaNetmod, BlackholeDropsBeforeConsumingCredits) {

@@ -9,9 +9,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "net/lane.hpp"
+#include "runtime/packet.hpp"
 #include "util.hpp"
 
 namespace lwmpi {
@@ -449,6 +453,188 @@ TEST(Pt2Pt, CrossNodeAndIntraNodeBothWork) {
         EXPECT_EQ(in, (me ^ 1) * 10);
       },
       o);
+}
+
+// ---------------------------------------------------------------------------
+// The small eager send: a message of at most net::Lane::kInlineBytes goes
+// from the send's arguments into its lane cell, with no Packet.
+// ---------------------------------------------------------------------------
+
+// On a 1-rank blackhole world, 1,000 sends of 0..20 bytes through each of
+// isend, isend_noreq, isend_all_opts and a persistent start leave the rank
+// thread's drained packet pool empty, and the fabric drops every one.
+TEST(Pt2Pt, SmallEagerSendBuildsNoPacket) {
+  constexpr int kEach = 1000;
+  WorldOptions o;
+  o.profile = net::infinite();
+  o.ranks_per_node = 1;
+  World w(1, o);
+  std::size_t pooled = 1;
+  std::uint64_t dropped = 0;
+  w.run([&](Engine& e) {
+    ASSERT_EQ(e.comm_dup_predefined(kCommWorld, kComm1), Err::Success);
+    char buf[net::Lane::kInlineBytes] = {};
+    Request ps = kRequestNull;
+    ASSERT_EQ(e.send_init(buf, net::Lane::kInlineBytes, kChar, 0, 3, kCommWorld, &ps),
+              Err::Success);
+    const std::uint64_t before = w.fabric().dropped();
+    rt::PacketPool::tl_drain();
+    for (int i = 0; i < kEach; ++i) {
+      const int n = i % (net::Lane::kInlineBytes + 1);
+      Request r = kRequestNull;
+      ASSERT_EQ(e.isend(buf, n, kChar, 0, 1, kCommWorld, &r), Err::Success);
+      ASSERT_EQ(e.wait(&r, nullptr), Err::Success);
+      ASSERT_EQ(e.isend_noreq(buf, n, kChar, 0, 2, kCommWorld), Err::Success);
+      ASSERT_EQ(e.isend_all_opts(buf, n, kChar, 0, kComm1), Err::Success);
+      ASSERT_EQ(e.start(&ps), Err::Success);
+      ASSERT_EQ(e.wait(&ps, nullptr), Err::Success);
+    }
+    ASSERT_EQ(e.comm_waitall(kCommWorld), Err::Success);
+    ASSERT_EQ(e.comm_waitall(kComm1), Err::Success);
+    pooled = rt::PacketPool::tl_pool_size();
+    dropped = w.fabric().dropped() - before;
+    ASSERT_EQ(e.request_free(&ps), Err::Success);
+  });
+  EXPECT_EQ(pooled, 0u);
+  EXPECT_EQ(dropped, 4u * kEach);
+}
+
+// Every ch4 eager send entry, on both netmods, across the record boundary
+// and with a noncontiguous type: what arrives is the same whether the
+// message rode a lane record (an untraced ch4 world) or a Packet (a traced
+// world, and the orig device).
+enum class SendEntry { Isend, Global, Npn, Noreq, Nomatch, AllOpts, Start };
+constexpr SendEntry kSendEntries[] = {SendEntry::Isend,   SendEntry::Global,
+                                      SendEntry::Npn,     SendEntry::Noreq,
+                                      SendEntry::Nomatch, SendEntry::AllOpts,
+                                      SendEntry::Start};
+
+// One received message: its bytes as they landed in the receive buffer,
+// and its status.
+struct Arrival {
+  std::vector<int> data;
+  Rank source = kUndefined;
+  Tag tag = kUndefined;
+  std::size_t bytes = 0;
+  friend bool operator==(const Arrival&, const Arrival&) = default;
+};
+
+// Counts per type: kChar sends 0, 1, 20 and 21 bytes; the strided vector of
+// two ints (8 packed bytes, 12 spanned) sends 0, 8, 16 and 24, so each type
+// has messages on both sides of the 20-byte record limit.
+constexpr int kCounts[2][4] = {{0, 1, 20, 21}, {0, 1, 2, 3}};
+constexpr int kMaxInts = 3 * 3;  // three vector elements of three ints
+
+std::vector<Arrival> send_table(const char* netmod, DeviceKind dev, bool trace) {
+  WorldOptions o = fast_opts(dev);
+  o.netmod = netmod;
+  o.build.trace = trace;
+  World w(2, o);
+  std::vector<Arrival> got;
+  w.run([&](Engine& e) {
+    ASSERT_EQ(e.comm_dup_predefined(kCommWorld, kComm1), Err::Success);
+    Datatype vec = kDatatypeNull;
+    ASSERT_EQ(e.type_vector(2, 1, 2, kInt, &vec), Err::Success);
+    ASSERT_EQ(e.type_commit(&vec), Err::Success);
+    const Datatype types[2] = {kChar, vec};
+    Tag tag = 0;
+    for (SendEntry entry : kSendEntries) {
+      for (int t = 0; t < 2; ++t) {
+        for (int count : kCounts[t]) {
+          ++tag;
+          const Datatype dt = types[t];
+          const bool nomatch = entry == SendEntry::Nomatch || entry == SendEntry::AllOpts;
+          const Comm comm = entry == SendEntry::AllOpts ? kComm1 : kCommWorld;
+          std::vector<int> buf(kMaxInts, -1);
+          if (e.world_rank() == 0) {
+            for (int k = 0; k < kMaxInts; ++k) buf[static_cast<std::size_t>(k)] = tag * 100 + k;
+            Request r = kRequestNull;
+            switch (entry) {
+              case SendEntry::Isend:
+                ASSERT_EQ(e.isend(buf.data(), count, dt, 1, tag, comm, &r), Err::Success);
+                break;
+              case SendEntry::Global:
+                ASSERT_EQ(e.isend_global(buf.data(), count, dt, 1, tag, comm, &r), Err::Success);
+                break;
+              case SendEntry::Npn:
+                ASSERT_EQ(e.isend_npn(buf.data(), count, dt, 1, tag, comm, &r), Err::Success);
+                break;
+              case SendEntry::Noreq:
+                ASSERT_EQ(e.isend_noreq(buf.data(), count, dt, 1, tag, comm), Err::Success);
+                break;
+              case SendEntry::Nomatch:
+                ASSERT_EQ(e.isend_nomatch(buf.data(), count, dt, 1, comm, &r), Err::Success);
+                break;
+              case SendEntry::AllOpts:
+                ASSERT_EQ(e.isend_all_opts(buf.data(), count, dt, 1, comm), Err::Success);
+                break;
+              case SendEntry::Start: {
+                Request ps = kRequestNull;
+                ASSERT_EQ(e.send_init(buf.data(), count, dt, 1, tag, comm, &ps), Err::Success);
+                ASSERT_EQ(e.start(&ps), Err::Success);
+                ASSERT_EQ(e.wait(&ps, nullptr), Err::Success);
+                ASSERT_EQ(e.request_free(&ps), Err::Success);
+                break;
+              }
+            }
+            ASSERT_EQ(e.wait(&r, nullptr), Err::Success);
+            ASSERT_EQ(e.comm_waitall(comm), Err::Success);
+          } else {
+            Request r = kRequestNull;
+            if (nomatch) {
+              ASSERT_EQ(e.irecv_nomatch(buf.data(), count, dt, comm, &r), Err::Success);
+            } else {
+              ASSERT_EQ(e.irecv(buf.data(), count, dt, 0, tag, comm, &r), Err::Success);
+            }
+            Status st;
+            ASSERT_EQ(e.wait(&r, &st), Err::Success);
+            got.push_back(Arrival{buf, st.source, nomatch ? kUndefined : st.tag, st.byte_count});
+          }
+        }
+      }
+    }
+    ASSERT_EQ(e.barrier(kCommWorld), Err::Success);
+    ASSERT_EQ(e.type_free(&vec), Err::Success);
+  });
+  return got;
+}
+
+TEST(Pt2Pt, EagerEntriesDeliverTheSameAsRecordOrPacket) {
+  for (const char* netmod : {"mailbox", "rdma"}) {
+    SCOPED_TRACE(netmod);
+    const std::vector<Arrival> records = send_table(netmod, DeviceKind::Ch4, false);
+    ASSERT_EQ(records.size(), std::size(kSendEntries) * 8);
+    // What each message must deliver: kChar's first `count` bytes of the
+    // send buffer; the vector's ints 0 and 2 of each three, its gaps untouched.
+    std::size_t m = 0;
+    Tag tag = 0;
+    for (SendEntry entry : kSendEntries) {
+      const bool nomatch = entry == SendEntry::Nomatch || entry == SendEntry::AllOpts;
+      for (int t = 0; t < 2; ++t) {
+        for (int count : kCounts[t]) {
+          ++tag;
+          std::vector<int> want(kMaxInts, -1);
+          if (t == 0) {
+            std::vector<int> sent(kMaxInts);
+            for (int k = 0; k < kMaxInts; ++k) sent[static_cast<std::size_t>(k)] = tag * 100 + k;
+            std::memcpy(want.data(), sent.data(), static_cast<std::size_t>(count));
+          } else {
+            for (int k = 0; k < 3 * count; ++k) {
+              if (k % 3 != 1) want[static_cast<std::size_t>(k)] = tag * 100 + k;
+            }
+          }
+          const auto bytes = static_cast<std::size_t>(t == 0 ? count : 8 * count);
+          const Arrival& a = records[m++];
+          EXPECT_EQ(a.data, want) << "message " << tag;
+          EXPECT_EQ(a.source, 0) << "message " << tag;
+          EXPECT_EQ(a.tag, nomatch ? kUndefined : tag) << "message " << tag;
+          EXPECT_EQ(a.bytes, bytes) << "message " << tag;
+        }
+      }
+    }
+    EXPECT_EQ(send_table(netmod, DeviceKind::Ch4, true), records) << "traced";
+    EXPECT_EQ(send_table(netmod, DeviceKind::Orig, false), records) << "orig";
+  }
 }
 
 }  // namespace
